@@ -12,8 +12,8 @@ namespace {
 
 // The pool must undercut the allocator it replaces, and glibc's tcache fast
 // path is a handful of nanoseconds -- a pthread mutex round per freelist op
-// gives most of that back. Each lane owns its pool, so the lock is taken
-// contended only by rare cross-lane returns: a test-and-set spinlock makes
+// gives most of that back. Each shard owns its pool, so the lock is taken
+// contended only by rare cross-thread returns: a test-and-set spinlock makes
 // the common uncontended round two plain atomic ops.
 class SpinLock {
  public:
@@ -66,9 +66,9 @@ void drain_stash(TlsStash& s);
 }  // namespace
 
 // All freelists share one spinlock and one byte budget. The lock is
-// effectively uncontended: each lane owns its pool, and only rare cross-lane
-// returns (a packet released by a peer lane's freelist walk) take a foreign
-// lock.
+// effectively uncontended: each shard owns its pool and drives it from one
+// thread, and only rare cross-thread returns (a packet released on a thread
+// other than its shard's) take it from a second thread.
 struct PacketPool::Core {
   explicit Core(Limits l) : limits(l) {}
   ~Core() {
@@ -364,7 +364,7 @@ std::shared_ptr<Packet> PacketPool::acquire() {
   if (!enabled_) return std::make_shared<Packet>();
   Core::Taken t = Core::take_packet(*core_);
   // Plain member increment: acquire is single-threaded by the ownership
-  // contract (one pool per lane), and keeping the stat here keeps the
+  // contract (one pool per shard), and keeping the stat here keeps the
   // stash fast path free of atomics.
   if (t.from_stash) ++stash_reused_;
   return std::shared_ptr<Packet>(t.pkt, Recycle{core_},

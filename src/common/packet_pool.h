@@ -18,7 +18,7 @@
 // shared_ptr would cost half a dozen atomic ops per packet -- and the core
 // counts its outstanding packets and control blocks intrusively: it deletes
 // itself when the facade is gone AND the last piece of storage returns, so
-// packets that outlive their pool (or return from another lane) still
+// packets that outlive their pool (or return from another thread) still
 // recycle safely.
 //
 // Retained memory is bounded by total bytes across packets, control blocks,
@@ -90,7 +90,7 @@ class PacketPool {
   Core* core_;  // Self-deleting once orphaned and drained; see ~PacketPool.
   // Stash-hit count, kept on the facade because the stash fast path must
   // not touch the core (no lock) and an empty stash must not pin it.
-  // Plain (non-atomic): acquire is single-threaded per the lane contract.
+  // Plain (non-atomic): acquire is single-threaded (one pool per shard).
   std::uint64_t stash_reused_ = 0;
 };
 

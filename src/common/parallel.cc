@@ -2,59 +2,35 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace jqos {
-namespace {
-
-// Strict "positive integer" parse shared by the knob resolvers: the whole
-// string must be digits (an optional leading '+' is tolerated), no sign
-// tricks, no trailing junk. Returns false on anything else, including "".
-bool parse_positive(const char* s, long& out) {
-  char* end = nullptr;
-  out = std::strtol(s, &end, 10);
-  return end != s && *end == '\0' && out > 0;
-}
-
-[[noreturn]] void throw_bad_knob(const char* var, const char* value, const char* accepted) {
-  throw std::invalid_argument(std::string(var) + "='" + value + "' is not a valid setting; " +
-                              accepted + ". Unset " + var + " to use the default.");
-}
-
-}  // namespace
 
 unsigned resolve_sim_threads(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("JQOS_SIM_THREADS")) {
-    long v = 0;
-    if (!parse_positive(env, v)) {
+    // Strict parse: the whole string must be a positive integer (an optional
+    // leading '+' is tolerated) -- no sign tricks, no trailing junk, not "".
+    char* end = nullptr;
+    const long v = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || v <= 0) {
       // A knob that is set but broken must fail loudly: falling back to 1
       // thread (or to hardware_concurrency) silently turns a typo into a
       // perf regression nobody notices.
-      throw_bad_knob("JQOS_SIM_THREADS", env,
-                     "expected a positive integer thread count (e.g. 1, 4, 16)");
+      throw std::invalid_argument(
+          std::string("JQOS_SIM_THREADS='") + env +
+          "' is not a valid setting; expected a positive integer thread count "
+          "(e.g. 1, 4, 16). Unset JQOS_SIM_THREADS to use the default.");
     }
     return static_cast<unsigned>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
-}
-
-std::size_t resolve_sim_lanes(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("JQOS_SIM_LANES")) {
-    // "0" is a meaningful setting (lanes off), so parse it separately from
-    // the positive-integer path.
-    if (env[0] == '0' && env[1] == '\0') return 0;
-    long v = 0;
-    if (!parse_positive(env, v)) {
-      throw_bad_knob("JQOS_SIM_LANES", env,
-                     "expected a non-negative integer lane count (0 disables lanes)");
-    }
-    return static_cast<std::size_t>(v);
-  }
-  return 0;
 }
 
 void parallel_for_indexed(std::size_t n, unsigned threads,
@@ -100,116 +76,6 @@ void parallel_for_indexed(std::size_t n, unsigned threads,
   worker();  // The calling thread is worker 0.
   for (auto& th : pool) th.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-WorkerPool::WorkerPool(unsigned threads) {
-  if (threads <= 1) return;
-  workers_.reserve(threads - 1);
-  try {
-    for (unsigned t = 1; t < threads; ++t) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  } catch (...) {
-    // Same RLIMIT_NPROC hazard as parallel_for_indexed: shut down whatever
-    // did start before rethrowing, or the vector's destructor aborts.
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    for (auto& th : workers_) th.join();
-    throw;
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  for (auto& th : workers_) th.join();
-}
-
-void WorkerPool::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] { return generation_ != seen; });
-      seen = generation_;
-      if (shutdown_) return;
-    }
-    work(seen);
-  }
-}
-
-void WorkerPool::work(std::uint64_t gen) {
-  for (;;) {
-    std::size_t i;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (generation_ != gen || next_ >= n_) return;
-      i = next_++;
-      ++inflight_;
-    }
-    bool failed = false;
-    std::exception_ptr err;
-    try {
-      (*fn_)(i);
-    } catch (...) {
-      failed = true;
-      err = std::current_exception();
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (failed) {
-        // Keep the error of the LOWEST index so which exception surfaces is
-        // a function of the work, not of thread interleaving.
-        if (!first_error_ || i < first_error_index_) {
-          first_error_ = err;
-          first_error_index_ = i;
-        }
-        next_ = n_;  // Stop handing out further work this region.
-      }
-      --inflight_;
-      if (next_ >= n_ && inflight_ == 0) {
-        lock.unlock();
-        done_cv_.notify_all();
-      }
-    }
-  }
-}
-
-void WorkerPool::run(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::uint64_t gen;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    n_ = n;
-    next_ = 0;
-    inflight_ = 0;
-    first_error_ = nullptr;
-    first_error_index_ = 0;
-    gen = ++generation_;
-  }
-  start_cv_.notify_all();
-  work(gen);  // The owning thread participates.
-  std::exception_ptr err;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return next_ >= n_ && inflight_ == 0; });
-    err = first_error_;
-    fn_ = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace jqos

@@ -21,8 +21,6 @@ using SimDuration = std::int64_t;
 
 inline constexpr SimTime kSimStart = 0;
 inline constexpr SimDuration kNoTimeout = -1;
-// "Never" / "unbounded": the largest representable instant or span.
-inline constexpr SimTime kMaxSimTime = INT64_MAX;
 
 constexpr SimDuration usec(std::int64_t n) { return n; }
 constexpr SimDuration msec(std::int64_t n) { return n * 1000; }

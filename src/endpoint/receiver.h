@@ -216,7 +216,7 @@ class Receiver final : public netsim::Node {
   // Estimated RTT feed (e.g. from the scenario builder's path data).
   void set_rtt_estimate(SimDuration rtt);
 
-  // Packet storage pool for this receiver's lane (see docs/MEMORY.md); null
+  // Packet storage pool of this receiver's shard (see docs/MEMORY.md); null
   // (the default) means heap allocation. Set at build time, before traffic.
   void set_pool(PacketPool* pool) { pool_ = pool; }
 
@@ -319,9 +319,10 @@ class Receiver final : public netsim::Node {
   // Reused scratch for in-stream self-decodes (fec::decode_batch arena
   // overload): sized by the largest batch seen, recycled across decodes.
   fec::ShardArena decode_arena_;
-  // Per-call scratch recycled across packets (receivers are single-lane, so
-  // no handler runs reentrantly). nack_scratch_ keeps the missing vector and
-  // serialization capacity warm; the others replace per-call locals.
+  // Per-call scratch recycled across packets (handlers run one at a time on
+  // the shard's event loop, never reentrantly). nack_scratch_ keeps the
+  // missing vector and serialization capacity warm; the others replace
+  // per-call locals.
   NackInfo nack_scratch_;
   std::vector<SeqNo> gap_scratch_;    // note_missing: freshly detected holes
   std::vector<SeqNo> stale_scratch_;  // on_timer: holes due for re-NACK

@@ -93,7 +93,7 @@ class Sender final : public netsim::Node {
   SeqNo next_seq(FlowId flow) const;
   netsim::Network& network() { return net_; }
 
-  // Packet storage pool for this sender's lane (see docs/MEMORY.md); null
+  // Packet storage pool of this sender's shard (see docs/MEMORY.md); null
   // (the default) means heap allocation. Set at build time, before traffic.
   void set_pool(PacketPool* pool) { pool_ = pool; }
 

@@ -117,24 +117,6 @@ struct WanScenarioParams {
   // multi-shard scenario; every shard arms the same plan and skips targets
   // it does not own, so replicated entities fault at the same instant.
   netsim::FaultPlan faults;
-  // Conservative intra-shard parallelism (PDES lanes; see
-  // netsim::Simulator::configure_lanes and docs/DETERMINISM.md).
-  //   0 = off: one event loop per shard, byte-identical to prior releases
-  //       (JQOS_SIM_LANES, if set, overrides this default).
-  //   N = split the shard's endpoint-side work -- each path's sender,
-  //       receiver, app, and direct link -- across min(N, paths) lanes that
-  //       advance in parallel between horizons derived from the access
-  //       links' minimum one-way latency; the hub (DCs, services, inter-DC
-  //       links) runs in its own lane.
-  // Results are BIT-IDENTICAL for every lanes >= 1 at fixed shard count,
-  // any thread count, and both event-queue backends. lanes >= 1 differs
-  // from lanes == 0 only in same-microsecond arrival order at shared
-  // services (lanes resolve those ties canonically; the single loop
-  // resolves them by global scheduling order).
-  std::size_t lanes = 0;
-  // Worker threads draining lanes inside this shard's windows
-  // (0 = JQOS_SIM_THREADS / hardware concurrency). Never affects results.
-  unsigned lane_threads = 0;
 };
 
 // One overlay up/down transition observed by a path's receiver.
@@ -272,24 +254,12 @@ class ScenarioShard {
   FaultSummary fault_summary() const;
   netsim::FaultInjector& injector() { return injector_; }
 
-  // --- lane layout (lane mode only) ---
-  // Endpoint lanes in use; 0 when the shard runs the classic single loop.
-  std::size_t lanes_used() const { return lanes_used_; }
-  // The simulator lane owning path i's endpoint-side entities (its sender,
-  // receiver, app, and direct link); 0 (the hub lane) when lanes are off.
-  // Deterministic round-robin over the shard's local path order.
-  std::size_t lane_of_path(std::size_t i) const {
-    return lanes_used_ == 0 ? 0 : 1 + i % lanes_used_;
-  }
-
-  // --- packet pools (docs/MEMORY.md) ---
-  // One PacketPool per lane: index 0 is the hub lane (DCs, services,
-  // inter-DC links), indices 1..lanes_used() are the endpoint lanes. With
-  // lanes off there is exactly one pool. Pool state never feeds simulation
-  // values, so results are bit-identical with pooling on or off.
-  std::size_t pool_count() const { return pools_.size(); }
-  PacketPool& pool(std::size_t lane) { return *pools_.at(lane); }
-  const PacketPool& pool(std::size_t lane) const { return *pools_.at(lane); }
+  // --- packet pool (docs/MEMORY.md) ---
+  // The shard's one PacketPool, shared by every entity it builds (senders,
+  // receivers, DCs and their services, links). Pool state never feeds
+  // simulation values, so results are bit-identical with pooling on or
+  // off. Index 0 is the only pool; any other index throws std::out_of_range.
+  const PacketPool& pool(std::size_t index) const;
 
  private:
   void build_overlay(const std::vector<IndexedPath>& paths);
@@ -303,7 +273,7 @@ class ScenarioShard {
   // pointers; pooled packets outliving the shard stay safe regardless of
   // destruction order (the pool core counts its outstanding storage and
   // frees itself only when the last packet comes home).
-  std::vector<std::unique_ptr<PacketPool>> pools_;
+  PacketPool pool_;
   Rng rng_;  // Overlay construction only; per-path streams are derived.
   services::FlowRegistryPtr registry_;
   std::unique_ptr<overlay::OverlayNetwork> overlay_;
@@ -313,7 +283,6 @@ class ScenarioShard {
   endpoint::SessionManager sessions_;
   std::vector<std::unique_ptr<PathRuntime>> paths_;
   FlowId next_flow_ = 1;
-  std::size_t lanes_used_ = 0;
 };
 
 // The N=1 facade: the whole scenario in one shard, with the original

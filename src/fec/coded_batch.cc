@@ -198,7 +198,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   // disappears. Two storage strategies, byte-identical outputs:
   //
   //  * Pooled (pool enabled): each packet is recycled from the owning
-  //    lane's PacketPool, reusing payload capacity and covered-key capacity
+  //    shard's PacketPool, reusing payload capacity and covered-key capacity
   //    from earlier batches — zero allocator traffic in steady state.
   //  * Slab (no pool): the batch's packets share one slab allocation
   //    (aliasing shared_ptrs into a make_shared array): one control block

@@ -113,15 +113,9 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   // A target may bind several directed links (both directions of a site
-  // pair); a fault hits all of them together. `lane` is the simulator lane
-  // that OWNS the bound entity (mutates its state): arm() schedules the
-  // target's fault events into that lane so toggling fault state never
-  // races the entity's own traffic. Ignored (lane 0) outside lane mode; all
-  // bindings of one target must name the same lane.
-  void bind_link(const std::string& target, Link* link,
-                 std::size_t lane = 0);
-  void bind_node(const std::string& target, FaultableNode* node,
-                 std::size_t lane = 0);
+  // pair); a fault hits all of them together.
+  void bind_link(const std::string& target, Link* link);
+  void bind_node(const std::string& target, FaultableNode* node);
 
   // Schedules every spec in the plan whose target is bound here. Faults with
   // start < now() are rejected (fault plans are armed before run()). May be
@@ -136,7 +130,6 @@ class FaultInjector {
   Simulator& sim_;
   std::map<std::string, std::vector<Link*>, std::less<>> links_;
   std::map<std::string, FaultableNode*, std::less<>> nodes_;
-  std::map<std::string, std::size_t, std::less<>> lanes_;  // Target -> owning lane.
   FaultInjectorStats stats_;
 };
 

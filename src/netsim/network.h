@@ -105,8 +105,8 @@ class Network {
   std::vector<Node*> nodes_;
   std::vector<std::vector<std::pair<NodeId, Link*>>> out_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Link>> links_;
-  // Atomic: in lane mode a delivery sink (which counts unattached targets)
-  // runs in the RECEIVING lane while Network::send runs in senders' lanes.
+  // Relaxed atomic: cheap on the packet path and safe to read from any
+  // thread.
   std::atomic<std::uint64_t> routing_failures_{0};
 };
 

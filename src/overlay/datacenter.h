@@ -66,7 +66,7 @@ class DataCenter final : public netsim::Node, public netsim::FaultableNode {
   netsim::Network& network() { return net_; }
   SimTime now() const { return net_.sim().now(); }
 
-  // Packet storage pool for the hub lane this DC runs in (see
+  // Packet storage pool of the shard this DC belongs to (see
   // docs/MEMORY.md); services reach it via dc.pool(). Null (the default)
   // means heap allocation. Set at build time, before traffic.
   void set_pool(PacketPool* pool) { pool_ = pool; }

@@ -1,6 +1,4 @@
 #include "services/coding/recovery_dc.h"
-#include <cstdlib>
-#include <cstdio>
 
 #include <algorithm>
 
@@ -48,12 +46,7 @@ void RecoveryService::on_coded(const PacketPtr& pkt) {
     batch.first_seen = dc_.now();
     batch.is_cross = pkt->type == PacketType::kCrossCoded;
     ++stats_.batches_stored;
-    for (const PacketKey& key : batch.meta.covered) {
-      key_index_[key].push_back(batch_id);
-      if (getenv("JQOS_DEBUG_OPS") != nullptr) {
-        std::fprintf(stderr, "COV %u %u\n", key.flow, key.seq);
-      }
-    }
+    for (const PacketKey& key : batch.meta.covered) key_index_[key].push_back(batch_id);
   }
   batch.coded.push_back(pkt);
   arm_sweep();
@@ -141,10 +134,6 @@ void RecoveryService::on_nack(const PacketPtr& pkt, bool confirm) {
     // outran it), or the loss predates the session. Check with the receiver
     // before recovering later (Section 3.4).
     ++stats_.uncovered_keys;
-    if (getenv("JQOS_DEBUG_OPS") != nullptr) {
-      std::fprintf(stderr, "UNCOV flow=%u seq=%u t=%.1fs conf=%d\n", key.flow, key.seq,
-                   to_sec(dc_.now()), confirm ? 1 : 0);
-    }
     PendingNack& pending = pending_[key];
     pending.receiver = receiver;
     pending.expires_at = dc_.now() + params_.pending_nack_ttl;
@@ -316,13 +305,6 @@ void RecoveryService::finish_op_failure(std::uint32_t batch_id, std::uint64_t ep
   auto it = ops_.find(batch_id);
   if (it == ops_.end()) return;
   ++stats_.coop_deadline_failures;
-  if (const char* dbg = getenv("JQOS_DEBUG_OPS"); dbg != nullptr) {
-    auto bit = batches_.find(batch_id);
-    std::fprintf(stderr, "DEADOP batch=%u k=%d coded=%zu responses=%zu requesters=%zu\n",
-                 batch_id, bit == batches_.end() ? -1 : (int)bit->second.meta.k,
-                 bit == batches_.end() ? 0 : bit->second.coded.size(),
-                 it->second.responses.size(), it->second.requesters.size());
-  }
   JQOS_DEBUG(dc_.name() << ": cooperative recovery deadline for batch " << batch_id);
   ops_.erase(it);  // Fails silently (Section 4.4).
 }

@@ -206,8 +206,8 @@ class RecoveryService final : public overlay::DcService {
   // frames and reconstructs in place.
   fec::ShardArena decode_arena_;
 
-  // Per-call scratch recycled across packets (services run on their DC's
-  // single hub lane, so handlers never run reentrantly).
+  // Per-call scratch recycled across packets (services run on their shard's
+  // single event loop, so handlers never run reentrantly).
   NackInfo nack_scratch_;
   std::vector<PacketKey> keys_scratch_;
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present_scratch_;

@@ -80,41 +80,17 @@ class ChurnShardEngine {
       size_rngs_.emplace_back(
           Rng::derive(Rng::derive(cfg.scenario.seed, "churn-size"), gi));
     }
-    // Lane mode: session bookkeeping (open/finalize/close, the active_ map,
-    // engine-global sketches) runs in the SERIAL lane at barriers, while
-    // send chains and delivery classification run in each path's endpoint
-    // lane. finalize crosses lane -> serial through a per-path channel, so
-    // its barrier order is canonical in (time, global path index); recovery
-    // sketch adds happen in path lanes, so they go to per-path sketches
-    // merged in path order after the run (lanes off keeps the original
-    // single-sketch add order, byte-identical to prior releases).
-    if (shard_.lanes_used() > 0) {
-      path_recovery_ms_.assign(shard_.path_count(), QuantileSketch(cfg.sketch_k));
-      serial_ch_.resize(shard_.path_count());
-      for (std::size_t i = 0; i < shard_.path_count(); ++i) {
-        serial_ch_[i] = &shard_.sim().make_channel(
-            (static_cast<std::uint64_t>(shard_.path(i).global_index) << 3) | 4,
-            netsim::Simulator::kSerialLane, cfg_.linger);
-      }
-    }
   }
 
   void run() {
     end_ = shard_.sim().now() + cfg_.duration;
-    {
-      // Arrival chains drive open_session/registry mutations: serial lane
-      // (a no-op scope when lanes are off).
-      const netsim::Simulator::LaneScope serial(shard_.sim(),
-                                                netsim::Simulator::kSerialLane);
-      for (std::size_t i = 0; i < shard_.path_count(); ++i) schedule_arrival(i);
-    }
+    for (std::size_t i = 0; i < shard_.path_count(); ++i) schedule_arrival(i);
     // Run to EMPTY, not to a deadline: arrivals stop at end_, send chains
     // and finalize events are finite, recovery traffic and service timers
     // self-terminate once the last session closes.
     shard_.sim().run();
     shard_.flush_encoders();
     shard_.sim().run();
-    for (QuantileSketch& s : path_recovery_ms_) recovery_ms.merge(s);
     totals.leaked_flows =
         shard_.registered_flows() + static_cast<std::uint64_t>(active_.size());
   }
@@ -156,12 +132,6 @@ class ChurnShardEngine {
     s.outcome = outcome_pool_.acquire();
     s.outcome->assign(total, kPending);
     ++totals.sessions_opened;
-    // The send chain belongs to the path's endpoint lane from here on: the
-    // first send fires synchronously (lanes are parked while serial events
-    // run, so touching the sender is safe) and the chain's timers land in
-    // the lane's queue.
-    const netsim::Simulator::LaneScope scope(shard_.sim(),
-                                             shard_.lane_of_path(path_index));
     send_next(flow, 0);
   }
 
@@ -175,14 +145,7 @@ class ChurnShardEngine {
     } else {
       // Books close after the linger window: long enough for the receiver's
       // recovery_give_up to either deliver or declare every hole lost.
-      // finalize mutates engine-global state, so in lane mode it crosses
-      // back to the serial lane through this path's channel.
-      if (!serial_ch_.empty()) {
-        serial_ch_[s.path]->schedule(shard_.sim().now() + cfg_.linger,
-                                     [this, flow] { finalize(flow); });
-      } else {
-        shard_.sim().after(cfg_.linger, [this, flow] { finalize(flow); });
-      }
+      shard_.sim().after(cfg_.linger, [this, flow] { finalize(flow); });
     }
   }
 
@@ -214,7 +177,7 @@ class ChurnShardEngine {
       double ms = 0.0;
       if (rec.detected_missing_at > 0) {
         ms = to_ms(rec.delivered_at - rec.detected_missing_at);
-        (path_recovery_ms_.empty() ? recovery_ms : path_recovery_ms_[s.path]).add(ms);
+        recovery_ms.add(ms);
       }
       if (o != kPending) return;
       // Paper's success criterion: recovery beyond give_up_rtts direct-path
@@ -286,14 +249,9 @@ class ChurnShardEngine {
   std::vector<netsim::OutageWindow> fault_windows_;
   std::vector<ArrivalProcess> arrivals_;  // Indexed like shard_.path(i).
   std::vector<Rng> size_rngs_;
-  // Lane mode only (both empty otherwise): per-path recovery sketches,
-  // merged into recovery_ms in path order; per-path lane->serial channels
-  // carrying finalize events.
-  std::vector<QuantileSketch> path_recovery_ms_;
-  std::vector<netsim::Simulator::Channel*> serial_ch_;
-  // Session open/close runs in the serial lane, so one engine-wide pool of
-  // outcome vectors sees no contention; its byte bound keeps a bulk-mix
-  // burst from pinning memory past the soak's concurrency high-water.
+  // One engine-wide pool of session outcome vectors; its byte bound keeps a
+  // bulk-mix burst from pinning memory past the soak's concurrency
+  // high-water.
   common::ObjPool<std::vector<std::uint8_t>> outcome_pool_;
   std::unordered_map<FlowId, SessionState> active_;
   SimTime end_ = 0;

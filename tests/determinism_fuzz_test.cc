@@ -1,17 +1,20 @@
 // Randomized determinism torture test: ~50 seeded mini-scenarios sweeping
 // the configuration space -- path counts, service selection, direct-send vs
 // path switching, faults, failover, session churn, AQM disciplines, and
-// congestion-control kinds -- each run under several (lanes, lane_threads,
-// event-queue backend) configurations that MUST all produce bit-identical
-// fingerprints. The point is breadth: the targeted determinism suites pin
-// specific mechanisms; this one hunts for interactions nobody thought to
-// pin. Every scenario is derived from a fixed master seed, so a failure
-// reproduces exactly from the printed scenario index.
+// congestion-control kinds -- each run under several configurations that
+// MUST all produce bit-identical fingerprints: both event-queue backends,
+// the single-shard WanScenario facade vs ShardedRunner decompositions, and
+// several shard thread counts. These are the configurations the figures,
+// benches, and examples actually run. The point is breadth: the targeted
+// determinism suites pin specific mechanisms; this one hunts for
+// interactions nobody thought to pin. Every scenario is derived from a fixed
+// master seed, so a failure reproduces exactly from the printed scenario
+// index.
 //
-// Deliberately NOT asserted: lanes=0 vs lanes>=1 (the classic loop resolves
-// same-microsecond ties by global scheduling order, lanes resolve them
-// canonically), and different shard counts (barriers depend on the shard's
-// local event floor). docs/DETERMINISM.md states both caveats.
+// Event counts are compared only at a fixed partition (a DC site replicated
+// into several shards runs its housekeeping timers once per shard), and
+// churn fingerprints only at a fixed num_shards (sketch merge order depends
+// on it). docs/DETERMINISM.md states the full contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +26,7 @@
 #include "common/rng.h"
 #include "exp/incast.h"
 #include "exp/scenario.h"
+#include "exp/sharded_runner.h"
 #include "geo/path_dataset.h"
 #include "netsim/latency_model.h"
 #include "test_guards.h"
@@ -47,9 +51,12 @@ void fnv_d(std::uint64_t& h, double d) {
 }
 
 // Everything observable from one WAN scenario run, order-sensitively hashed:
-// per-packet outcome traces, recovery samples, service totals, fault and
-// failover counters, and the simulator's event count.
-std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
+// per-packet outcome traces, recovery samples, per-path counters, failover
+// events, service totals, and fault counters. Works on the WanScenario
+// facade and on ShardedRunner's merged view alike; event counts are not
+// part of it (see the header comment).
+template <typename Run>
+std::uint64_t wan_fingerprint(const Run& sc) {
   std::uint64_t h = 14695981039346656037ULL;
   for (std::size_t i = 0; i < sc.path_count(); ++i) {
     const exp::PathRuntime& rt = sc.path(i);
@@ -81,7 +88,6 @@ std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
                           fs.failover_direct_sent, fs.cloud_suppressed}) {
     fnv(h, v);
   }
-  fnv(h, sc.sim().events_processed());
   return h;
 }
 
@@ -143,38 +149,49 @@ WanCase draw_wan_case(std::uint64_t master, std::uint64_t index) {
   return c;
 }
 
-std::uint64_t run_wan_case(const WanCase& c, std::size_t lanes, unsigned lane_threads,
-                           netsim::EvqBackend backend) {
+struct FacadeRun {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t events = 0;
+};
+
+FacadeRun run_facade(const WanCase& c, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
-  exp::WanScenarioParams p = c.params;
-  p.lanes = lanes;
-  p.lane_threads = lane_threads;
-  exp::WanScenario sc(c.paths, p);
+  exp::WanScenario sc(c.paths, c.params);
   sc.run(c.duration);
-  return wan_fingerprint(sc);
+  return {wan_fingerprint(sc), sc.sim().events_processed()};
 }
 
-TEST(DeterminismFuzz, WanScenariosInvariantAcrossLanesThreadsBackends) {
+std::uint64_t run_sharded(const WanCase& c, std::size_t num_shards, unsigned threads,
+                          netsim::EvqBackend backend) {
+  const EvqBackendGuard evq(backend);
+  exp::ShardedRunParams rp;
+  rp.num_shards = num_shards;
+  rp.num_threads = threads;
+  exp::ShardedRunner runner(c.paths, c.params, rp);
+  EXPECT_GT(runner.shard_count(), 1u) << "one shard: the facade comparison is vacuous";
+  runner.run(c.duration);
+  return wan_fingerprint(runner);
+}
+
+TEST(DeterminismFuzz, WanScenariosInvariantAcrossBackendsShardsThreads) {
   constexpr std::uint64_t kMaster = 0x4a514f53'46555a5aULL;  // "JQOSFUZZ"
   constexpr int kCases = 30;
   for (int i = 0; i < kCases; ++i) {
     SCOPED_TRACE("wan case " + std::to_string(i));
     const WanCase c = draw_wan_case(kMaster, static_cast<std::uint64_t>(i));
-    const std::uint64_t ref =
-        run_wan_case(c, 1, 1, netsim::EvqBackend::kHeap);
-    // A rotating sub-matrix keeps runtime bounded while covering, over the
-    // 30 cases, every (lanes, threads, backend) axis pairing.
-    const std::size_t lanes2 = 2 + static_cast<std::size_t>(i % 3);  // 2..4
-    EXPECT_EQ(ref, run_wan_case(c, lanes2, 2, netsim::EvqBackend::kHeap))
-        << "lanes=" << lanes2 << " threads=2 heap";
-    EXPECT_EQ(ref, run_wan_case(c, 3, 1, netsim::EvqBackend::kLadder))
-        << "lanes=3 threads=1 ladder";
-    EXPECT_EQ(ref, run_wan_case(c, 2, 0, netsim::EvqBackend::kLadder))
-        << "lanes=2 threads=auto ladder";
+    const FacadeRun heap = run_facade(c, netsim::EvqBackend::kHeap);
+    const FacadeRun ladder = run_facade(c, netsim::EvqBackend::kLadder);
+    EXPECT_EQ(heap.fingerprint, ladder.fingerprint) << "facade heap vs ladder";
+    EXPECT_EQ(heap.events, ladder.events) << "facade heap vs ladder event count";
+    // The sharded runs alternate backends across cases.
+    const netsim::EvqBackend backend =
+        i % 2 == 0 ? netsim::EvqBackend::kLadder : netsim::EvqBackend::kHeap;
+    EXPECT_EQ(heap.fingerprint, run_sharded(c, 0, 2, backend)) << "num_shards=0 threads=2";
+    EXPECT_EQ(heap.fingerprint, run_sharded(c, 2, 1, backend)) << "num_shards=2 threads=1";
   }
 }
 
-TEST(DeterminismFuzz, ChurnInvariantAcrossLanesThreadsBackends) {
+TEST(DeterminismFuzz, ChurnInvariantAcrossThreadsBackends) {
   constexpr std::uint64_t kMaster = 0x434855524e'5aULL;
   for (int i = 0; i < 10; ++i) {
     SCOPED_TRACE("churn case " + std::to_string(i));
@@ -188,23 +205,24 @@ TEST(DeterminismFuzz, ChurnInvariantAcrossLanesThreadsBackends) {
     cfg.packets_per_second = rng.uniform(50.0, 100.0);
     cfg.max_session_packets = 60;
     cfg.scenario.seed = rng.next_u64();
-    cfg.num_shards = 1;  // FIXED: sketch merge order depends on it.
-    cfg.num_threads = 1;
+    cfg.num_shards = 0;  // FIXED (one shard per group): sketch merge order depends on it.
     if (rng.bernoulli(0.3)) cfg.scenario.failover.enabled = true;
     if (rng.bernoulli(0.3)) {
       cfg.scenario.faults.link_down("direct:0", msec(700), msec(500));
     }
 
-    auto run = [&](std::size_t lanes, unsigned threads, netsim::EvqBackend backend) {
+    auto run = [&](unsigned threads, netsim::EvqBackend backend) {
       const EvqBackendGuard evq(backend);
       workload::ChurnConfig c = cfg;
-      c.scenario.lanes = lanes;
-      c.scenario.lane_threads = threads;
-      return workload::run_churn(c).fingerprint();
+      c.num_threads = threads;
+      const workload::ChurnResult r = workload::run_churn(c);
+      EXPECT_GT(r.shards_used, 1u) << "one shard: the thread-count comparison is vacuous";
+      return r.fingerprint();
     };
-    const std::uint64_t ref = run(1, 1, netsim::EvqBackend::kHeap);
-    EXPECT_EQ(ref, run(2 + static_cast<std::size_t>(i % 2), 2, netsim::EvqBackend::kHeap));
-    EXPECT_EQ(ref, run(3, 0, netsim::EvqBackend::kLadder));
+    const std::uint64_t ref = run(1, netsim::EvqBackend::kHeap);
+    EXPECT_EQ(ref, run(1, netsim::EvqBackend::kLadder)) << "threads=1 ladder";
+    EXPECT_EQ(ref, run(2, netsim::EvqBackend::kHeap)) << "threads=2 heap";
+    EXPECT_EQ(ref, run(3, netsim::EvqBackend::kLadder)) << "threads=3 ladder";
   }
 }
 

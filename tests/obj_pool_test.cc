@@ -1,10 +1,10 @@
 // Object-pool subsystem tests: ObjPool checkout/return RAII semantics,
-// byte-bounded trim limits, high-water accounting, cross-thread (cross-lane)
-// return safety (ASan/TSan validate the Core lifetime rules), PacketPool
-// recycling behind the packet.h factories, the JQOS_OBJ_POOL env gate, and
-// the load-bearing determinism property: WAN-scenario and churn fingerprints
-// are bit-identical with pools on vs off, across event-queue backends and
-// lane counts. Pool state must never feed a simulation value.
+// byte-bounded trim limits, high-water accounting, cross-thread return
+// safety (ASan/TSan validate the Core lifetime rules), PacketPool recycling
+// behind the packet.h factories, the JQOS_OBJ_POOL env gate, and the
+// load-bearing determinism property: WAN-scenario and churn fingerprints are
+// bit-identical with pools on vs off, across event-queue backends. Pool
+// state must never feed a simulation value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -148,7 +148,7 @@ TEST(ObjPoolTest, TrimFreesEverythingPooled) {
 }
 
 TEST(ObjPoolTest, CrossThreadReleaseIsSafe) {
-  // A lane may hand a pooled object to another lane; the return must take
+  // A pooled object may be released on another thread; the return must take
   // the OWNER's freelist lock from the releasing thread. ASan/TSan validate.
   BytePool pool;
   std::vector<BytePool::Handle> handles;
@@ -330,14 +330,13 @@ std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
 
 // One lossy coded-path scenario; the pool env guard wraps CONSTRUCTION
 // because every PacketPool reads JQOS_OBJ_POOL when it is built.
-std::uint64_t wan_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backend) {
+std::uint64_t wan_fp(bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
   const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
   Rng geo_rng(0x706f6f6cULL);
   const auto paths = geo::planetlab_paths(3, geo_rng);
   exp::WanScenarioParams p;
   p.seed = 0xdecafbadULL;
-  p.lanes = lanes;
   p.direct.bernoulli_loss = 0.02;  // Enough loss to exercise NACK/recovery.
   p.cbr.packets_per_second = 60.0;
   exp::WanScenario sc(paths, p);
@@ -347,16 +346,12 @@ std::uint64_t wan_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backend)
 
 TEST(ObjPoolDeterminism, WanFingerprintIdenticalPoolsOnOff) {
   for (const auto backend : {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
-    for (const std::size_t lanes : {std::size_t{0}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend) +
-                   " lanes=" + std::to_string(lanes));
-      EXPECT_EQ(wan_fp(/*pooled=*/true, lanes, backend),
-                wan_fp(/*pooled=*/false, lanes, backend));
-    }
+    SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend));
+    EXPECT_EQ(wan_fp(/*pooled=*/true, backend), wan_fp(/*pooled=*/false, backend));
   }
 }
 
-std::uint64_t churn_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backend) {
+std::uint64_t churn_fp(bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
   const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));
   workload::ChurnConfig cfg;
@@ -366,7 +361,6 @@ std::uint64_t churn_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backen
   cfg.packets_per_second = 80.0;
   cfg.max_session_packets = 50;
   cfg.scenario.seed = 0xc0ffeeULL;
-  cfg.scenario.lanes = lanes;
   cfg.num_shards = 1;
   cfg.num_threads = 1;
   return workload::run_churn(cfg).fingerprint();
@@ -374,12 +368,8 @@ std::uint64_t churn_fp(bool pooled, std::size_t lanes, netsim::EvqBackend backen
 
 TEST(ObjPoolDeterminism, ChurnFingerprintIdenticalPoolsOnOff) {
   for (const auto backend : {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
-    for (const std::size_t lanes : {std::size_t{0}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend) +
-                   " lanes=" + std::to_string(lanes));
-      EXPECT_EQ(churn_fp(/*pooled=*/true, lanes, backend),
-                churn_fp(/*pooled=*/false, lanes, backend));
-    }
+    SCOPED_TRACE(std::string("backend=") + netsim::evq_backend_name(backend));
+    EXPECT_EQ(churn_fp(/*pooled=*/true, backend), churn_fp(/*pooled=*/false, backend));
   }
 }
 

@@ -12,18 +12,25 @@
 //  * All of the above holds under either event-queue backend.
 //
 // These properties are what make "run the 45-path sweep on every core" a
-// safe default for the figure drivers rather than a fidelity trade-off.
+// safe default for the figure drivers rather than a fidelity trade-off. The
+// thread-count knob feeding them (JQOS_SIM_THREADS) must refuse bogus values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "exp/sharded_runner.h"
 #include "test_guards.h"
 
 namespace jqos::exp {
 namespace {
+
+using jqos::testing::EnvVarGuard;
 
 WanScenarioParams fast_params(std::uint64_t seed) {
   WanScenarioParams p;
@@ -184,93 +191,6 @@ TEST(ShardedScenario, InvariantAcrossEventQueueBackends) {
   expect_same(heap.fp, ladder.fp, "heap-vs-ladder sharded");
 }
 
-// --- intra-shard lane determinism ---
-// The conservative-lane contract (docs/DETERMINISM.md): at a FIXED shard
-// partition, the lane count and the lane thread count are pure mechanism.
-// Every lanes >= 1 configuration must produce bit-identical results under
-// any thread count and either event-queue backend. (lanes == 0, the classic
-// single loop, resolves same-microsecond ties differently and is NOT
-// asserted equal; shard count changes barrier placement and is fixed here.)
-
-RunResult run_laned(std::size_t paths, std::uint64_t seed, std::size_t lanes,
-                    unsigned lane_threads, std::size_t num_shards = 1) {
-  WanScenarioParams p = fast_params(seed);
-  p.lanes = lanes;
-  p.lane_threads = lane_threads;
-  ShardedRunParams rp;
-  rp.num_shards = num_shards;
-  rp.num_threads = 1;
-  ShardedRunner runner(test_paths(paths), p, rp);
-  runner.run(minutes(1));
-  return {fingerprint_of(runner, runner.path_count()), runner.total_events()};
-}
-
-TEST(LanedScenario, LaneCountNeverChangesResults) {
-  const RunResult one = run_laned(8, 77, 1, 1);
-  ASSERT_GT(one.fp.enc_data, 1000u) << "scenario too small to be a meaningful guard";
-  // 9 asks for more lanes than paths and must clamp, not misbehave.
-  for (std::size_t lanes : {std::size_t{2}, std::size_t{3}, std::size_t{9}}) {
-    const RunResult n = run_laned(8, 77, lanes, 1);
-    expect_same(one.fp, n.fp, "lanes=" + std::to_string(lanes));
-    EXPECT_EQ(one.events, n.events) << "lanes=" << lanes;
-  }
-}
-
-TEST(LanedScenario, LaneThreadCountNeverChangesResults) {
-  const RunResult t1 = run_laned(8, 91, 3, 1);
-  // 0 = auto (JQOS_SIM_THREADS / hardware concurrency), the production mode.
-  for (unsigned threads : {2u, 3u, 0u}) {
-    const RunResult tn = run_laned(8, 91, 3, threads);
-    expect_same(t1.fp, tn.fp, "lane_threads=" + std::to_string(threads));
-    EXPECT_EQ(t1.events, tn.events) << "lane_threads=" << threads;
-  }
-}
-
-TEST(LanedScenario, InvariantAcrossEventQueueBackends) {
-  RunResult results[2];
-  std::size_t i = 0;
-  for (netsim::EvqBackend backend :
-       {netsim::EvqBackend::kHeap, netsim::EvqBackend::kLadder}) {
-    const jqos::testing::EvqBackendGuard guard(backend);
-    results[i++] = run_laned(6, 13, 2, 2);
-  }
-  expect_same(results[0].fp, results[1].fp, "laned heap-vs-ladder");
-  EXPECT_EQ(results[0].events, results[1].events);
-}
-
-TEST(LanedScenario, ComposesWithShardedRunner) {
-  // Lanes inside shards, several shards, several lane threads: still equal
-  // to the single-threaded run at the same partition.
-  const RunResult a = run_laned(10, 55, 2, 1, /*num_shards=*/0);
-  const RunResult b = run_laned(10, 55, 4, 3, /*num_shards=*/0);
-  expect_same(a.fp, b.fp, "sharded+laned");
-}
-
-TEST(LanedScenario, FaultsAndFailoverStayDeterministic) {
-  // Faults mutate lane-owned state (direct links) and hub state (DCs) on a
-  // schedule; failover adds receiver->sender control traffic. All of it must
-  // stay invariant across lane and thread counts.
-  auto make = [](std::size_t lanes, unsigned threads) {
-    WanScenarioParams p = fast_params(31);
-    p.failover.enabled = true;
-    p.faults.link_down("direct:2", sec(10), sec(4));
-    p.faults.node_crash("dc:" + test_paths(6, 3)[0].dc2.name, sec(20), sec(6));
-    p.lanes = lanes;
-    p.lane_threads = threads;
-    WanScenario sc(test_paths(6, 3), p);
-    sc.run(minutes(1));
-    Fingerprint fp = fingerprint_of(sc, sc.path_count());
-    const FaultSummary fs = sc.fault_summary();
-    // Fold the fault counters in through unused fingerprint slots.
-    fp.rec_expired += fs.link_fault_drops * 1000003 + fs.dc_fault_dropped * 997 +
-                      fs.failovers * 31 + fs.reengages;
-    return fp;
-  };
-  const Fingerprint base = make(1, 1);
-  expect_same(base, make(3, 1), "faults lanes=3");
-  expect_same(base, make(3, 2), "faults lanes=3 threads=2");
-}
-
 TEST(ShardedScenario, PartitionRespectsInteractionGroups) {
   // Paths sharing a (DC1, DC2) pair must land in one shard: force all paths
   // onto one DC pair and check the runner collapses to a single shard.
@@ -281,6 +201,35 @@ TEST(ShardedScenario, PartitionRespectsInteractionGroups) {
   }
   ShardedRunner runner(std::move(paths), fast_params(1), {});
   EXPECT_EQ(runner.shard_count(), 1u);
+}
+
+// ------------------------------------------------------------------- knobs
+
+TEST(SimKnobs, ResolveSimThreadsRejectsBogusEnv) {
+  for (const char* bad : {"0", "-3", "", "12abc", "garbage", "+"}) {
+    EnvVarGuard env("JQOS_SIM_THREADS", std::string(bad));
+    try {
+      (void)resolve_sim_threads();
+      FAIL() << "JQOS_SIM_THREADS='" << bad << "' accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      // Actionable: names the knob, shows the value, says how to clear it.
+      EXPECT_NE(msg.find("JQOS_SIM_THREADS"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(bad), std::string::npos) << msg;
+      EXPECT_NE(msg.find("Unset"), std::string::npos) << msg;
+    }
+    // An explicit request bypasses the env entirely -- a caller-provided
+    // count must not fail because the environment is broken.
+    EXPECT_EQ(resolve_sim_threads(3), 3u);
+  }
+  {
+    EnvVarGuard env("JQOS_SIM_THREADS", "4");
+    EXPECT_EQ(resolve_sim_threads(), 4u);
+  }
+  {
+    EnvVarGuard env("JQOS_SIM_THREADS", std::nullopt);
+    EXPECT_GE(resolve_sim_threads(), 1u);
+  }
 }
 
 }  // namespace

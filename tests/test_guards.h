@@ -50,8 +50,8 @@ class GfBackendGuard {
 
 // Sets (or unsets, via nullopt) one environment variable, restoring the
 // prior value on destruction. Used by the knob-hardening tests to exercise
-// JQOS_SIM_THREADS / JQOS_SIM_LANES / JQOS_EVQ_BACKEND parsing without
-// leaking the value into tests scheduled after them.
+// JQOS_SIM_THREADS / JQOS_EVQ_BACKEND parsing without leaking the value into
+// tests scheduled after them.
 class EnvVarGuard {
  public:
   EnvVarGuard(const char* name, std::optional<std::string> value) : name_(name) {

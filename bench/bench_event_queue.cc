@@ -1,16 +1,10 @@
 // Event-queue microbench: single-thread event dispatch throughput of the
 // simulator core on the pure-dispatch workloads that bound every figure
-// sweep, across three event cores:
+// sweep, across both event-queue backends:
 //
-//   legacy  the event core this PR replaced, reproduced verbatim here:
-//           std::function handlers (one heap allocation per non-trivial
-//           closure), a binary heap over (time, id), unbounded handler
-//           arrays, pop-one-at-a-time dispatch. The baseline the ladder
-//           rework's >= 5x acceptance target is measured against.
-//   heap    the retained reference backend: same binary-heap ordering, but
-//           sharing the new slab (freelist slots, inline EventFn storage)
-//           and the batched drain loop. Deliberately stronger than legacy;
-//           its gap to legacy shows what slab + inline callbacks buy alone.
+//   heap    the retained reference backend: binary-heap ordering over the
+//           shared slab (freelist slots, inline EventFn storage) and the
+//           batched drain loop.
 //   ladder  the production backend: ladder queue + slab + batched drain.
 //
 // Workloads:
@@ -27,8 +21,6 @@
 // Flags: --json (JSON Lines rows), --quick (CI smoke preset).
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -56,136 +48,7 @@ struct Result {
   double events_per_sec() const { return static_cast<double>(events) / wall_sec; }
 };
 
-// ------------------------- legacy reference core --------------------------
-
-// The pre-ladder EventQueue + Simulator::run loop, kept byte-faithful (same
-// data structures, same pop-one-at-a-time dispatch) so the speedup rows
-// measure the rework rather than drift in the comparison.
-class LegacyCore {
- public:
-  std::uint64_t push(SimTime at, std::function<void()> fn) {
-    const std::uint64_t id = next_id_++;
-    handlers_.push_back(std::move(fn));
-    cancelled_.push_back(false);
-    heap_.push(Entry{at, id});
-    ++live_;
-    return id;
-  }
-  void cancel(std::uint64_t id) {
-    if (id >= cancelled_.size() || cancelled_[id]) return;
-    if (!handlers_[id]) return;
-    cancelled_[id] = true;
-    handlers_[id] = nullptr;
-    --live_;
-  }
-  bool empty() const { return live_ == 0; }
-  std::pair<SimTime, std::function<void()>> pop() {
-    while (cancelled_[heap_.top().id]) heap_.pop();
-    const Entry e = heap_.top();
-    heap_.pop();
-    std::pair<SimTime, std::function<void()>> out{e.at, std::move(handlers_[e.id])};
-    handlers_[e.id] = nullptr;
-    --live_;
-    return out;
-  }
-  std::uint64_t slots() const { return handlers_.size(); }
-
- private:
-  struct Entry {
-    SimTime at;
-    std::uint64_t id;
-    bool operator>(const Entry& rhs) const {
-      if (at != rhs.at) return at > rhs.at;
-      return id > rhs.id;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::vector<std::function<void()>> handlers_;
-  std::vector<bool> cancelled_;
-  std::uint64_t next_id_ = 0;
-  std::size_t live_ = 0;
-};
-
-// A minimal simulator shell over LegacyCore matching the old run() loop.
-struct LegacySim {
-  LegacyCore q;
-  SimTime now = 0;
-  std::uint64_t processed = 0;
-  void after(SimDuration d, std::function<void()> fn) { q.push(now + d, std::move(fn)); }
-  void run() {
-    while (!q.empty()) {
-      auto [at, fn] = q.pop();
-      now = at;
-      ++processed;
-      fn();
-    }
-  }
-};
-
 // ------------------------------- workloads --------------------------------
-
-Result run_hold_legacy(std::uint64_t live, std::uint64_t total) {
-  LegacySim sim;
-  Rng rng(42);
-  struct Driver {
-    LegacySim& sim;
-    Rng& rng;
-    std::uint64_t remaining;
-    void fire() {
-      if (remaining == 0) return;
-      --remaining;
-      sim.after(rng.uniform_int(1, 2000), [this] { fire(); });
-    }
-  } driver{sim, rng, total};
-  for (std::uint64_t i = 0; i < live; ++i) {
-    sim.q.push(rng.uniform_int(0, 1000000), [&driver] { driver.fire(); });
-  }
-  const auto start = Clock::now();
-  sim.run();
-  const double secs = std::chrono::duration<double>(Clock::now() - start).count();
-  return {"legacy", "hold", live, sim.processed, secs, sim.q.slots()};
-}
-
-Result run_drain_legacy(std::uint64_t n) {
-  LegacySim sim;
-  Rng rng(43);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    sim.q.push(100 * rng.uniform_int(0, static_cast<std::int64_t>(n) / 10), [] {});
-  }
-  const auto start = Clock::now();
-  sim.run();
-  const double secs = std::chrono::duration<double>(Clock::now() - start).count();
-  return {"legacy", "drain", n, sim.processed, secs, sim.q.slots()};
-}
-
-Result run_churn_legacy(std::uint64_t live, std::uint64_t total) {
-  LegacySim sim;
-  Rng rng(44);
-  struct Driver {
-    LegacySim& sim;
-    Rng& rng;
-    std::uint64_t remaining;
-    std::vector<std::uint64_t> pending;
-    void fire() {
-      if (remaining == 0) return;
-      --remaining;
-      pending.push_back(sim.q.push(sim.now + rng.uniform_int(1, 2000), [this] { fire(); }));
-      pending.push_back(sim.q.push(sim.now + rng.uniform_int(1, 2000), [this] { fire(); }));
-      const auto pick = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1));
-      sim.q.cancel(pending[pick]);
-      pending[pick] = pending.back();
-      pending.pop_back();
-    }
-  } driver{sim, rng, total, {}};
-  for (std::uint64_t i = 0; i < live; ++i) {
-    sim.q.push(rng.uniform_int(0, 1000000), [&driver] { driver.fire(); });
-  }
-  const auto start = Clock::now();
-  sim.run();
-  const double secs = std::chrono::duration<double>(Clock::now() - start).count();
-  return {"legacy", "churn", live, sim.processed, secs, sim.q.slots()};
-}
 
 // Steady-state hold model: fire `total` events through `live` in-flight.
 Result run_hold(EvqBackend backend, std::uint64_t live, std::uint64_t total) {
@@ -288,24 +151,20 @@ int main(int argc, char** argv) {
     }
     results.push_back(b);
   };
-  best([&] { return run_hold_legacy(live, total); });
   for (EvqBackend b : kBackends) best([&, b] { return run_hold(b, live, total); });
-  best([&] { return run_drain_legacy(drain_n); });
   for (EvqBackend b : kBackends) best([&, b] { return run_drain(b, drain_n); });
-  best([&] { return run_churn_legacy(live / 4, total / 2); });
   for (EvqBackend b : kBackends) best([&, b] { return run_churn(b, live / 4, total / 2); });
 
-  const auto baseline = [&](const std::string& name, const std::string& backend) {
+  const auto heap_rate = [&](const std::string& name) {
     for (const Result& r : results) {
-      if (r.name == name && r.backend == backend) return r.events_per_sec();
+      if (r.name == name && r.backend == "heap") return r.events_per_sec();
     }
     return 0.0;
   };
 
   if (json) {
     for (const Result& r : results) {
-      const double legacy = baseline(r.name, "legacy");
-      const double heap = baseline(r.name, "heap");
+      const double heap = heap_rate(r.name);
       jqos::bench::JsonRow("event_queue")
           .add("name", r.name)
           .add("backend", r.backend)
@@ -314,7 +173,6 @@ int main(int argc, char** argv) {
           .add("events_per_sec", r.events_per_sec())
           .add("wall_sec", r.wall_sec)
           .add("slab_slots", r.slab_slots)
-          .add("speedup_vs_legacy", legacy > 0 ? r.events_per_sec() / legacy : 0.0)
           .add("speedup_vs_heap", heap > 0 ? r.events_per_sec() / heap : 0.0)
           .emit();
     }
@@ -323,19 +181,14 @@ int main(int argc, char** argv) {
 
   std::printf("== Event-queue dispatch: %llu live, %llu events (single thread) ==\n",
               static_cast<unsigned long long>(live), static_cast<unsigned long long>(total));
-  std::printf("%-7s %-8s %12s %12s %14s %10s %11s %10s\n", "work", "backend", "live",
-              "events", "events/sec", "wall s", "vs legacy", "vs heap");
+  std::printf("%-7s %-8s %12s %12s %14s %10s %10s\n", "work", "backend", "live",
+              "events", "events/sec", "wall s", "vs heap");
   for (const Result& r : results) {
-    const double legacy = baseline(r.name, "legacy");
-    const double heap = baseline(r.name, "heap");
-    std::printf("%-7s %-8s %12llu %12llu %14.0f %10.3f %10.2fx %9.2fx\n", r.name.c_str(),
+    const double heap = heap_rate(r.name);
+    std::printf("%-7s %-8s %12llu %12llu %14.0f %10.3f %9.2fx\n", r.name.c_str(),
                 r.backend.c_str(), static_cast<unsigned long long>(r.live),
                 static_cast<unsigned long long>(r.events), r.events_per_sec(), r.wall_sec,
-                legacy > 0 ? r.events_per_sec() / legacy : 0.0,
                 heap > 0 ? r.events_per_sec() / heap : 0.0);
   }
-  std::printf("\n'legacy' is the replaced core (std::function handlers, unbatched binary\n"
-              "heap). 'heap' is this PR's retained reference backend, which already\n"
-              "shares the slab + inline-callback + batched-drain infrastructure.\n");
   return 0;
 }

@@ -178,13 +178,14 @@ NetsimPoint run_netsim_sweep(netsim::EvqBackend backend, std::uint64_t total_pac
   constexpr std::size_t kWindow = 256;  // Outstanding packets per flow.
   const std::uint64_t per_flow = total_packets / kFlows;
 
-  // One pool for the whole sweep (single-threaded dispatch): env-gated, so
-  // JQOS_OBJ_POOL=0 measures the pre-pool allocating path for comparison.
+  // One pool for the whole sweep (single-threaded dispatch), handed out as a
+  // null pool under JQOS_OBJ_POOL=0 to measure the allocating path.
   PacketPool pool;
+  PacketPool* const pump_pool = PacketPool::env_enabled() ? &pool : nullptr;
 
   struct Pump final : netsim::Node {
     netsim::Network& net;
-    PacketPool& pool;
+    PacketPool* pool;
     NodeId self;
     NodeId peer = 0;
     FlowId flow = 0;
@@ -192,12 +193,12 @@ NetsimPoint run_netsim_sweep(netsim::EvqBackend backend, std::uint64_t total_pac
     std::uint64_t received = 0;
     SeqNo next_seq = 0;
 
-    Pump(netsim::Network& n, PacketPool& pl, NodeId id) : net(n), pool(pl), self(id) {}
+    Pump(netsim::Network& n, PacketPool* pl, NodeId id) : net(n), pool(pl), self(id) {}
     NodeId id() const override { return self; }
     void send_one() {
       if (to_send == 0) return;
       --to_send;
-      net.send(self, make_data_packet(flow, next_seq++, self, peer, 0, 512, &pool));
+      net.send(self, make_data_packet(flow, next_seq++, self, peer, 0, 512, pool));
     }
     void handle_packet(const PacketPtr&) override {}
   };
@@ -217,7 +218,7 @@ NetsimPoint run_netsim_sweep(netsim::EvqBackend backend, std::uint64_t total_pac
   std::vector<std::unique_ptr<Pump>> pumps;
   std::vector<std::unique_ptr<Sink>> sinks;
   for (std::size_t f = 0; f < kFlows; ++f) {
-    auto pump = std::make_unique<Pump>(net, pool, net.allocate_id());
+    auto pump = std::make_unique<Pump>(net, pump_pool, net.allocate_id());
     auto sink = std::make_unique<Sink>(net.allocate_id());
     pump->peer = sink->id();
     pump->flow = static_cast<FlowId>(f + 1);

@@ -171,6 +171,13 @@ def self_test():
     regs, checked, unmatched = diff(ok_base, other, 0.15)
     assert checked == 0 and not regs and unmatched == 2, "identity mismatch must not compare"
 
+    # A retired row (base-only: the bench no longer emits it) is reported as
+    # unmatched and never fails the gate.
+    retired = rows({"bench": "x", "name": "a", "threads": 2, "mbps": 100.0},
+                   {"bench": "x", "name": "gone", "mbps": 100.0})
+    regs, checked, unmatched = diff(retired, ok_cur, 0.15)
+    assert checked == 1 and not regs and unmatched == 1, "retired rows must not fail"
+
     # Non-throughput fields are ignored even when they shrink.
     fid_base = rows({"bench": "x", "name": "overall", "overall_recovery": 0.9})
     fid_cur = rows({"bench": "x", "name": "overall", "overall_recovery": 0.5})

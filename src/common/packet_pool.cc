@@ -5,10 +5,19 @@
 #include <cstdlib>
 #include <mutex>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace jqos {
 namespace {
+
+// Retention bounds (bytes, never object counts; see docs/MEMORY.md). A
+// returned packet whose payload capacity outgrew kMaxPacketBytes has that
+// capacity dropped before pooling (bursts must not fatten the pool).
+constexpr std::size_t kMaxRetainedBytes = 16u << 20;
+constexpr std::size_t kMaxPacketBytes = 256u << 10;
 
 // The pool must undercut the allocator it replaces, and glibc's tcache fast
 // path is a handful of nanoseconds -- a pthread mutex round per freelist op
@@ -70,7 +79,6 @@ void drain_stash(TlsStash& s);
 // thread, and only rare cross-thread returns (a packet released on a thread
 // other than its shard's) take it from a second thread.
 struct PacketPool::Core {
-  explicit Core(Limits l) : limits(l) {}
   ~Core() {
     for (Packet* p : free_packets) delete p;
     for (void* b : free_blocks) ::operator delete(b);
@@ -145,7 +153,7 @@ struct PacketPool::Core {
     p->ecn_capable = false;
     p->ecn_ce = false;
     p->payload.clear();
-    if (p->payload.capacity() > c.limits.max_packet_bytes) {
+    if (p->payload.capacity() > kMaxPacketBytes) {
       p->payload.shrink_to_fit();
     }
     // Fast path: park the packet in the thread-local stash (the control
@@ -166,14 +174,14 @@ struct PacketPool::Core {
       --c.outstanding;
       --c.live;
       const std::size_t pb = sizeof(Packet) + p->payload.capacity();
-      if (c.pooled_bytes + pb <= c.limits.max_retained_bytes) {
+      if (c.pooled_bytes + pb <= kMaxRetainedBytes) {
         c.pooled_bytes += pb;
         c.free_packets.push_back(p);
         pooled = true;
       }
       if (keys.capacity() > 0) {
         const std::size_t kb = keys.capacity() * sizeof(PacketKey);
-        if (c.pooled_bytes + kb <= c.limits.max_retained_bytes) {
+        if (c.pooled_bytes + kb <= kMaxRetainedBytes) {
           c.pooled_bytes += kb;
           c.spare_keys.push_back(std::move(keys));
         }
@@ -218,7 +226,7 @@ struct PacketPool::Core {
       std::lock_guard<SpinLock> lk(c.mu);
       --c.live;
       if (bytes == c.block_size &&
-          c.pooled_bytes + bytes <= c.limits.max_retained_bytes) {
+          c.pooled_bytes + bytes <= kMaxRetainedBytes) {
         c.pooled_bytes += bytes;
         c.free_blocks.push_back(b);
         pooled = true;
@@ -242,7 +250,7 @@ struct PacketPool::Core {
         --c.outstanding;
         --c.live;
         const std::size_t pb = sizeof(Packet) + pkt->payload.capacity();
-        if (c.pooled_bytes + pb <= c.limits.max_retained_bytes) {
+        if (c.pooled_bytes + pb <= kMaxRetainedBytes) {
           c.pooled_bytes += pb;
           c.free_packets.push_back(pkt);
           pooled_pkt = true;
@@ -251,7 +259,7 @@ struct PacketPool::Core {
       if (block != nullptr) {
         --c.live;
         if (block_size == c.block_size &&
-            c.pooled_bytes + block_size <= c.limits.max_retained_bytes) {
+            c.pooled_bytes + block_size <= kMaxRetainedBytes) {
           c.pooled_bytes += block_size;
           c.free_blocks.push_back(block);
           pooled_blk = true;
@@ -265,7 +273,6 @@ struct PacketPool::Core {
   }
 
   mutable SpinLock mu;
-  Limits limits;
   // Lifetime: the deleter/allocator reference the core by RAW pointer (a
   // shared_ptr would cost ~6 atomic refcount ops per packet). `live` counts
   // every packet and control block currently checked out; when the facade
@@ -346,8 +353,7 @@ struct CtrlAlloc {
 
 }  // namespace
 
-PacketPool::PacketPool(bool enabled, Limits limits)
-    : enabled_(enabled), core_(new Core(limits)) {}
+PacketPool::PacketPool() : core_(new Core()) {}
 
 PacketPool::~PacketPool() {
   if (tls_stash.core == core_) drain_stash(tls_stash);
@@ -361,7 +367,6 @@ PacketPool::~PacketPool() {
 }
 
 std::shared_ptr<Packet> PacketPool::acquire() {
-  if (!enabled_) return std::make_shared<Packet>();
   Core::Taken t = Core::take_packet(*core_);
   // Plain member increment: acquire is single-threaded by the ownership
   // contract (one pool per shard), and keeping the stat here keeps the
@@ -372,7 +377,6 @@ std::shared_ptr<Packet> PacketPool::acquire() {
 }
 
 std::shared_ptr<Packet> PacketPool::acquire_copy(const Packet& src) {
-  if (!enabled_) return std::make_shared<Packet>(src);
   auto p = acquire();
   p->type = src.type;
   p->service = src.service;
@@ -400,7 +404,7 @@ CodedMeta& PacketPool::engage_meta(Packet& pkt) {
   if (!pkt.meta) pkt.meta.emplace();
   CodedMeta& m = *pkt.meta;
   m.covered.clear();
-  if (enabled_ && m.covered.capacity() == 0) {
+  if (m.covered.capacity() == 0) {
     std::lock_guard<SpinLock> lk(core_->mu);
     if (!core_->spare_keys.empty()) {
       core_->pooled_bytes -=
@@ -444,7 +448,15 @@ std::uint64_t PacketPool::fresh() const {
 
 bool PacketPool::env_enabled() {
   const char* v = std::getenv("JQOS_OBJ_POOL");
-  return !(v != nullptr && v[0] == '0' && v[1] == '\0');
+  if (v == nullptr) return true;
+  const std::string_view s(v);
+  if (s == "1") return true;
+  if (s == "0") return false;
+  // Same policy as JQOS_SIM_THREADS: a set but unrecognized value fails
+  // loudly, so a pool-off run cannot silently test the pooled path.
+  throw std::invalid_argument(std::string("JQOS_OBJ_POOL='") + v +
+                              "' is not a valid setting; expected 0 (no pool) or 1 "
+                              "(pool). Unset JQOS_OBJ_POOL to use the default.");
 }
 
 }  // namespace jqos

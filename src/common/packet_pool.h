@@ -13,9 +13,9 @@
 //
 // Call sites keep the existing PacketPtr type: a pooled packet is
 // indistinguishable from a heap one, and a null pool everywhere means plain
-// make_shared (exactly the JQOS_OBJ_POOL=0 passthrough). The deleter and
-// allocator hold a raw pointer to the pool core -- refcounting it through a
-// shared_ptr would cost half a dozen atomic ops per packet -- and the core
+// make_shared (what a scenario hands out under JQOS_OBJ_POOL=0). The deleter
+// and allocator hold a raw pointer to the pool core -- refcounting it through
+// a shared_ptr would cost half a dozen atomic ops per packet -- and the core
 // counts its outstanding packets and control blocks intrusively: it deletes
 // itself when the facade is gone AND the last piece of storage returns, so
 // packets that outlive their pool (or return from another thread) still
@@ -36,32 +36,16 @@ namespace jqos {
 
 class PacketPool {
  public:
-  struct Limits {
-    std::size_t max_retained_bytes = 16u << 20;
-    // A returned packet whose payload capacity outgrew this has that
-    // capacity dropped before pooling (bursts must not fatten the pool).
-    std::size_t max_packet_bytes = 256u << 10;
-  };
-
-  // Reads JQOS_OBJ_POOL at construction (not a static cache) so one process
-  // can compare both modes; "0" disables pooling, anything else enables it.
-  PacketPool() : PacketPool(env_enabled()) {}
-  // Two overloads rather than a defaulted Limits argument: a nested
-  // aggregate's member initializers are not usable in a default argument
-  // until the enclosing class is complete.
-  explicit PacketPool(bool enabled) : PacketPool(enabled, Limits{}) {}
-  PacketPool(bool enabled, Limits limits);
+  PacketPool();
   // Marks the core orphaned; the core frees itself once the last
   // outstanding packet and control block have come home.
   ~PacketPool();
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
 
-  bool enabled() const { return enabled_; }
-
   // A blank mutable packet: header fields default-initialized, payload
   // empty (capacity retained), meta disengaged. Fill it, then hand it off
-  // as PacketPtr. Disabled pool -> plain make_shared.
+  // as PacketPtr.
   std::shared_ptr<Packet> acquire();
 
   // A mutable deep copy of `src` into recycled storage.
@@ -79,6 +63,10 @@ class PacketPool {
   std::uint64_t reused() const;  // freelist + thread-local stash hits
   std::uint64_t fresh() const;   // global-allocator constructions
 
+  // JQOS_OBJ_POOL, read on every call (not cached) so one process can
+  // compare both modes: unset or "1" means pool, "0" means hand out a null
+  // pool (plain make_shared, the reference path ASan can see into). Any
+  // other value throws std::invalid_argument.
   static bool env_enabled();
 
   // Opaque shared freelist state (defined in packet_pool.cc); public only so
@@ -86,7 +74,6 @@ class PacketPool {
   struct Core;
 
  private:
-  bool enabled_;
   Core* core_;  // Self-deleting once orphaned and drained; see ~PacketPool.
   // Stash-hit count, kept on the facade because the stash fast path must
   // not touch the core (no lock) and an empty stash must not pin it.

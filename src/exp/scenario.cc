@@ -102,6 +102,7 @@ ScenarioShard::ScenarioShard(std::vector<IndexedPath> paths, const WanScenarioPa
       sim_(backend),
       net_(sim_, params.qdisc, Rng::derive(params.seed, "qdisc")),
       injector_(sim_),
+      entity_pool_(PacketPool::env_enabled() ? &pool_ : nullptr),
       rng_(params.seed),
       registry_(std::make_shared<services::FlowRegistry>()),
       sessions_(registry_) {
@@ -140,7 +141,7 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
   // claims in-transit packets), then the local services.
   for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
     overlay::DataCenter& dc = overlay_->dc(i);
-    dc.set_pool(&pool_);
+    dc.set_pool(entity_pool_);
     auto fwd = std::make_shared<services::ForwardingService>();
     forwarders_.push_back(fwd);
     dc.install(fwd);
@@ -160,7 +161,7 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
     for (std::size_t j = 0; j < overlay_->dc_count(); ++j) {
       if (i == j) continue;
       netsim::Link* l = net_.link(overlay_->dc(i).id(), overlay_->dc(j).id());
-      if (l != nullptr) l->set_pool(&pool_);
+      if (l != nullptr) l->set_pool(entity_pool_);
     }
   }
 
@@ -214,7 +215,7 @@ void ScenarioShard::build_path(IndexedPath path) {
 
   // --- endpoints ---
   rt->sender = std::make_unique<endpoint::Sender>(net_);
-  rt->sender->set_pool(&pool_);
+  rt->sender->set_pool(entity_pool_);
 
   endpoint::ReceiverConfig rc;
   rc.dc2 = rt->dc2->id();
@@ -275,7 +276,7 @@ void ScenarioShard::build_path(IndexedPath path) {
           ++rt_raw->delivered_direct;
         }
       });
-  rt->receiver->set_pool(&pool_);
+  rt->receiver->set_pool(entity_pool_);
 
   if (params_.failover.enabled) {
     // Overlay up/down notifications reach the sender over a control channel
@@ -329,7 +330,7 @@ void ScenarioShard::build_path(IndexedPath path) {
       net_.add_link(rt->sender->id(), rt->receiver->id(),
                     netsim::make_jitter_latency(jp, path_rng.fork("direct-lat")),
                     std::move(loss));
-  direct_link.set_pool(&pool_);
+  direct_link.set_pool(entity_pool_);
   if (!params_.faults.empty()) {
     injector_.bind_link("direct:" + std::to_string(rt->global_index), &direct_link);
   }
@@ -344,7 +345,7 @@ void ScenarioShard::build_path(IndexedPath path) {
   // The access links' CE-mark copies draw from the shard pool.
   const auto pool_links = [this](NodeId host, NodeId dc) {
     for (netsim::Link* l : {net_.link(host, dc), net_.link(dc, host)}) {
-      if (l != nullptr) l->set_pool(&pool_);
+      if (l != nullptr) l->set_pool(entity_pool_);
     }
   };
   pool_links(rt->sender->id(), rt->dc1->id());

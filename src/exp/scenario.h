@@ -256,9 +256,11 @@ class ScenarioShard {
 
   // --- packet pool (docs/MEMORY.md) ---
   // The shard's one PacketPool, shared by every entity it builds (senders,
-  // receivers, DCs and their services, links). Pool state never feeds
-  // simulation values, so results are bit-identical with pooling on or
-  // off. Index 0 is the only pool; any other index throws std::out_of_range.
+  // receivers, DCs and their services, links) unless JQOS_OBJ_POOL=0 was
+  // set at construction, in which case they get a null pool and the pool
+  // stays unused. Pool state never feeds simulation values, so results are
+  // bit-identical either way. Index 0 is the only pool; any other index
+  // throws std::out_of_range.
   const PacketPool& pool(std::size_t index) const;
 
  private:
@@ -274,6 +276,7 @@ class ScenarioShard {
   // destruction order (the pool core counts its outstanding storage and
   // frees itself only when the last packet comes home).
   PacketPool pool_;
+  PacketPool* const entity_pool_;  // &pool_, or nullptr under JQOS_OBJ_POOL=0.
   Rng rng_;  // Overlay construction only; per-path streams are derived.
   services::FlowRegistryPtr registry_;
   std::unique_ptr<overlay::OverlayNetwork> overlay_;

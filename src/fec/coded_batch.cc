@@ -197,7 +197,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   // their payload buffers — the arena-to-packet copy of the legacy path
   // disappears. Two storage strategies, byte-identical outputs:
   //
-  //  * Pooled (pool enabled): each packet is recycled from the owning
+  //  * Pooled (non-null pool): each packet is recycled from the owning
   //    shard's PacketPool, reusing payload capacity and covered-key capacity
   //    from earlier batches — zero allocator traffic in steady state.
   //  * Slab (no pool): the batch's packets share one slab allocation
@@ -206,12 +206,11 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   out.reserve(out.size() + num_coded);
   parity_ptrs_.clear();
   pooled_pkts_.clear();
-  const bool use_pool = pool != nullptr && pool->enabled();
   std::shared_ptr<Packet[]> slab;
-  if (!use_pool) slab = std::make_shared<Packet[]>(num_coded);
+  if (pool == nullptr) slab = std::make_shared<Packet[]>(num_coded);
   for (std::size_t i = 0; i < num_coded; ++i) {
     Packet* pkt_ptr;
-    if (use_pool) {
+    if (pool != nullptr) {
       auto pp = pool->acquire();
       pkt_ptr = const_cast<Packet*>(pp.get());
       out.push_back(std::move(pp));
@@ -228,7 +227,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
     pkt.src = src;
     pkt.dst = dst;
     pkt.sent_at = now;
-    if (use_pool) {
+    if (pool != nullptr) {
       pool->engage_meta(pkt);
     } else {
       pkt.meta.emplace();

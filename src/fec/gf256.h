@@ -10,8 +10,7 @@
 // implementation (SSSE3 at 16 bytes/step, AVX2 at 32 bytes/step, scalar
 // table walk as the portable fallback) is selected once at startup by CPUID
 // runtime dispatch. See gf256_simd.h for the technique, the dispatch order,
-// and how to force a specific backend when debugging (gf_set_backend() or
-// the JQOS_GF_BACKEND environment variable).
+// and how to force a specific backend when debugging (gf_set_backend()).
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,11 @@
 // Backend selection for the GF(256) buffer kernels: builds the split-nibble
-// tables, probes CPU support once, honors the JQOS_GF_BACKEND override, and
-// hands gf256.cc a pair of kernel function pointers. This TU contains no
-// ISA-specific code itself — the SSSE3/AVX2 kernels live in their own TUs so
-// only those are built with -mssse3/-mavx2.
+// tables, probes CPU support once, and hands gf256.cc a pair of kernel
+// function pointers. This TU contains no ISA-specific code itself — the
+// SSSE3/AVX2 kernels live in their own TUs so only those are built with
+// -mssse3/-mavx2.
 #include "fec/gf256_simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 
 #include "fec/gf256_simd_impl.h"
 
@@ -43,23 +40,6 @@ bool cpu_supports(GfBackend b) {
 #endif
 }
 
-// JQOS_GF_BACKEND, parsed exactly once at first use (the header's documented
-// contract; later setenv calls have no effect and cannot race the getenv).
-// Unset, empty, "auto", or an unrecognized value all mean "no constraint"
-// (unrecognized values must not silently degrade a production encoder to
-// scalar).
-std::optional<GfBackend> env_backend() {
-  static const std::optional<GfBackend> parsed = []() -> std::optional<GfBackend> {
-    const char* v = std::getenv("JQOS_GF_BACKEND");
-    if (v == nullptr || *v == '\0') return std::nullopt;
-    if (std::strcmp(v, "scalar") == 0) return GfBackend::kScalar;
-    if (std::strcmp(v, "ssse3") == 0) return GfBackend::kSsse3;
-    if (std::strcmp(v, "avx2") == 0) return GfBackend::kAvx2;
-    return std::nullopt;
-  }();
-  return parsed;
-}
-
 struct Dispatch {
   GfBackend backend;
   KernelFn addmul;
@@ -91,8 +71,8 @@ const Dispatch& dispatch_entry(GfBackend b) {
 }
 
 std::atomic<const Dispatch*>& active_dispatch() {
-  // Thread-safe lazy init: the first caller probes the CPU and the env
-  // override; later callers (any thread) do a plain acquire load.
+  // Thread-safe lazy init: the first caller probes the CPU; later callers
+  // (any thread) do a plain acquire load.
   static std::atomic<const Dispatch*> d{&dispatch_entry(gf_best_backend())};
   return d;
 }
@@ -135,8 +115,6 @@ std::vector<GfBackend> gf_available_backends() {
 }
 
 GfBackend gf_best_backend() {
-  const auto forced = detail::env_backend();
-  if (forced && gf_backend_available(*forced)) return *forced;
   if (gf_backend_available(GfBackend::kAvx2)) return GfBackend::kAvx2;
   if (gf_backend_available(GfBackend::kSsse3)) return GfBackend::kSsse3;
   return GfBackend::kScalar;

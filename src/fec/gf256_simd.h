@@ -16,12 +16,9 @@
 // XOR, applied to 16 (SSSE3) or 32 (AVX2) bytes per instruction.
 //
 // Dispatch order is best-first: AVX2 if the CPU reports it, else SSSE3, else
-// scalar. The choice can be overridden two ways:
-//
-//   - programmatically: gf_set_backend(GfBackend::kScalar) — used by the
-//     differential tests and the per-backend bench sweeps;
-//   - environment: JQOS_GF_BACKEND=scalar|ssse3|avx2|auto, read once at
-//     first kernel use — used by CI to force each backend under ASan.
+// scalar. gf_set_backend(GfBackend::kScalar) overrides the choice; the
+// differential tests and the per-backend bench sweeps use it to pin each
+// backend in turn.
 //
 // gf_set_backend is not synchronized against concurrent kernel calls; switch
 // backends only while no encode/decode is in flight (tests and bench setup).
@@ -48,8 +45,7 @@ bool gf_backend_available(GfBackend b);
 // automatically.
 std::vector<GfBackend> gf_available_backends();
 
-// The backend the dispatcher would pick on its own: the fastest available
-// one, unless the JQOS_GF_BACKEND environment variable narrows the choice.
+// The backend the dispatcher picks on its own: the fastest available one.
 GfBackend gf_best_backend();
 
 // Forces the kernels onto `b`. Returns false (and leaves the current choice

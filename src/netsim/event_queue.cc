@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -77,18 +74,7 @@ const char* evq_backend_name(EvqBackend b) {
 
 EvqBackend evq_default_backend() {
   const int forced = backend_override().load(std::memory_order_acquire);
-  if (forced >= 0) return static_cast<EvqBackend>(forced);
-  if (const char* env = std::getenv("JQOS_EVQ_BACKEND")) {
-    if (std::strcmp(env, "heap") == 0) return EvqBackend::kHeap;
-    if (std::strcmp(env, "ladder") == 0) return EvqBackend::kLadder;
-    if (std::strcmp(env, "auto") == 0 || env[0] == '\0') return EvqBackend::kLadder;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr, "[WARN] JQOS_EVQ_BACKEND=%s not recognized (heap|ladder|auto); using ladder\n",
-                   env);
-    }
-  }
-  return EvqBackend::kLadder;
+  return forced >= 0 ? static_cast<EvqBackend>(forced) : EvqBackend::kLadder;
 }
 
 void evq_set_default_backend(EvqBackend b) {
@@ -203,12 +189,6 @@ EventQueue::Fired EventQueue::pop() {
   Fired fired{e.at, std::move(slots_[slot].fn)};
   free_slot(slot);
   return fired;
-}
-
-std::size_t EventQueue::pop_ready(SimTime horizon, std::vector<Fired>& out) {
-  return drain(horizon, [&out](SimTime at, EventFn&& fn) {
-    out.push_back(Fired{at, std::move(fn)});
-  });
 }
 
 // ------------------------------ ladder core -------------------------------

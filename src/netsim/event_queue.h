@@ -27,9 +27,9 @@
 // O(1) and cancelling a fired, cancelled, or unknown id stays a no-op.
 //
 // Backend selection: EventQueue() uses evq_default_backend() -- the
-// process-wide programmatic override if set, else the JQOS_EVQ_BACKEND
-// environment variable (heap|ladder|auto), else the ladder. CI forces each
-// backend through the whole suite; benches sweep both.
+// process-wide programmatic override if set, else the ladder. Pin a backend
+// per queue with EventQueue(EvqBackend) / Simulator(EvqBackend); benches
+// sweep both.
 #pragma once
 
 #include <algorithm>
@@ -59,12 +59,12 @@ enum class EvqBackend {
 const char* evq_backend_name(EvqBackend b);
 
 // Backend newly constructed queues use: the programmatic override if set,
-// else JQOS_EVQ_BACKEND (heap|ladder|auto; bogus values warn once and fall
-// through), else kLadder.
+// else kLadder.
 EvqBackend evq_default_backend();
 
-// Process-wide programmatic override, used by differential tests and bench
-// sweeps to force full simulations onto one backend. Not synchronized;
+// Process-wide programmatic override: the differential tests' hook for
+// forcing whole simulations (whose queues are built deep inside scenario
+// code) onto one backend; tests/test_guards.h wraps it. Not synchronized;
 // switch only while no queue is being constructed on another thread.
 void evq_set_default_backend(EvqBackend b);
 void evq_clear_default_backend();
@@ -97,13 +97,6 @@ class EventQueue {
     EventFn fn;
   };
   Fired pop();
-
-  // Batched extraction: moves every live event with time <= horizon into
-  // `out` in delivery order and returns how many were appended. Extracted
-  // events count as fired -- cancelling one afterwards is a no-op. Callers
-  // whose handlers may push or cancel while the batch runs should use
-  // drain() instead, which validates each event just-in-time.
-  std::size_t pop_ready(SimTime horizon, std::vector<Fired>& out);
 
   // Runs sink(at, std::move(fn)) for every live event with time <= horizon,
   // in delivery order, and returns how many fired. The sink may push new

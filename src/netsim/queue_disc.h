@@ -25,8 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -36,16 +34,9 @@ namespace jqos::netsim {
 enum class QdiscKind : std::uint8_t { kTailDrop = 0, kRed = 1, kCoDel = 2 };
 
 const char* qdisc_kind_name(QdiscKind k);
-std::optional<QdiscKind> parse_qdisc_kind(std::string_view name);
-
-// The JQOS_QDISC override (taildrop|red|codel), read once at first use;
-// bogus values warn once and fall back. Applied only where the config left
-// the kind unset, so tests that pin a discipline are immune to the env.
-QdiscKind qdisc_kind_from_env(QdiscKind fallback = QdiscKind::kTailDrop);
 
 struct QdiscConfig {
-  // nullopt resolves through JQOS_QDISC, defaulting to tail-drop.
-  std::optional<QdiscKind> kind;
+  QdiscKind kind = QdiscKind::kTailDrop;
 
   // Hard byte cap shared by every discipline. The default comfortably
   // exceeds the largest backlog any existing scenario builds (~140 KB in
@@ -67,10 +58,6 @@ struct QdiscConfig {
   // CoDel knobs (RFC 8289 defaults).
   SimDuration codel_target = msec(5);
   SimDuration codel_interval = msec(100);
-
-  QdiscKind resolved_kind() const {
-    return kind ? *kind : qdisc_kind_from_env();
-  }
 };
 
 enum class QdiscVerdict : std::uint8_t { kEnqueue = 0, kMark = 1, kDrop = 2 };

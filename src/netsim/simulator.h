@@ -10,8 +10,8 @@
 // ladder backend (the default) the dispatch loop serves whole pre-sorted
 // rungs of events instead of paying a heap reheapify per event -- the change
 // that lets figure sweeps run millions of simulated packets. Construct with
-// an explicit EvqBackend (or set JQOS_EVQ_BACKEND) to pin the backend; the
-// retained binary heap is the differential-testing reference.
+// an explicit EvqBackend to pin the backend; the retained binary heap is the
+// differential-testing reference.
 #pragma once
 
 #include <cstddef>
@@ -50,8 +50,8 @@ class Simulator {
   std::uint64_t events_processed() const { return processed_; }
   EvqBackend backend() const { return queue_.backend(); }
 
-  // Direct queue access for benches and introspection (slab high-water,
-  // batched pop_ready experiments); scheduling should go through at/after.
+  // Direct queue access for benches and introspection (slab high-water);
+  // scheduling should go through at/after.
   EventQueue& queue() { return queue_; }
 
  private:

@@ -24,12 +24,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
-#include <string_view>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -39,16 +36,9 @@ namespace jqos::transport {
 enum class CcKind : std::uint8_t { kReno = 0, kRack = 1, kBbrLite = 2 };
 
 const char* cc_kind_name(CcKind k);
-std::optional<CcKind> parse_cc_kind(std::string_view name);
-
-// The JQOS_TCP_CC override (reno|rack|bbr), read once at first use; bogus
-// values warn once and fall back. Applied only where TcpParams left the
-// kind unset, so tests that pin a controller are immune to the env.
-CcKind cc_kind_from_env(CcKind fallback = CcKind::kReno);
 
 class CongestionController;
 using CcPtr = std::unique_ptr<CongestionController>;
-using CcFactory = std::function<CcPtr()>;
 
 struct TcpParams {
   std::size_t mss = 1400;
@@ -60,17 +50,12 @@ struct TcpParams {
   int dupack_threshold = 3;
   int max_handshake_retries = 7;
 
-  // Congestion-control selection: `cc_factory` wins if set, else `cc`,
-  // else the JQOS_TCP_CC environment override, else Reno.
-  std::optional<CcKind> cc;
-  CcFactory cc_factory;
+  CcKind cc = CcKind::kReno;  // The controller each connection runs.
 
   // Negotiate ECN: data segments carry ECT, the client echoes CE marks as
   // ECE on its acks, and ECN-aware controllers react. Harmless under the
   // default tail-drop network (nothing ever marks).
   bool ecn = true;
-
-  CcKind resolved_cc() const { return cc ? *cc : cc_kind_from_env(); }
 };
 
 // Read-only view of the mechanism's per-segment bookkeeping, lent to the
@@ -158,8 +143,6 @@ class CongestionController {
 
 // Builds a controller of the given kind.
 CcPtr make_congestion_controller(CcKind kind);
-// Resolution used by TcpWorkload: factory > cc > JQOS_TCP_CC > Reno.
-CcPtr make_congestion_controller(const TcpParams& params);
 
 // Per-variant factories (one per implementation file).
 CcPtr make_reno_cc();

@@ -35,7 +35,7 @@ IncastResult run_with(const IncastParams& p, netsim::EvqBackend backend) {
 
 TEST(Incast, BitIdenticalAcrossEvqBackendsTailDrop) {
   IncastParams p;
-  p.qdisc.kind = netsim::QdiscKind::kTailDrop;  // Pin against JQOS_QDISC.
+  p.qdisc.kind = netsim::QdiscKind::kTailDrop;
   p.qdisc.limit_bytes = 256 * 1024;
   const IncastResult heap = run_with(p, netsim::EvqBackend::kHeap);
   const IncastResult ladder = run_with(p, netsim::EvqBackend::kLadder);

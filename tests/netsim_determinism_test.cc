@@ -187,7 +187,6 @@ ScenarioFingerprint run_fig9_style(EvqBackend backend, std::uint64_t seed) {
 
   exp::WanScenario scenario(std::move(paths), params);
   scenario.run(sec(30));
-  evq_clear_default_backend();
 
   ScenarioFingerprint fp;
   for (std::size_t i = 0; i < scenario.path_count(); ++i) {

@@ -60,7 +60,7 @@ TEST(EventQueue, CancelOfFiredIdIsNoOpEvenAfterSlotReuse) {
   }
 }
 
-TEST(EventQueue, PopReadyBatchesByHorizon) {
+TEST(EventQueue, DrainBatchesByHorizon) {
   for (EvqBackend b : kBackends) {
     EventQueue q(b);
     std::vector<int> order;
@@ -68,9 +68,7 @@ TEST(EventQueue, PopReadyBatchesByHorizon) {
     q.push(10, [&] { order.push_back(0); });
     q.push(20, [&] { order.push_back(2); });
     q.push(10, [&] { order.push_back(1); });
-    std::vector<EventQueue::Fired> batch;
-    EXPECT_EQ(q.pop_ready(20, batch), 3u) << evq_backend_name(b);
-    for (auto& f : batch) f.fn();
+    EXPECT_EQ(q.drain(20, [](SimTime, EventFn&& fn) { fn(); }), 3u) << evq_backend_name(b);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2})) << evq_backend_name(b);
     EXPECT_EQ(q.size(), 1u) << evq_backend_name(b);
     EXPECT_EQ(q.next_time(), 30) << evq_backend_name(b);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -181,29 +182,45 @@ TEST(ObjPoolTest, HandleOutlivesPoolFacade) {
 
 // --- PacketPool ----------------------------------------------------------
 
+// Pool checkouts made by a short two-path shard built under the current
+// JQOS_OBJ_POOL setting.
+std::uint64_t shard_pool_checkouts() {
+  Rng geo_rng(0x706f6f6cULL);
+  std::vector<exp::IndexedPath> paths;
+  for (auto& sample : geo::planetlab_paths(2, geo_rng)) {
+    paths.push_back(exp::IndexedPath{paths.size(), std::move(sample)});
+  }
+  const exp::WanScenarioParams params;
+  exp::ScenarioShard shard(std::move(paths), params, netsim::EvqBackend::kLadder);
+  shard.run(sec(1));
+  return shard.pool(0).fresh() + shard.pool(0).reused();
+}
+
 TEST(PacketPoolTest, EnvGateReadAtConstruction) {
   {
     const EnvVarGuard off("JQOS_OBJ_POOL", std::string("0"));
     EXPECT_FALSE(PacketPool::env_enabled());
-    PacketPool pool;
-    EXPECT_FALSE(pool.enabled());
-    // Disabled pool is a passthrough: acquire still yields usable packets.
-    auto p = pool.acquire();
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->type, PacketType::kData);
+    // The shard hands its entities a null pool: its own pool stays unused.
+    EXPECT_EQ(shard_pool_checkouts(), 0u);
   }
   {
     const EnvVarGuard on("JQOS_OBJ_POOL", std::string("1"));
-    EXPECT_TRUE(PacketPool(PacketPool::env_enabled()).enabled());
+    EXPECT_TRUE(PacketPool::env_enabled());
   }
   {
     const EnvVarGuard unset("JQOS_OBJ_POOL", std::nullopt);
     EXPECT_TRUE(PacketPool::env_enabled());  // Pools default ON.
+    EXPECT_GT(shard_pool_checkouts(), 0u);
+  }
+  // Strict parse: a set but unrecognized value must not silently pool.
+  for (const char* bogus : {"", "off", "false", "2", "00"}) {
+    const EnvVarGuard bad("JQOS_OBJ_POOL", std::string(bogus));
+    EXPECT_THROW(PacketPool::env_enabled(), std::invalid_argument) << "'" << bogus << "'";
   }
 }
 
 TEST(PacketPoolTest, AcquireRecyclesStorageAndControlBlock) {
-  PacketPool pool(/*enabled=*/true);
+  PacketPool pool;
   {
     auto p = pool.acquire();
     p->payload.assign(512, 0xee);
@@ -228,7 +245,7 @@ TEST(PacketPoolTest, AcquireRecyclesStorageAndControlBlock) {
 }
 
 TEST(PacketPoolTest, AcquireCopyIsDeep) {
-  PacketPool pool(/*enabled=*/true);
+  PacketPool pool;
   Packet src;
   src.type = PacketType::kCrossCoded;
   src.service = ServiceType::kCode;
@@ -270,7 +287,7 @@ TEST(PacketPoolTest, PacketsOutliveThePool) {
   // into a still-live freelist and the storage dies with the last reference.
   PacketPtr survivor;
   {
-    PacketPool pool(/*enabled=*/true);
+    PacketPool pool;
     auto p = pool.acquire();
     p->payload.assign(64, 0x5a);
     survivor = std::move(p);
@@ -280,7 +297,7 @@ TEST(PacketPoolTest, PacketsOutliveThePool) {
 }
 
 TEST(PacketPoolTest, FactoriesProduceIdenticalPacketsPooledOrNot) {
-  PacketPool pool(/*enabled=*/true);
+  PacketPool pool;
   const PacketPtr pooled = make_data_packet(9, 55, 1, 2, 777, 300, &pool);
   const PacketPtr plain = make_data_packet(9, 55, 1, 2, 777, 300, nullptr);
   EXPECT_EQ(pooled->serialize(), plain->serialize());
@@ -329,7 +346,7 @@ std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
 }
 
 // One lossy coded-path scenario; the pool env guard wraps CONSTRUCTION
-// because every PacketPool reads JQOS_OBJ_POOL when it is built.
+// because every scenario shard reads JQOS_OBJ_POOL when it is built.
 std::uint64_t wan_fp(bool pooled, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
   const EnvVarGuard pool_env("JQOS_OBJ_POOL", std::string(pooled ? "1" : "0"));

@@ -160,17 +160,10 @@ TEST(TailDropFifo, EnforcesByteCapExactly) {
 
 TEST(QdiscConfig, KindNamesRoundTripAndResolve) {
   for (const QdiscKind k : {QdiscKind::kTailDrop, QdiscKind::kRed, QdiscKind::kCoDel}) {
-    const auto parsed = parse_qdisc_kind(qdisc_kind_name(k));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, k);
     QdiscConfig cfg;
     cfg.kind = k;
     EXPECT_STREQ(make_queue_disc(cfg, Rng(1))->name(), qdisc_kind_name(k));
   }
-  EXPECT_FALSE(parse_qdisc_kind("sfq").has_value());
-  QdiscConfig pinned;
-  pinned.kind = QdiscKind::kCoDel;
-  EXPECT_EQ(pinned.resolved_kind(), QdiscKind::kCoDel);  // Env never overrides.
 }
 
 // ---- Link integration ----------------------------------------------------
@@ -185,29 +178,33 @@ PacketPtr make_test_packet(std::size_t payload_bytes, bool ect) {
 }
 
 TEST(LinkQueueDisc, QueueDropsCountedSeparatelyFromLossModel) {
-  Simulator sim;
-  QdiscConfig cfg;
-  cfg.limit_bytes = 4000;  // Roughly 3 packets of headroom.
-  // 1 Mbps bottleneck, lossless wire: every missing packet is a queue drop.
-  Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
-            /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
+  for (const QdiscKind kind : {QdiscKind::kTailDrop, QdiscKind::kRed, QdiscKind::kCoDel}) {
+    SCOPED_TRACE(qdisc_kind_name(kind));
+    Simulator sim;
+    QdiscConfig cfg;
+    cfg.kind = kind;
+    cfg.limit_bytes = 4000;  // Roughly 3 packets of headroom.
+    // 1 Mbps bottleneck, lossless wire: every missing packet is a queue drop.
+    Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
+              /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
 
-  std::uint64_t delivered = 0;
-  for (int i = 0; i < 32; ++i) {
-    link.send(make_test_packet(1000, false), [&](const PacketPtr&) { ++delivered; });
+    std::uint64_t delivered = 0;
+    for (int i = 0; i < 32; ++i) {
+      link.send(make_test_packet(1000, false), [&](const PacketPtr&) { ++delivered; });
+    }
+    sim.run();
+
+    const LinkStats& s = link.stats();
+    EXPECT_EQ(s.offered_packets, 32u);
+    EXPECT_EQ(s.dropped_packets, 0u);  // The loss model never fired.
+    EXPECT_GT(s.queue_drops, 0u);      // The discipline did.
+    EXPECT_EQ(s.delivered_packets, delivered);
+    EXPECT_EQ(s.delivered_packets + s.queue_drops, 32u);
+    EXPECT_DOUBLE_EQ(s.loss_rate(), 0.0);  // Loss-model rate only...
+    EXPECT_GT(s.drop_rate(), 0.0);         // ...combined rate sees the queue.
+    EXPECT_GT(s.max_queue_bytes, 0u);
+    EXPECT_LE(s.max_queue_bytes, cfg.limit_bytes);
   }
-  sim.run();
-
-  const LinkStats& s = link.stats();
-  EXPECT_EQ(s.offered_packets, 32u);
-  EXPECT_EQ(s.dropped_packets, 0u);  // The loss model never fired.
-  EXPECT_GT(s.queue_drops, 0u);      // The byte cap did.
-  EXPECT_EQ(s.delivered_packets, delivered);
-  EXPECT_EQ(s.delivered_packets + s.queue_drops, 32u);
-  EXPECT_DOUBLE_EQ(s.loss_rate(), 0.0);  // Loss-model rate only...
-  EXPECT_GT(s.drop_rate(), 0.0);         // ...combined rate sees the queue.
-  EXPECT_GT(s.max_queue_bytes, 0u);
-  EXPECT_LE(s.max_queue_bytes, cfg.limit_bytes);
 }
 
 TEST(LinkQueueDisc, CoDelMarksEctBurstCopyOnWrite) {

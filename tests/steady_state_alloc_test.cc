@@ -52,7 +52,7 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
   net.add_link(sender.id(), dc1.id(), netsim::make_fixed_latency(msec(5)),
                netsim::make_no_loss());
 
-  PacketPool pool(/*enabled=*/true);
+  PacketPool pool;
   sender.set_pool(&pool);
 
   endpoint::SenderPolicy policy;
@@ -96,7 +96,7 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
   endpoint::Receiver receiver(net, rc);
   receiver.expect_flow(1);
 
-  PacketPool pool(/*enabled=*/true);
+  PacketPool pool;
   receiver.set_pool(&pool);
 
   SeqNo seq = 0;

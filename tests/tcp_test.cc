@@ -122,86 +122,105 @@ struct TcpFixture {
   }
 };
 
+// The model's guarantees below hold whichever controller a connection runs.
+constexpr CcKind kCcKinds[] = {CcKind::kReno, CcKind::kRack, CcKind::kBbrLite};
+
 TEST(TcpModel, CleanPathTransferCompletes) {
-  TcpFixture f(0.0, 0.0, /*with_jqos=*/false);
-  TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
-                       f.session_template(false), TcpParams{});
-  bool done = false;
-  workload.run(3, 50 * 1000, 12, [&done] { done = true; });
-  f.sim.run_until(minutes(5));
-  EXPECT_TRUE(done);
-  EXPECT_EQ(workload.completed(), 3u);
-  ASSERT_EQ(workload.fct_ms().count(), 3u);
-  // 50 KB at 200 ms RTT with IW10: handshake + request + ~2 windows of
-  // data: roughly 3-4 RTTs, well under 2 s.
-  EXPECT_LT(workload.fct_ms().max(), 2000.0);
-  EXPECT_GT(workload.fct_ms().min(), 400.0);  // At least 2 RTTs.
-  EXPECT_EQ(workload.server_stats().timeouts, 0u);
+  for (const CcKind cc : kCcKinds) {
+    SCOPED_TRACE(cc_kind_name(cc));
+    TcpFixture f(0.0, 0.0, /*with_jqos=*/false);
+    TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
+                         f.session_template(false), TcpParams{.cc = cc});
+    bool done = false;
+    workload.run(3, 50 * 1000, 12, [&done] { done = true; });
+    f.sim.run_until(minutes(5));
+    EXPECT_TRUE(done);
+    EXPECT_EQ(workload.completed(), 3u);
+    ASSERT_EQ(workload.fct_ms().count(), 3u);
+    // 50 KB at 200 ms RTT with IW10: handshake + request + ~2 windows of
+    // data: roughly 3-4 RTTs, well under 2 s.
+    EXPECT_LT(workload.fct_ms().max(), 2000.0);
+    EXPECT_GT(workload.fct_ms().min(), 400.0);  // At least 2 RTTs.
+    EXPECT_EQ(workload.server_stats().timeouts, 0u);
+  }
 }
 
 TEST(TcpModel, RecoversFromLossesWithoutJqos) {
-  TcpFixture f(0.02, 0.5, /*with_jqos=*/false);
-  TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
-                       f.session_template(false), TcpParams{});
-  bool done = false;
-  workload.run(30, 50 * 1000, 12, [&done] { done = true; });
-  f.sim.run_until(minutes(60));
-  EXPECT_TRUE(done);
-  EXPECT_EQ(workload.completed(), 30u);
-  // Losses occurred and were repaired by TCP itself.
-  EXPECT_GT(workload.server_stats().retransmits + workload.server_stats().timeouts, 0u);
+  for (const CcKind cc : kCcKinds) {
+    SCOPED_TRACE(cc_kind_name(cc));
+    TcpFixture f(0.02, 0.5, /*with_jqos=*/false);
+    TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
+                         f.session_template(false), TcpParams{.cc = cc});
+    bool done = false;
+    workload.run(30, 50 * 1000, 12, [&done] { done = true; });
+    f.sim.run_until(minutes(60));
+    EXPECT_TRUE(done);
+    EXPECT_EQ(workload.completed(), 30u);
+    // Losses occurred and were repaired by TCP itself.
+    EXPECT_GT(workload.server_stats().retransmits + workload.server_stats().timeouts, 0u);
+  }
 }
 
 TEST(TcpModel, JqosReducesTailLatency) {
   // The Section 6.4 effect, miniaturized: with bursty loss, plain TCP's
   // FCT tail stretches to multi-second RTO territory; with J-QoS recovery
   // feeding early ACKs, the tail shrinks.
-  auto run_case = [](bool with_jqos) {
+  auto run_case = [](bool with_jqos, CcKind cc) {
     TcpFixture f(0.03, 0.6, with_jqos);
     TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
-                         f.session_template(with_jqos), TcpParams{});
+                         f.session_template(with_jqos), TcpParams{.cc = cc});
     bool done = false;
     workload.run(80, 50 * 1000, 12, [&done] { done = true; });
     f.sim.run_until(minutes(200));
     EXPECT_TRUE(done);
     return workload.fct_ms().percentile(95);
   };
-  const double tail_plain = run_case(false);
-  const double tail_jqos = run_case(true);
-  EXPECT_LT(tail_jqos, tail_plain);
+  for (const CcKind cc : kCcKinds) {
+    SCOPED_TRACE(cc_kind_name(cc));
+    const double tail_plain = run_case(false, cc);
+    const double tail_jqos = run_case(true, cc);
+    EXPECT_LT(tail_jqos, tail_plain);
+  }
 }
 
 TEST(TcpModel, HandshakeLossHandledByRetransmission) {
   // Drop everything for the first second: SYN retransmission with backoff
   // must eventually connect and finish.
-  TcpFixture f(0.0, 0.0, /*with_jqos=*/false);
-  // Replace the forward link with a scheduled outage at the start.
-  f.net.add_link(f.server.id(), f.client->id(), netsim::make_fixed_latency(msec(100)),
-                 netsim::make_scheduled_outages(netsim::make_no_loss(),
-                                                {{0, sec(1)}}));
-  f.net.add_link(f.client->id(), f.server.id(), netsim::make_fixed_latency(msec(100)),
-                 netsim::make_scheduled_outages(netsim::make_no_loss(),
-                                                {{0, sec(1)}}));
-  TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
-                       f.session_template(false), TcpParams{});
-  bool done = false;
-  workload.run(1, 20 * 1000, 12, [&done] { done = true; });
-  f.sim.run_until(minutes(5));
-  EXPECT_TRUE(done);
-  // The handshake stall shows up as a >1 s completion.
-  EXPECT_GT(workload.fct_ms().max(), 1000.0);
+  for (const CcKind cc : kCcKinds) {
+    SCOPED_TRACE(cc_kind_name(cc));
+    TcpFixture f(0.0, 0.0, /*with_jqos=*/false);
+    // Replace the forward link with a scheduled outage at the start.
+    f.net.add_link(f.server.id(), f.client->id(), netsim::make_fixed_latency(msec(100)),
+                   netsim::make_scheduled_outages(netsim::make_no_loss(),
+                                                  {{0, sec(1)}}));
+    f.net.add_link(f.client->id(), f.server.id(), netsim::make_fixed_latency(msec(100)),
+                   netsim::make_scheduled_outages(netsim::make_no_loss(),
+                                                  {{0, sec(1)}}));
+    TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
+                         f.session_template(false), TcpParams{.cc = cc});
+    bool done = false;
+    workload.run(1, 20 * 1000, 12, [&done] { done = true; });
+    f.sim.run_until(minutes(5));
+    EXPECT_TRUE(done);
+    // The handshake stall shows up as a >1 s completion.
+    EXPECT_GT(workload.fct_ms().max(), 1000.0);
+  }
 }
 
 TEST(WebWorkload, WrapperRunsToCompletion) {
-  TcpFixture f(0.01, 0.5, /*with_jqos=*/false);
-  app::WebWorkloadParams params;
-  params.requests = 10;
-  params.response_bytes = 20 * 1000;
-  auto result = app::run_web_workload(f.net, f.server, *f.client, *f.sessions,
-                                      f.session_template(false), params);
-  EXPECT_EQ(result.completed, 10u);
-  EXPECT_EQ(result.fct_ms.count(), 10u);
-  EXPECT_GT(result.acks, 0u);
+  for (const CcKind cc : kCcKinds) {
+    SCOPED_TRACE(cc_kind_name(cc));
+    TcpFixture f(0.01, 0.5, /*with_jqos=*/false);
+    app::WebWorkloadParams params;
+    params.tcp.cc = cc;
+    params.requests = 10;
+    params.response_bytes = 20 * 1000;
+    auto result = app::run_web_workload(f.net, f.server, *f.client, *f.sessions,
+                                        f.session_template(false), params);
+    EXPECT_EQ(result.completed, 10u);
+    EXPECT_EQ(result.fct_ms.count(), 10u);
+    EXPECT_GT(result.acks, 0u);
+  }
 }
 
 }  // namespace

@@ -19,8 +19,8 @@
 namespace jqos::testing {
 
 // Forces the process-default EventQueue backend for the guard's lifetime,
-// then clears the override so later constructions resolve JQOS_EVQ_BACKEND
-// (the CI forced-backend matrices) or the built-in default again.
+// then clears the override so later constructions get the built-in default
+// again.
 class EvqBackendGuard {
  public:
   explicit EvqBackendGuard(netsim::EvqBackend backend) {
@@ -50,7 +50,7 @@ class GfBackendGuard {
 
 // Sets (or unsets, via nullopt) one environment variable, restoring the
 // prior value on destruction. Used by the knob-hardening tests to exercise
-// JQOS_SIM_THREADS / JQOS_EVQ_BACKEND parsing without leaking the value into
+// JQOS_SIM_THREADS / JQOS_OBJ_POOL parsing without leaking the value into
 // tests scheduled after them.
 class EnvVarGuard {
  public:

@@ -102,6 +102,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   const SimTime now = net_.sim().now();
   const SeqNo seq = pkt->seq;
 
+  const SeqNo horizon = fs.evidence_horizon;
   if (seq >= fs.evidence_horizon) fs.evidence_horizon = seq + 1;
   auto miss = fs.missing.find(seq);
   if (miss != fs.missing.end()) {
@@ -119,7 +120,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
     }
     deliver(pkt->flow, seq, pkt, recovered, detected);
     remember(fs, pkt);
-    advance_contiguity(fs, pkt->flow);
+    advance_contiguity(fs);
   } else if (seq < fs.next_expected || fs.arrived_ahead.count(seq) != 0) {
     // Already delivered (e.g. both the direct copy and the recovered copy
     // arrived, or a multicast duplicate).
@@ -138,8 +139,12 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
     return;
   } else {
     if (seq > fs.next_expected) {
-      // Gap: everything in [next_expected, seq) is missing as of now.
-      note_missing(fs, pkt->flow, fs.next_expected, seq);
+      // Gap. Every seq in [next_expected, evidence_horizon) is already in
+      // `missing` or `arrived_ahead` (each edit of those maps and of
+      // next_expected keeps it so), so only the holes this arrival reveals
+      // need a scan. The membership checks stay: a tail suspicion at
+      // next_expected can sit at or above the horizon.
+      note_missing(fs, pkt->flow, std::max(fs.next_expected, horizon), seq);
       fs.arrived_ahead[seq] = recovered;
     } else {
       // In-order fast path (see above): no arrived_ahead churn.
@@ -147,7 +152,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
     }
     deliver(pkt->flow, seq, pkt, recovered, 0);
     remember(fs, pkt);
-    advance_contiguity(fs, pkt->flow);
+    advance_contiguity(fs);
   }
 
   // Direct-path arrivals feed the Markov detector and (re)arm the timer;
@@ -245,8 +250,7 @@ void Receiver::deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recove
   if (on_delivery_) on_delivery_(rec, pkt);
 }
 
-void Receiver::advance_contiguity(FlowState& fs, FlowId flow) {
-  (void)flow;
+void Receiver::advance_contiguity(FlowState& fs) {
   while (true) {
     auto it = fs.arrived_ahead.find(fs.next_expected);
     if (it == fs.arrived_ahead.end()) break;
@@ -356,7 +360,7 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
     deliver(flow, rp.key.seq, packet, /*recovered=*/true, detected);
     remember(fs, packet);
   }
-  advance_contiguity(fs, flow);
+  advance_contiguity(fs);
   fs.in_coded.erase(batch_id);
   std::erase(fs.in_coded_order, batch_id);
 }
@@ -414,14 +418,10 @@ bool Receiver::is_missing_or_future(const FlowState& fs, SeqNo seq) const {
   return seq >= fs.next_expected && fs.arrived_ahead.count(seq) == 0;
 }
 
-SimDuration Receiver::give_up_span(const FlowState& fs) const {
-  (void)fs;
-  return config_.recovery_give_up > 0 ? config_.recovery_give_up : config_.rtt_estimate;
-}
-
 void Receiver::give_up_stale(FlowId flow, FlowState& fs) {
   const SimTime now = net_.sim().now();
-  const SimDuration span = give_up_span(fs);
+  const SimDuration span =
+      config_.recovery_give_up > 0 ? config_.recovery_give_up : config_.rtt_estimate;
   for (auto it = fs.missing.begin(); it != fs.missing.end();) {
     if (now - it->second.detected_at >= span) {
       if (it->first >= fs.evidence_horizon) {
@@ -447,7 +447,7 @@ void Receiver::give_up_stale(FlowId flow, FlowState& fs) {
       ++it;
     }
   }
-  advance_contiguity(fs, flow);
+  advance_contiguity(fs);
 }
 
 void Receiver::arm_timer(FlowId flow, FlowState& fs, SimDuration timeout) {

@@ -286,13 +286,12 @@ class Receiver final : public netsim::Node {
                  bool probe = false);
   void deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recovered,
                SimTime detected_at);
-  void advance_contiguity(FlowState& fs, FlowId flow);
+  void advance_contiguity(FlowState& fs);
   void remember(FlowState& fs, const PacketPtr& pkt);
   void try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_id);
   void give_up_stale(FlowId flow, FlowState& fs);
   void arm_timer(FlowId flow, FlowState& fs, SimDuration timeout);
   bool is_missing_or_future(const FlowState& fs, SeqNo seq) const;
-  SimDuration give_up_span(const FlowState& fs) const;
 
   netsim::Network& net_;
   NodeId node_id_;

@@ -3,8 +3,11 @@
 // tail-loss timers, and the give-up accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
+#include "common/rng.h"
 #include "endpoint/receiver.h"
 #include "fec/coded_batch.h"
 #include "netsim/network.h"
@@ -39,7 +42,6 @@ struct Fixture {
 
   explicit Fixture(ReceiverConfig config = {}) {
     config.dc2 = dc.id();
-    if (config.rtt_estimate == msec(100)) config.rtt_estimate = msec(100);
     receiver = std::make_unique<Receiver>(
         net, config,
         [this](const DeliveryRecord& rec, const PacketPtr&) { records.push_back(rec); });
@@ -85,6 +87,20 @@ TEST(Receiver, GapTriggersImmediateNack) {
   EXPECT_EQ(info->missing, (std::vector<SeqNo>{1, 2}));
   EXPECT_FALSE(info->tail);
   EXPECT_EQ(f.receiver->stats().losses_detected, 2u);
+
+  // Hole 1 stays open while packets keep arriving past it; a second gap
+  // then NACKs only the hole it opens. Stops before any re-NACK is due.
+  f.arrive(2);
+  f.arrive(4);
+  f.arrive(5);
+  f.arrive(7);  // Seq 6 missing.
+  f.sim.run_until(msec(40));
+  nacks = f.dc.of_type(PacketType::kNack);
+  ASSERT_EQ(nacks.size(), 2u);
+  info = NackInfo::parse(nacks[1]->payload);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->missing, (std::vector<SeqNo>{6}));
+  EXPECT_EQ(f.receiver->stats().losses_detected, 3u);
 }
 
 TEST(Receiver, RecoveredPacketFillsHole) {
@@ -332,6 +348,97 @@ TEST(Receiver, UnknownFlowIgnored) {
   p->seq = 0;
   f.receiver->handle_packet(p);
   EXPECT_TRUE(f.records.empty());
+}
+
+TEST(Receiver, RandomScheduleAccountsEverySeqOnce) {
+  // Gap detection scans only the holes an arrival reveals, which relies on
+  // every seq in [next_expected, evidence_horizon) staying tracked. Mixed
+  // independent and burst losses, reordering, duplicates, late recoveries
+  // and pauses (which fire tail timers and give-ups) must still leave one
+  // delivery-or-loss record per seq, and every loss must have been NACKed.
+  constexpr SeqNo kSeqs = 3000;
+  struct Arrival {
+    SimTime at;
+    SeqNo seq;
+    PacketType type;
+  };
+  ReceiverStats total;  // The paths the schedules must reach, summed over seeds.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<Arrival> schedule;
+    SimTime sent = 0;
+    int burst_left = 0;
+    for (SeqNo s = 0; s < kSeqs; ++s) {
+      sent += msec(10);
+      if (rng.bernoulli(0.01)) sent += rng.uniform_int(msec(100), msec(600));
+      if (burst_left == 0 && rng.bernoulli(0.005)) {
+        burst_left = static_cast<int>(rng.uniform_int(2, 8));
+      }
+      const bool lost = burst_left > 0 || rng.bernoulli(0.03);
+      if (burst_left > 0) --burst_left;
+      if (lost) {
+        if (rng.bernoulli(0.5)) {
+          schedule.push_back({sent + rng.uniform_int(msec(20), msec(400)), s,
+                              PacketType::kRecovered});
+        }
+        continue;
+      }
+      const SimTime at = sent + (rng.bernoulli(0.1) ? rng.uniform_int(0, msec(80)) : 0);
+      schedule.push_back({at, s, PacketType::kData});
+      if (rng.bernoulli(0.02)) {
+        schedule.push_back({at + rng.uniform_int(0, msec(80)), s, PacketType::kData});
+      }
+    }
+    std::stable_sort(schedule.begin(), schedule.end(),
+                     [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
+
+    Fixture f;
+    std::vector<bool> arrived(kSeqs, false);
+    SeqNo highest = 0;
+    for (const Arrival& a : schedule) {
+      f.sim.run_until(a.at);
+      f.arrive(a.seq, a.type);
+      arrived[a.seq] = true;
+      highest = std::max(highest, a.seq);
+    }
+    f.sim.run();
+    const ReceiverStats& st = f.receiver->stats();
+    total.losses_given_up += st.losses_given_up;
+    total.delivered_recovered += st.delivered_recovered;
+    total.duplicates += st.duplicates;
+    total.tail_nacks_sent += st.tail_nacks_sent;
+    total.suspected_tail_dropped += st.suspected_tail_dropped;
+
+    std::set<SeqNo> nacked;
+    for (const auto& nack : f.dc.of_type(PacketType::kNack)) {
+      auto info = NackInfo::parse(nack->payload);
+      ASSERT_TRUE(info.has_value());
+      nacked.insert(info->missing.begin(), info->missing.end());
+    }
+    std::vector<int> records(kSeqs, 0);
+    std::vector<bool> lost(kSeqs, false);
+    for (const auto& r : f.records) {
+      ASSERT_LT(r.seq, kSeqs);
+      if (r.late_direct) continue;
+      ++records[r.seq];
+      if (r.lost) lost[r.seq] = true;
+    }
+    for (SeqNo s = 0; s <= highest; ++s) {
+      ASSERT_EQ(records[s], 1) << "seq " << s;
+      if (!arrived[s]) {
+        EXPECT_TRUE(lost[s]) << "seq " << s << " never arrived";
+      }
+      if (lost[s]) {
+        EXPECT_EQ(nacked.count(s), 1u) << "seq " << s << " lost, never NACKed";
+      }
+    }
+  }
+  EXPECT_GT(total.losses_given_up, 0u);
+  EXPECT_GT(total.delivered_recovered, 0u);
+  EXPECT_GT(total.duplicates, 0u);
+  EXPECT_GT(total.tail_nacks_sent, 0u);
+  EXPECT_GT(total.suspected_tail_dropped, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the simulation core (src/netsim, src/exp).
+"""Line-coverage gate for the simulation core and the DC services
+(src/netsim, src/exp, src/services).
 
 Runs gcov over every .gcda the coverage-preset test run produced, unions the
 per-line execution counts across translation units (a header inlined into
 ten tests counts as covered if ANY of them executed the line), and compares
 the per-directory line coverage against the checked-in floor in
 scripts/coverage_baseline.json. CI fails when a gated directory drops below
-its floor — i.e. when a PR adds simulation-core code without tests.
+its floor — i.e. when a PR adds gated code without tests.
 
 Usage:
   coverage_gate.py --build-dir build/coverage [--write-report cov.json]
@@ -25,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 
-GATED_DIRS = ("src/netsim", "src/exp")
+GATED_DIRS = ("src/netsim", "src/exp", "src/services")
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "coverage_baseline.json")
 

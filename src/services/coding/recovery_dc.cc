@@ -1,7 +1,5 @@
 #include "services/coding/recovery_dc.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "fec/coded_batch.h"
 
@@ -10,6 +8,81 @@ namespace jqos::services {
 RecoveryService::RecoveryService(overlay::DataCenter& dc, const RecoveryParams& params,
                                  FlowRegistryPtr registry)
     : dc_(dc), params_(params), registry_(std::move(registry)) {}
+
+std::uint32_t RecoveryService::store_batch(const Packet& pkt) {
+  Store& s = store_;
+  if (s.free_slots.empty()) {
+    s.free_slots.push_back(static_cast<std::uint32_t>(s.slab.size()));
+    s.slab.emplace_back();
+  }
+  const std::uint32_t slot = s.free_slots.back();
+  s.free_slots.pop_back();
+  BatchState& batch = s.slab[slot];
+  batch.meta = *pkt.meta;  // Reuses the slot's `covered` capacity.
+  batch.first_seen = dc_.now();
+  batch.is_cross = pkt.type == PacketType::kCrossCoded;
+  ++stats_.batches_stored;
+  s.slot_of[batch.meta.batch_id] = slot;
+  s.arrivals.push_back(Arrival{batch.first_seen, slot});
+  for (const PacketKey& key : batch.meta.covered) {
+    KeySlots& e = s.key_index[key];
+    if (e.n < 2) {
+      e.slot[e.n] = slot;
+    } else {
+      s.key_spill[key].push_back(slot);
+    }
+    ++e.n;
+  }
+  return slot;
+}
+
+void RecoveryService::expire(std::uint32_t slot) {
+  Store& s = store_;
+  BatchState& batch = s.slab[slot];
+  for (const PacketKey& key : batch.meta.covered) {
+    KeySlots* e = s.key_index.find(key);
+    if (e == nullptr) continue;  // Listed twice: unindexed on its first visit.
+    // Drop every occurrence of `slot`, keeping the rest in store order.
+    std::vector<std::uint32_t>* spill = e->n > 2 ? &s.key_spill.at(key) : nullptr;
+    auto at = [&](std::uint32_t i) -> std::uint32_t& {
+      return i < 2 ? e->slot[i] : (*spill)[i - 2];
+    };
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < e->n; ++i) {
+      if (at(i) != slot) at(kept++) = at(i);
+    }
+    if (spill != nullptr) {
+      if (kept > 2) {
+        spill->resize(kept - 2);
+      } else {
+        s.key_spill.erase(key);
+      }
+    }
+    e->n = kept;
+    if (kept == 0) s.key_index.erase(key);
+  }
+  s.slot_of.erase(batch.meta.batch_id);
+  batch.coded.clear();
+  s.free_slots.push_back(slot);
+  ++stats_.batches_expired;
+}
+
+RecoveryService::BatchState* RecoveryService::batch_by_id(std::uint32_t batch_id) {
+  const std::uint32_t* slot = store_.slot_of.find(batch_id);
+  return slot != nullptr ? &store_.slab[*slot] : nullptr;
+}
+
+template <typename Pred>
+RecoveryService::BatchState* RecoveryService::first_batch(const PacketKey& key, Pred pred) {
+  const KeySlots* e = store_.key_index.find(key);
+  if (e == nullptr) return nullptr;
+  const std::vector<std::uint32_t>* spill = e->n > 2 ? &store_.key_spill.at(key) : nullptr;
+  for (std::uint32_t i = 0; i < e->n; ++i) {
+    BatchState& b = store_.slab[i < 2 ? e->slot[i] : (*spill)[i - 2]];
+    if (pred(b)) return &b;
+  }
+  return nullptr;
+}
 
 bool RecoveryService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
   (void)dc;
@@ -40,15 +113,9 @@ bool RecoveryService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
 void RecoveryService::on_coded(const PacketPtr& pkt) {
   if (!pkt->meta) return;
   const std::uint32_t batch_id = pkt->meta->batch_id;
-  BatchState& batch = batches_[batch_id];
-  if (batch.coded.empty()) {
-    batch.meta = *pkt->meta;
-    batch.first_seen = dc_.now();
-    batch.is_cross = pkt->type == PacketType::kCrossCoded;
-    ++stats_.batches_stored;
-    for (const PacketKey& key : batch.meta.covered) key_index_[key].push_back(batch_id);
-  }
-  batch.coded.push_back(pkt);
+  const std::uint32_t* found = store_.slot_of.find(batch_id);
+  const std::uint32_t slot = found != nullptr ? *found : store_batch(*pkt);
+  store_.slab[slot].coded.push_back(pkt);
   arm_sweep();
 
   // A coded packet may unblock recoveries waiting on it. The pending NACK
@@ -94,22 +161,11 @@ void RecoveryService::on_nack(const PacketPtr& pkt, bool confirm) {
     for (SeqNo s = info.expected;
          batches_used < params_.max_tail_batches && uncovered_run < 64; ++s) {
       const PacketKey key{pkt->flow, s};
-      auto kit = key_index_.find(key);
-      if (kit == key_index_.end()) {
-        ++uncovered_run;
-        continue;
-      }
       // Skip batches so fresh their direct copies may still be in flight.
-      bool old_enough = false;
-      for (std::uint32_t id : kit->second) {
-        auto bit = batches_.find(id);
-        if (bit != batches_.end() && batch_fresh(bit->second) &&
-            dc_.now() - bit->second.first_seen >= params_.tail_min_batch_age) {
-          old_enough = true;
-          break;
-        }
-      }
-      if (!old_enough) {
+      const BatchState* old_enough = first_batch(key, [&](const BatchState& b) {
+        return batch_fresh(b) && dc_.now() - b.first_seen >= params_.tail_min_batch_age;
+      });
+      if (old_enough == nullptr) {
         ++uncovered_run;
         continue;
       }
@@ -161,27 +217,11 @@ bool RecoveryService::recover_key(const PacketKey& key, NodeId receiver, bool pr
 }
 
 RecoveryService::BatchState* RecoveryService::cross_batch_for(const PacketKey& key) {
-  auto it = key_index_.find(key);
-  if (it == key_index_.end()) return nullptr;
-  for (std::uint32_t id : it->second) {
-    auto bit = batches_.find(id);
-    if (bit != batches_.end() && bit->second.is_cross && batch_fresh(bit->second)) {
-      return &bit->second;
-    }
-  }
-  return nullptr;
+  return first_batch(key, [&](const BatchState& b) { return b.is_cross && batch_fresh(b); });
 }
 
 RecoveryService::BatchState* RecoveryService::in_batch_for(const PacketKey& key) {
-  auto it = key_index_.find(key);
-  if (it == key_index_.end()) return nullptr;
-  for (std::uint32_t id : it->second) {
-    auto bit = batches_.find(id);
-    if (bit != batches_.end() && !bit->second.is_cross && batch_fresh(bit->second)) {
-      return &bit->second;
-    }
-  }
-  return nullptr;
+  return first_batch(key, [&](const BatchState& b) { return !b.is_cross && batch_fresh(b); });
 }
 
 bool RecoveryService::serve_in_stream(const PacketKey& key, NodeId receiver) {
@@ -248,9 +288,9 @@ void RecoveryService::on_coop_response(const PacketPtr& pkt) {
     return;
   }
   CoopOp& op = it->second;
-  auto bit = batches_.find(op.batch_id);
-  if (bit == batches_.end()) return;
-  const CodedMeta& meta = bit->second.meta;
+  const BatchState* batch = batch_by_id(op.batch_id);
+  if (batch == nullptr) return;
+  const CodedMeta& meta = batch->meta;
   // Locate the codeword position of the responding packet.
   const PacketKey key = pkt->key();
   for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
@@ -264,9 +304,9 @@ void RecoveryService::on_coop_response(const PacketPtr& pkt) {
 }
 
 void RecoveryService::maybe_finish_op(CoopOp& op) {
-  auto bit = batches_.find(op.batch_id);
-  if (bit == batches_.end()) return;
-  BatchState& batch = bit->second;
+  const BatchState* found = batch_by_id(op.batch_id);
+  if (found == nullptr) return;
+  const BatchState& batch = *found;
   const std::size_t k = batch.meta.k;
   if (op.responses.size() + batch.coded.size() < k) return;  // Not yet decodable.
 
@@ -326,7 +366,7 @@ void RecoveryService::arm_sweep() {
     }
     sweep_armed_ = false;
     sweep_batches();
-    if (!batches_.empty() || !pending_.empty()) arm_sweep();
+    if (store_.slot_of.size() != 0 || !pending_.empty()) arm_sweep();
   });
 }
 
@@ -335,8 +375,7 @@ void RecoveryService::on_dc_crash() {
   ++epoch_;  // Every timer armed before this instant is now stale.
   for (auto& [id, op] : ops_) dc_.network().sim().cancel(op.deadline_event);
   ops_.clear();
-  batches_.clear();
-  key_index_.clear();
+  store_ = Store{};
   pending_.clear();
   if (sweep_armed_) {
     dc_.network().sim().cancel(sweep_event_);
@@ -345,22 +384,31 @@ void RecoveryService::on_dc_crash() {
 }
 
 void RecoveryService::sweep_batches() {
-  const SimTime cutoff = dc_.now() - params_.batch_ttl;
-  for (auto it = batches_.begin(); it != batches_.end();) {
-    if (it->second.first_seen < cutoff && ops_.find(it->first) == ops_.end()) {
-      for (const PacketKey& key : it->second.meta.covered) {
-        auto kit = key_index_.find(key);
-        if (kit != key_index_.end()) {
-          std::erase(kit->second, it->first);
-          if (kit->second.empty()) key_index_.erase(kit);
-        }
-      }
-      ++stats_.batches_expired;
-      it = batches_.erase(it);
+  Store& s = store_;
+  auto op_holds = [&](std::uint32_t slot) { return ops_.contains(s.slab[slot].meta.batch_id); };
+  // Held batches are past the TTL already; they wait only for their op.
+  std::size_t still_held = 0;
+  for (std::uint32_t slot : s.held) {
+    if (op_holds(slot)) {
+      s.held[still_held++] = slot;
     } else {
-      ++it;
+      expire(slot);
     }
   }
+  s.held.resize(still_held);
+  const SimTime cutoff = dc_.now() - params_.batch_ttl;
+  auto end = s.arrivals.begin();
+  for (; end != s.arrivals.end() && end->first_seen < cutoff; ++end) {
+    if (op_holds(end->slot)) {
+      s.held.push_back(end->slot);
+    } else {
+      expire(end->slot);
+    }
+  }
+  s.arrivals.erase(s.arrivals.begin(), end);
+  // Drained: hand the slab and tables back (run_churn keeps finished shards
+  // alive until it merges them).
+  if (s.slot_of.size() == 0) store_ = Store{};
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.expires_at <= dc_.now()) {
       it = pending_.erase(it);

@@ -18,7 +18,9 @@
 //    recovering, avoiding spurious recoveries (Section 3.4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
 #include <unordered_map>
@@ -30,6 +32,83 @@
 #include "services/coding/coding_plan.h"
 
 namespace jqos::services {
+
+namespace detail {
+
+// Open-addressed hash map for the recovery DC's batch store: linear probing
+// over a power-of-two bucket array kept at most three-quarters full, erase
+// by backward shift (no tombstones). Only grow() allocates, so once a
+// workload has reached its peak population, inserts and erases allocate
+// nothing.
+template <typename K, typename V, typename Hash = std::hash<K>>
+class FlatMap {
+ public:
+  std::size_t size() const { return size_; }
+
+  V* find(const K& key) {
+    if (size_ == 0) return nullptr;
+    for (std::size_t i = home(key);; i = next(i)) {
+      if (!buckets_[i].used) return nullptr;
+      if (buckets_[i].key == key) return &buckets_[i].value;
+    }
+  }
+
+  // The value for `key`, value-initialized if `key` was absent.
+  V& operator[](const K& key) {
+    if (4 * (size_ + 1) > 3 * buckets_.size()) grow();
+    std::size_t i = home(key);
+    for (; buckets_[i].used; i = next(i)) {
+      if (buckets_[i].key == key) return buckets_[i].value;
+    }
+    buckets_[i] = Bucket{key, V{}, true};
+    ++size_;
+    return buckets_[i].value;
+  }
+
+  void erase(const K& key) {
+    if (size_ == 0) return;
+    std::size_t hole = home(key);
+    for (; buckets_[hole].used; hole = next(hole)) {
+      if (buckets_[hole].key == key) break;
+    }
+    if (!buckets_[hole].used) return;
+    // Pull each later member of the probe run into the hole unless its home
+    // lies between the hole and itself.
+    for (std::size_t j = next(hole); buckets_[j].used; j = next(j)) {
+      if (((j - home(buckets_[j].key)) & mask()) >= ((j - hole) & mask())) {
+        buckets_[hole] = buckets_[j];
+        hole = j;
+      }
+    }
+    buckets_[hole].used = false;
+    --size_;
+  }
+
+ private:
+  struct Bucket {
+    K key{};
+    V value{};
+    bool used = false;
+  };
+
+  std::size_t mask() const { return buckets_.size() - 1; }
+  std::size_t home(const K& key) const { return Hash{}(key) & mask(); }
+  std::size_t next(std::size_t i) const { return (i + 1) & mask(); }
+
+  void grow() {
+    std::vector<Bucket> old =
+        std::exchange(buckets_, std::vector<Bucket>(buckets_.empty() ? 16 : 2 * buckets_.size()));
+    size_ = 0;
+    for (const Bucket& b : old) {
+      if (b.used) (*this)[b.key] = b.value;
+    }
+  }
+
+  std::vector<Bucket> buckets_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
 
 struct RecoveryParams {
   // Deadline for a cooperative recovery round; "since recovery is time
@@ -112,7 +191,7 @@ class RecoveryService final : public overlay::DcService {
   const RecoveryStatsDc& stats() const { return stats_; }
 
   // Number of coded batches currently held.
-  std::size_t batches_held() const { return batches_.size(); }
+  std::size_t batches_held() const { return store_.slot_of.size(); }
 
   // Test hook (stale-timer regression): invokes the coop-deadline callback
   // exactly as a timer armed in epoch `epoch` would -- a stale epoch must be
@@ -128,6 +207,45 @@ class RecoveryService final : public overlay::DcService {
     std::vector<PacketPtr> coded;
     SimTime first_seen = 0;
     bool is_cross = false;
+  };
+
+  // The slab slots of the batches covering one key, in store order: the
+  // first two inline (the encoder covers each key with one in-stream and
+  // one cross-stream batch), any further ones in Store::key_spill.
+  struct KeySlots {
+    std::uint32_t n = 0;
+    std::uint32_t slot[2] = {};
+  };
+
+  struct Arrival {
+    SimTime first_seen = 0;
+    std::uint32_t slot = 0;
+  };
+
+  // One encoder numbers its batches consecutively; mix ids before masking.
+  struct BatchIdHash {
+    std::size_t operator()(std::uint32_t id) const {
+      const std::uint64_t v = id * 0x9E3779B97F4A7C15ULL;
+      return static_cast<std::size_t>(v ^ (v >> 32));
+    }
+  };
+
+  // The coded batches held for recovery. A batch lives in one slab slot
+  // from its first coded packet until a sweep expires it; the slot then
+  // joins free_slots and keeps its vectors' capacity for the next batch.
+  // Slots are internal to the store: ops and timers name batches by id,
+  // and no slot or BatchState* outlives the event that looked it up.
+  struct Store {
+    std::vector<BatchState> slab;
+    std::vector<std::uint32_t> free_slots;
+    detail::FlatMap<std::uint32_t, std::uint32_t, BatchIdHash> slot_of;  // batch id -> slot
+    detail::FlatMap<PacketKey, KeySlots> key_index;
+    std::unordered_map<PacketKey, std::vector<std::uint32_t>> key_spill;  // Third slot on.
+    // Each batch no sweep has yet found past its TTL, in store order:
+    // first_seen is nondecreasing along it.
+    std::vector<Arrival> arrivals;
+    // Batches past their TTL that a cooperative op held at a sweep.
+    std::vector<std::uint32_t> held;
   };
 
   // One cooperative recovery operation per cross-stream batch.
@@ -176,6 +294,12 @@ class RecoveryService final : public overlay::DcService {
   // function of store times, not of which flow's packet happened to arrive
   // first -- the property the sharded runner's merge-determinism relies on
   // when unrelated path groups share one recovery DC.
+  //
+  // A batch expires at the first sweep that finds it older than the TTL
+  // and not held by a cooperative op. first_seen is nondecreasing in store
+  // order (Store::arrivals), so the sweep pops only the expired prefix; a
+  // batch an op still holds moves to Store::held and is retried at every
+  // later sweep. A sweep that leaves the store empty releases its memory.
   void sweep_batches();
   void arm_sweep();
 
@@ -184,6 +308,16 @@ class RecoveryService final : public overlay::DcService {
     return dc_.now() - b.first_seen <= params_.batch_ttl;
   }
 
+  // Opens a batch for `pkt`'s meta in a free slot and indexes its keys;
+  // returns the slot.
+  std::uint32_t store_batch(const Packet& pkt);
+  // Unindexes the batch in `slot` and returns the slot to the free list.
+  void expire(std::uint32_t slot);
+
+  BatchState* batch_by_id(std::uint32_t batch_id);
+  // The first batch covering `key`, in store order, that `pred` accepts.
+  template <typename Pred>
+  BatchState* first_batch(const PacketKey& key, Pred pred);
   BatchState* cross_batch_for(const PacketKey& key);
   BatchState* in_batch_for(const PacketKey& key);
 
@@ -191,8 +325,7 @@ class RecoveryService final : public overlay::DcService {
   RecoveryParams params_;
   FlowRegistryPtr registry_;
 
-  std::unordered_map<std::uint32_t, BatchState> batches_;
-  std::unordered_map<PacketKey, std::vector<std::uint32_t>> key_index_;
+  Store store_;
   std::unordered_map<std::uint32_t, CoopOp> ops_;
   std::unordered_map<PacketKey, PendingNack> pending_;
   bool sweep_armed_ = false;

@@ -1,6 +1,7 @@
 // Tests for the DC2 recovery engine: in-stream serving, cooperative
 // recovery (success, stragglers, deadline failure), NACK-before-coded
-// checking, tail NACKs, and batch TTL sweeping.
+// checking, tail NACKs, batch TTL sweeping, and keys covered by more than
+// two batches.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -298,7 +299,8 @@ TEST(Recovery, BatchTtlSweepsOldBatches) {
   auto coded = f.make_cross_batch(4, 0);
   f.deliver_coded(coded);
   EXPECT_EQ(f.recovery->batches_held(), 1u);
-  // Heartbeat packets keep the sweep running past the TTL.
+  // The sweep re-arms itself while batches are held, so it runs past the
+  // TTL with no further traffic; handle() refuses these kControl packets.
   for (int i = 1; i <= 8; ++i) {
     f.sim.run_until(sec(i));
     auto hb = std::make_shared<Packet>();
@@ -307,6 +309,78 @@ TEST(Recovery, BatchTtlSweepsOldBatches) {
   }
   EXPECT_EQ(f.recovery->batches_held(), 0u);
   EXPECT_EQ(f.recovery->stats().batches_expired, 1u);
+
+  // A batch whose TTL passes while a cooperative op on it still runs
+  // survives every sweep until the op ends, and expires at the first sweep
+  // after that.
+  params.coop_deadline = sec(2);
+  Fixture g(params);
+  auto held = g.make_cross_batch(6, 0, /*r=*/1);
+  g.sim.run_until(msec(500));
+  g.deliver_coded(held);
+  g.peers[0]->data.clear();
+  g.peers[2]->straggler = true;
+  g.peers[4]->straggler = true;  // The op cannot decode; it runs to its deadline.
+  g.sim.run_until(msec(5450));
+  g.send_nack(1, {0}, g.peers[0]->id());
+  for (SimTime t : {msec(6100), msec(7100)}) {  // Past the TTL at the 6 s and 7 s sweeps.
+    g.sim.run_until(t);
+    EXPECT_EQ(g.recovery->stats().coop_ops, 1u);
+    EXPECT_EQ(g.recovery->stats().coop_deadline_failures, 0u);
+    EXPECT_EQ(g.recovery->batches_held(), 1u);
+    EXPECT_EQ(g.recovery->stats().batches_expired, 0u);
+  }
+  g.sim.run_until(msec(8100));  // The op failed at 7.45 s; the 8 s sweep frees it.
+  EXPECT_EQ(g.recovery->stats().coop_deadline_failures, 1u);
+  EXPECT_EQ(g.recovery->batches_held(), 0u);
+  EXPECT_EQ(g.recovery->stats().batches_expired, 1u);
+}
+
+TEST(Recovery, KeyInThreeBatchesServedInArrivalOrder) {
+  RecoveryParams params;
+  params.batch_ttl = sec(5);
+  Fixture f(params);
+  auto peer = std::make_unique<Peer>(f.net, f.dc2);
+  peer->confirm_checks = false;
+  f.registry->register_flow(9, FlowInfo{f.dc2.id(), peer->id()});
+  std::vector<PacketPtr> data;
+  for (SeqNo s = 0; s < 5; ++s) {
+    auto p = std::make_shared<Packet>();
+    p->flow = 9;
+    p->seq = s;
+    p->payload.assign(32, static_cast<std::uint8_t>(s));
+    data.push_back(p);
+  }
+  // In-stream batches 500, 501 and 502 arrive one second apart, each
+  // covering (9, 2): the key's third batch lies beyond the two the index
+  // holds inline.
+  for (std::uint32_t id = 500; id <= 502; ++id) {
+    f.sim.run_until(sec(id - 500));
+    f.deliver_coded(fec::encode_batch(data, 1, PacketType::kInCoded, id, 1, f.dc2.id(), 0));
+  }
+
+  // Each NACK is served by the oldest batch still inside its TTL.
+  auto served_by = [&](SimTime at) {
+    f.sim.run_until(at);
+    const std::size_t before = peer->received.size();
+    f.send_nack(9, {2}, peer->id());
+    f.sim.run_until(at + msec(100));
+    std::vector<std::uint32_t> ids;
+    for (std::size_t i = before; i < peer->received.size(); ++i) {
+      const PacketPtr& p = peer->received[i];
+      if (p->type == PacketType::kInCoded) ids.push_back(p->meta->batch_id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(served_by(sec(3)), std::vector<std::uint32_t>{500});
+  EXPECT_EQ(served_by(msec(5500)), std::vector<std::uint32_t>{501});
+  EXPECT_EQ(served_by(msec(6500)), std::vector<std::uint32_t>{502});
+  EXPECT_EQ(f.recovery->stats().in_stream_served, 3u);
+  EXPECT_EQ(f.recovery->stats().uncovered_keys, 0u);
+
+  EXPECT_TRUE(served_by(msec(7500)).empty());
+  EXPECT_EQ(f.recovery->stats().in_stream_served, 3u);
+  EXPECT_EQ(f.recovery->stats().uncovered_keys, 1u);
 }
 
 TEST(Recovery, StragglerResponseAfterCompletionCounted) {

@@ -17,6 +17,9 @@
 #include "netsim/latency_model.h"
 #include "netsim/loss_model.h"
 #include "netsim/network.h"
+#include "overlay/datacenter.h"
+#include "services/coding/encoder_dc.h"
+#include "services/coding/recovery_dc.h"
 #include "test_guards.h"
 
 namespace jqos {
@@ -119,6 +122,76 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
 
   EXPECT_EQ(allocs, 0u) << "receiver in-order path hit the global allocator "
                         << allocs << " times over " << kPackets << " packets";
+  EXPECT_GT(pool.reused(), 0u);
+}
+
+// The paper's headline service: DC1 encodes, DC2 stores every coded batch
+// until its TTL and then recycles the batch's slot. Recycled slots and the
+// pool's covered-key vectors reach their largest shape only after several
+// TTL cycles, hence the long warmup.
+TEST(SteadyStateAlloc, CodedPathIsAllocationFree) {
+  if (!alloc_probe::active()) {
+    GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
+  }
+
+  const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  overlay::DataCenter dc1(net, 1, "dc1");
+  overlay::DataCenter dc2(net, 2, "dc2");
+  Sink receiver(net);
+  net.add_link(dc1.id(), dc2.id(), netsim::make_fixed_latency(msec(20)),
+               netsim::make_no_loss());
+
+  PacketPool pool;
+  dc1.set_pool(&pool);
+  dc2.set_pool(&pool);
+
+  auto registry = std::make_shared<services::FlowRegistry>();
+  dc1.install(std::make_shared<services::CodingEncoderService>(dc1, services::CodingParams{},
+                                                               registry));
+  services::RecoveryParams params;
+  params.batch_ttl = sec(1);
+  auto recovery = std::make_shared<services::RecoveryService>(dc2, params, registry);
+  dc2.install(recovery);
+
+  constexpr FlowId kFlows = 6;
+  for (FlowId f = 1; f <= kFlows; ++f) {
+    registry->register_flow(f, services::FlowInfo{dc2.id(), receiver.id()});
+  }
+
+  // Every 10 ms each flow hands DC1 one 256 B data packet.
+  struct Pacer {
+    netsim::Simulator& sim;
+    overlay::DataCenter& dc1;
+    PacketPool& pool;
+    NodeId src;
+    SeqNo seq = 0;
+    void tick() {
+      for (FlowId f = 1; f <= kFlows; ++f) {
+        auto p = make_packet(&pool, PacketType::kData, ServiceType::kCode, f, seq, src,
+                             dc1.id(), sim.now());
+        p->payload.assign(256, static_cast<std::uint8_t>(seq));
+        dc1.handle_packet(p);
+      }
+      ++seq;
+      sim.after(msec(10), [this] { tick(); });
+    }
+  } pacer{sim, dc1, pool, receiver.id()};
+  pacer.tick();
+
+  sim.run_until(sec(12));
+  const std::uint64_t expired_before = recovery->stats().batches_expired;
+  const SeqNo seq_before = pacer.seq;
+
+  alloc_probe::reset();
+  sim.run_until(sec(15));
+  const std::uint64_t allocs = alloc_probe::allocations();
+  const std::uint64_t packets = (pacer.seq - seq_before) * kFlows;
+
+  EXPECT_EQ(allocs, 0u) << "coded path hit the global allocator " << allocs
+                        << " times over " << packets << " packets";
+  EXPECT_GT(recovery->stats().batches_expired, expired_before);
   EXPECT_GT(pool.reused(), 0u);
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the simulation core and the DC services
-(src/netsim, src/exp, src/services).
+"""Line-coverage gate for the simulation core, the DC services and the
+end-points (src/netsim, src/exp, src/services, src/endpoint).
 
 Runs gcov over every .gcda the coverage-preset test run produced, unions the
 per-line execution counts across translation units (a header inlined into
@@ -26,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 
-GATED_DIRS = ("src/netsim", "src/exp", "src/services")
+GATED_DIRS = ("src/netsim", "src/exp", "src/services", "src/endpoint")
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "coverage_baseline.json")
 

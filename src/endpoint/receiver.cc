@@ -7,6 +7,65 @@
 
 namespace jqos::endpoint {
 
+namespace {
+
+// History depth: the last this-many delivered packets of each flow.
+constexpr std::size_t kHistoryPackets = 1024;
+// Timer management: stop the per-flow timer after this much inactivity.
+constexpr SimDuration kIdleStop = sec(2);
+// How long a cooperative request for a not-yet-received packet is held
+// before being dropped (covers direct-path delay spread across peers).
+constexpr SimDuration kCoopDeferWindow = msec(150);
+// Delay range of a straggling cooperative response (coop_slow_prob).
+constexpr SimDuration kCoopSlowMin = msec(120);
+constexpr SimDuration kCoopSlowMax = msec(450);
+// Declare the overlay dead after this many consecutive unanswered NACKs.
+constexpr int kMaxUnansweredNacks = 3;
+// The NACK counter alone is not enough: a loss burst can emit several
+// NACKs within one RTT, before the first recovery reply has had time to
+// return. The counter therefore only declares death once the overlay has
+// also been signal-silent (no DC2-originated packet, and no overlay data
+// for path-switching flows) for at least this long.
+constexpr SimDuration kNackSilence = msec(200);
+// Probe backoff while down: base, doubling to cap.
+constexpr SimDuration kProbeBase = msec(200);
+constexpr SimDuration kProbeCap = sec(2);
+
+}  // namespace
+
+void Receiver::SeqWindow::extend(std::uint64_t end) {
+  if (end <= hi_) return;
+  if (end - lo_ > ring_.size()) {
+    std::size_t size = ring_.empty() ? 16 : ring_.size();
+    while (size < end - lo_) size *= 2;
+    std::vector<SeqSlot> grown(size);
+    for (std::uint64_t s = lo_; s < hi_; ++s) grown[s & (size - 1)] = std::move((*this)[s]);
+    ring_ = std::move(grown);
+  }
+  // A reused slot last held a seq below lo: arrived, and without a packet.
+  for (; hi_ < end; ++hi_) (*this)[hi_].state = SeqSlot::State::kUnseen;
+}
+
+void Receiver::SeqWindow::trim(std::uint64_t edge) {
+  while (lo_ < edge && !(*this)[lo_].pkt) ++lo_;
+}
+
+void Receiver::SeqWindow::remember(const PacketPtr& pkt) {
+  if (history_size_ == kHistoryPackets) {
+    SeqSlot& oldest = (*this)[history_head_];
+    history_head_ = oldest.history_next;
+    oldest.pkt.reset();
+    --history_size_;
+  }
+  (*this)[pkt->seq].pkt = pkt;
+  if (history_size_++ == 0) {
+    history_head_ = pkt->seq;
+  } else {
+    (*this)[history_tail_].history_next = pkt->seq;
+  }
+  history_tail_ = pkt->seq;
+}
+
 Receiver::Receiver(netsim::Network& net, const ReceiverConfig& config, DeliverFn on_delivery)
     : net_(net),
       node_id_(net.allocate_id()),
@@ -104,24 +163,8 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
 
   const SeqNo horizon = fs.evidence_horizon;
   if (seq >= fs.evidence_horizon) fs.evidence_horizon = seq + 1;
-  auto miss = fs.missing.find(seq);
-  if (miss != fs.missing.end()) {
-    // Fills a known hole: either the J-QoS recovery or a straggler direct
-    // arrival that outlived the gap detection.
-    const SimTime detected = miss->second.detected_at;
-    fs.missing.erase(miss);
-    // At the contiguity edge, advance directly: inserting into
-    // arrived_ahead only for advance_contiguity to erase it again would be
-    // a map-node allocation per in-order packet.
-    if (seq == fs.next_expected) {
-      ++fs.next_expected;
-    } else {
-      fs.arrived_ahead[seq] = recovered;
-    }
-    deliver(pkt->flow, seq, pkt, recovered, detected);
-    remember(fs, pkt);
-    advance_contiguity(fs);
-  } else if (seq < fs.next_expected || fs.arrived_ahead.count(seq) != 0) {
+  const SeqSlot::State state = fs.window.state(seq);
+  if (seq < fs.next_expected || state == SeqSlot::State::kArrived) {
     // Already delivered (e.g. both the direct copy and the recovered copy
     // arrived, or a multicast duplicate).
     ++stats_.duplicates;
@@ -137,23 +180,24 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
       on_delivery_(rec, pkt);
     }
     return;
-  } else {
-    if (seq > fs.next_expected) {
-      // Gap. Every seq in [next_expected, evidence_horizon) is already in
-      // `missing` or `arrived_ahead` (each edit of those maps and of
-      // next_expected keeps it so), so only the holes this arrival reveals
-      // need a scan. The membership checks stay: a tail suspicion at
-      // next_expected can sit at or above the horizon.
-      note_missing(fs, pkt->flow, std::max(fs.next_expected, horizon), seq);
-      fs.arrived_ahead[seq] = recovered;
-    } else {
-      // In-order fast path (see above): no arrived_ahead churn.
-      ++fs.next_expected;
-    }
-    deliver(pkt->flow, seq, pkt, recovered, 0);
-    remember(fs, pkt);
-    advance_contiguity(fs);
   }
+  SimTime detected = 0;
+  if (state == SeqSlot::State::kMissing) {
+    // Fills a known hole: either the J-QoS recovery or a straggler direct
+    // arrival that outlived the gap detection.
+    detected = fs.window[seq].detected_at;
+    --fs.missing;
+  } else {
+    // Only the holes this arrival reveals need a scan: no seq in
+    // [next_expected, evidence_horizon) is unseen. A tail suspicion at
+    // next_expected can sit at or above the horizon, hence the state check.
+    fs.window.extend(std::uint64_t{seq} + 1);
+    note_missing(fs, pkt->flow, std::max(fs.next_expected, horizon), seq);
+  }
+  fs.window[seq].state = SeqSlot::State::kArrived;
+  deliver(pkt->flow, seq, pkt, recovered, detected);
+  remember(fs, pkt);
+  advance_contiguity(fs);
 
   // Direct-path arrivals feed the Markov detector and (re)arm the timer;
   // recovered packets say nothing about the direct path, but they do keep
@@ -175,16 +219,20 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   }
 }
 
-void Receiver::note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive) {
+void Receiver::note_missing(FlowState& fs, FlowId flow, std::uint64_t from,
+                            std::uint64_t to_exclusive, bool tail) {
   const SimTime now = net_.sim().now();
   gap_scratch_.clear();
-  for (SeqNo s = from; s < to_exclusive; ++s) {
-    if (fs.missing.count(s) != 0 || fs.arrived_ahead.count(s) != 0) continue;
-    fs.missing[s] = MissingInfo{now, now, 1};
-    gap_scratch_.push_back(s);
+  for (std::uint64_t s = from; s < to_exclusive; ++s) {
+    SeqSlot& slot = fs.window[s];
+    if (slot.state != SeqSlot::State::kUnseen) continue;
+    slot.state = SeqSlot::State::kMissing;
+    slot.detected_at = slot.last_nack_at = now;
+    ++fs.missing;
+    gap_scratch_.push_back(static_cast<SeqNo>(s));
     ++stats_.losses_detected;
   }
-  if (!gap_scratch_.empty()) send_nack(flow, fs, gap_scratch_, /*tail=*/false);
+  if (!gap_scratch_.empty()) send_nack(flow, fs, gap_scratch_, tail);
 }
 
 void Receiver::send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& missing,
@@ -218,9 +266,8 @@ void Receiver::send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& m
     // overlay owes us a reply, so prolonged silence becomes meaningful
     // even if DC2 never showed a sign of life.
     if (last_overlay_signal_ < 0) last_overlay_signal_ = net_.sim().now();
-    const bool silent = net_.sim().now() - last_overlay_signal_ >=
-                        config_.failover.nack_silence;
-    if (silent && unanswered_nacks_ >= config_.failover.max_unanswered_nacks) {
+    const bool silent = net_.sim().now() - last_overlay_signal_ >= kNackSilence;
+    if (silent && unanswered_nacks_ >= kMaxUnansweredNacks) {
       declare_overlay_down();
     }
   }
@@ -251,12 +298,8 @@ void Receiver::deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recove
 }
 
 void Receiver::advance_contiguity(FlowState& fs) {
-  while (true) {
-    auto it = fs.arrived_ahead.find(fs.next_expected);
-    if (it == fs.arrived_ahead.end()) break;
-    fs.arrived_ahead.erase(it);
-    ++fs.next_expected;
-  }
+  while (fs.window.state(fs.next_expected) == SeqSlot::State::kArrived) ++fs.next_expected;
+  fs.window.trim(fs.next_expected);
 }
 
 void Receiver::remember(FlowState& fs, const PacketPtr& pkt) {
@@ -288,21 +331,7 @@ void Receiver::remember(FlowState& fs, const PacketPtr& pkt) {
       }
     }
   }
-  if (fs.buffer.count(pkt->seq) == 0) {
-    if (config_.buffer_packets > 0 && fs.buffer_order.size() >= config_.buffer_packets) {
-      // At capacity: recycle the evicted entry's map node (extract +
-      // reinsert) so steady-state history churn never touches the
-      // allocator. The FIFO ring keeps eviction order.
-      auto node = fs.buffer.extract(fs.buffer_order.front());
-      fs.buffer_order.pop_front();
-      node.key() = pkt->seq;
-      node.mapped() = pkt;
-      fs.buffer.insert(std::move(node));
-    } else {
-      fs.buffer.emplace(pkt->seq, pkt);
-    }
-    fs.buffer_order.push_back(pkt->seq);
-  }
+  fs.window.remember(pkt);
 }
 
 void Receiver::on_in_coded(const PacketPtr& pkt) {
@@ -333,10 +362,9 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
   wanted_scratch_.clear();
   for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
     const PacketKey& key = meta.covered[pos];
-    auto buf = fs.buffer.find(key.seq);
-    if (buf != fs.buffer.end()) {
-      present_scratch_.emplace_back(pos, std::span<const std::uint8_t>(buf->second->payload));
-    } else if (fs.missing.count(key.seq) != 0) {
+    if (const Packet* held = fs.window.packet(key.seq)) {
+      present_scratch_.emplace_back(pos, std::span<const std::uint8_t>(held->payload));
+    } else if (fs.window.state(key.seq) == SeqSlot::State::kMissing) {
       wanted_scratch_.emplace_back(pos, key);
     }
   }
@@ -346,17 +374,16 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
   if (!recovered) return;  // Not enough symbols yet; keep the coded packets.
 
   for (auto& rp : *recovered) {
-    auto miss = fs.missing.find(rp.key.seq);
-    if (miss == fs.missing.end()) continue;
-    const SimTime detected = miss->second.detected_at;
-    fs.missing.erase(miss);
+    if (fs.window.state(rp.key.seq) != SeqSlot::State::kMissing) continue;
+    const SimTime detected = fs.window[rp.key.seq].detected_at;
+    fs.window[rp.key.seq].state = SeqSlot::State::kArrived;
+    --fs.missing;
     ++stats_.self_decoded;
     auto packet = alloc_packet(pool_);
     packet->type = PacketType::kRecovered;
     packet->flow = rp.key.flow;
     packet->seq = rp.key.seq;
     packet->payload = std::move(rp.payload);
-    if (rp.key.seq >= fs.next_expected) fs.arrived_ahead[rp.key.seq] = true;
     deliver(flow, rp.key.seq, packet, /*recovered=*/true, detected);
     remember(fs, packet);
   }
@@ -372,12 +399,12 @@ void Receiver::on_coop_request(const PacketPtr& pkt) {
     return;
   }
   FlowState& fs = it->second;
-  auto buf = fs.buffer.find(pkt->seq);
-  if (buf == fs.buffer.end()) {
+  const Packet* held = fs.window.packet(pkt->seq);
+  if (held == nullptr) {
     if (pkt->seq >= fs.evidence_horizon) {
       // Not lost -- just not here yet (the requester's path is faster).
       // Hold the request and answer on arrival.
-      fs.deferred_coop[pkt->seq] = {pkt, net_.sim().now() + config_.coop_defer_window};
+      fs.deferred_coop[pkt->seq] = {pkt, net_.sim().now() + kCoopDeferWindow};
       return;
     }
     ++stats_.coop_misses;  // We lost it too; the coded packets must cover.
@@ -386,12 +413,11 @@ void Receiver::on_coop_request(const PacketPtr& pkt) {
   auto resp = make_packet(pool_, PacketType::kCoopResponse, ServiceType::kCode,
                           pkt->flow, pkt->seq, node_id_, pkt->src, net_.sim().now());
   resp->meta = pkt->meta;  // Echo the batch id back.
-  resp->payload = buf->second->payload;
+  resp->payload = held->payload;
   ++stats_.coop_responses_sent;
   if (config_.coop_slow_prob > 0.0 && rng_.bernoulli(config_.coop_slow_prob)) {
     // Straggler: the host is busy; the response leaves late.
-    const SimDuration delay =
-        rng_.uniform_int(config_.coop_slow_min, config_.coop_slow_max);
+    const SimDuration delay = rng_.uniform_int(kCoopSlowMin, kCoopSlowMax);
     net_.sim().after(delay, [this, resp] { net_.send(node_id_, resp); });
     return;
   }
@@ -402,7 +428,9 @@ void Receiver::on_nack_check(const PacketPtr& pkt) {
   auto it = flows_.find(pkt->flow);
   if (it == flows_.end()) return;
   FlowState& fs = it->second;
-  if (!is_missing_or_future(fs, pkt->seq)) return;  // Spurious; stay silent.
+  // Spurious unless the seq is a hole or not seen yet: stay silent.
+  if (pkt->seq < fs.next_expected) return;
+  if (fs.window.state(pkt->seq) == SeqSlot::State::kArrived) return;
   nack_scratch_.tail = false;
   nack_scratch_.expected = fs.next_expected;
   nack_scratch_.missing.assign(1, pkt->seq);
@@ -413,39 +441,35 @@ void Receiver::on_nack_check(const PacketPtr& pkt) {
   net_.send(node_id_, confirm);
 }
 
-bool Receiver::is_missing_or_future(const FlowState& fs, SeqNo seq) const {
-  if (fs.missing.count(seq) != 0) return true;
-  return seq >= fs.next_expected && fs.arrived_ahead.count(seq) == 0;
-}
-
 void Receiver::give_up_stale(FlowId flow, FlowState& fs) {
   const SimTime now = net_.sim().now();
   const SimDuration span =
       config_.recovery_give_up > 0 ? config_.recovery_give_up : config_.rtt_estimate;
-  for (auto it = fs.missing.begin(); it != fs.missing.end();) {
-    if (now - it->second.detected_at >= span) {
-      if (it->first >= fs.evidence_horizon) {
-        // A timer suspicion with no later delivery confirming the packet
-        // ever existed (the stream simply paused): drop silently. The
-        // sequence number stays claimable -- if the stream resumes with it,
-        // it must be delivered normally, not treated as a duplicate.
-        ++stats_.suspected_tail_dropped;
-        it = fs.missing.erase(it);
-        continue;
-      }
-      ++stats_.losses_given_up;
-      DeliveryRecord rec;
-      rec.flow = flow;
-      rec.seq = it->first;
-      rec.delivered_at = now;
-      rec.lost = true;
-      rec.detected_missing_at = it->second.detected_at;
-      if (on_delivery_) on_delivery_(rec, nullptr);
-      if (it->first >= fs.next_expected) fs.arrived_ahead[it->first] = false;
-      it = fs.missing.erase(it);
-    } else {
-      ++it;
+  std::size_t left = fs.missing;
+  for (std::uint64_t s = fs.next_expected; left > 0; ++s) {
+    SeqSlot& slot = fs.window[s];
+    if (slot.state != SeqSlot::State::kMissing) continue;
+    --left;
+    if (now - slot.detected_at < span) continue;
+    --fs.missing;
+    if (s >= fs.evidence_horizon) {
+      // A timer suspicion with no later delivery confirming the packet
+      // ever existed (the stream simply paused): drop silently. The
+      // sequence number stays claimable -- if the stream resumes with it,
+      // it must be delivered normally, not treated as a duplicate.
+      ++stats_.suspected_tail_dropped;
+      slot.state = SeqSlot::State::kUnseen;
+      continue;
     }
+    ++stats_.losses_given_up;
+    slot.state = SeqSlot::State::kArrived;
+    DeliveryRecord rec;
+    rec.flow = flow;
+    rec.seq = static_cast<SeqNo>(s);
+    rec.delivered_at = now;
+    rec.lost = true;
+    rec.detected_missing_at = slot.detected_at;
+    if (on_delivery_) on_delivery_(rec, nullptr);
   }
   advance_contiguity(fs);
 }
@@ -488,16 +512,15 @@ void Receiver::on_timer(FlowId flow, std::uint64_t gen) {
   // (last_activity > last_arrival): keep probing so cooperative recovery
   // is applied repeatedly, wave after wave (Section 4.4).
   const bool outage_mode = fs.last_arrival >= 0 && fs.last_activity > fs.last_arrival &&
-                           now - fs.last_activity < config_.idle_stop;
+                           now - fs.last_activity < kIdleStop;
   // A registered flow that has never delivered anything and timed out: the
   // opening packet itself may be lost (e.g. a SYN-ACK, Section 6.4).
   const bool nothing_yet = fs.last_arrival < 0 && fs.evidence_horizon == 0;
   if (was_short || !config_.use_markov || outage_mode || nothing_yet) {
-    if (fs.missing.count(fs.next_expected) == 0 &&
-        fs.arrived_ahead.count(fs.next_expected) == 0) {
-      fs.missing[fs.next_expected] = MissingInfo{now, now, 1};
-      ++stats_.losses_detected;
-      send_nack(flow, fs, {fs.next_expected}, /*tail=*/true);
+    const std::uint64_t edge = fs.next_expected;
+    if (fs.window.state(edge) == SeqSlot::State::kUnseen) {
+      fs.window.extend(edge + 1);
+      note_missing(fs, flow, edge, edge + 1, /*tail=*/true);
     } else if (outage_mode) {
       // The hole at next_expected is already tracked, but the stream is
       // being carried by recovery alone: keep probing past the evidence
@@ -509,12 +532,16 @@ void Receiver::on_timer(FlowId flow, std::uint64_t gen) {
   }
 
   // Re-NACK holes whose last attempt is stale (lost NACK or lost recovery).
+  // This walk and give_up_stale's visit the missing slots in seq order.
   stale_scratch_.clear();
-  for (auto& [seq, info] : fs.missing) {
-    if (now - info.last_nack_at >= config_.renack_interval) {
-      info.last_nack_at = now;
-      ++info.nack_count;
-      stale_scratch_.push_back(seq);
+  std::size_t left = fs.missing;
+  for (std::uint64_t s = fs.next_expected; left > 0; ++s) {
+    SeqSlot& slot = fs.window[s];
+    if (slot.state != SeqSlot::State::kMissing) continue;
+    --left;
+    if (now - slot.last_nack_at >= config_.renack_interval) {
+      slot.last_nack_at = now;
+      stale_scratch_.push_back(static_cast<SeqNo>(s));
     }
   }
   if (!stale_scratch_.empty()) send_nack(flow, fs, stale_scratch_, /*tail=*/false);
@@ -524,8 +551,7 @@ void Receiver::on_timer(FlowId flow, std::uint64_t gen) {
   // Keep the timer running while the flow is live or holes remain. Flows
   // being carried by recovery alone (outages) stay live via last_activity.
   const bool active =
-      (fs.last_activity >= 0 && now - fs.last_activity < config_.idle_stop) ||
-      !fs.missing.empty();
+      (fs.last_activity >= 0 && now - fs.last_activity < kIdleStop) || fs.missing > 0;
   if (active) arm_timer(flow, fs, next_timeout);
 }
 
@@ -559,9 +585,8 @@ void Receiver::declare_overlay_up() {
 }
 
 void Receiver::arm_probe() {
-  probe_backoff_ = probe_backoff_ == 0
-                       ? config_.failover.probe_base
-                       : std::min(probe_backoff_ * 2, config_.failover.probe_cap);
+  probe_backoff_ =
+      probe_backoff_ == 0 ? kProbeBase : std::min(probe_backoff_ * 2, kProbeCap);
   const std::uint64_t gen = ++probe_gen_;
   probe_armed_ = true;
   probe_timer_ = net_.sim().after(probe_backoff_, [this, gen] { on_probe(gen); });
@@ -597,7 +622,7 @@ void Receiver::send_probe() {
 bool Receiver::any_active_flow() const {
   const SimTime now = net_.sim().now();
   for (const auto& [flow, fs] : flows_) {
-    if (fs.last_activity >= 0 && now - fs.last_activity < config_.idle_stop) return true;
+    if (fs.last_activity >= 0 && now - fs.last_activity < kIdleStop) return true;
   }
   return false;
 }

@@ -31,40 +31,6 @@
 
 namespace jqos::endpoint {
 
-// Bounded FIFO of sequence numbers backed by a circular vector. A deque
-// would allocate/free a chunk every ~chunk worth of push/pop churn, which
-// the zero-alloc steady-state guard (docs/MEMORY.md) counts; the ring grows
-// amortized up to the history cap and then cycles allocation-free.
-class SeqRing {
- public:
-  void push_back(SeqNo s) {
-    if (count_ == buf_.size()) grow();
-    buf_[(head_ + count_) % buf_.size()] = s;
-    ++count_;
-  }
-  SeqNo front() const { return buf_[head_]; }
-  void pop_front() {
-    head_ = (head_ + 1) % buf_.size();
-    --count_;
-  }
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
- private:
-  void grow() {
-    std::vector<SeqNo> next(buf_.empty() ? 16 : buf_.size() * 2);
-    for (std::size_t i = 0; i < count_; ++i) {
-      next[i] = buf_[(head_ + i) % buf_.size()];
-    }
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<SeqNo> buf_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-};
-
 // Overlay-death detection and direct-path failover (receiver side).
 //
 // DC2 answers every NACK one way or another -- with recovered packets,
@@ -75,17 +41,9 @@ class SeqRing {
 // is declared down the receiver notifies its overlay handler (the scenario
 // wires this to the sender's direct-path override), suppresses regular
 // NACKs, and probes DC2 with capped exponential backoff; any
-// overlay-originated arrival re-engages immediately.
+// overlay-originated arrival re-engages immediately (constants: receiver.cc).
 struct FailoverParams {
   bool enabled = false;
-  // Declare the overlay dead after this many consecutive unanswered NACKs.
-  int max_unanswered_nacks = 3;
-  // The NACK counter alone is not enough: a loss burst can emit several
-  // NACKs within one RTT, before the first recovery reply has had time to
-  // return. The counter therefore only declares death once the overlay has
-  // also been signal-silent (no DC2-originated packet, and no overlay data
-  // for path-switching flows) for at least this long.
-  SimDuration nack_silence = msec(200);
   // Path-switching flows: data itself rides the overlay, so every arriving
   // data packet (while up) counts as an overlay life sign, and the overlay
   // is declared dead when NO sign at all -- data or DC2 control traffic --
@@ -94,9 +52,6 @@ struct FailoverParams {
   // across every concurrent flow is not.
   bool overlay_carries_data = false;
   SimDuration data_silence = msec(500);
-  // Probe backoff while down: base, doubling to cap.
-  SimDuration probe_base = msec(200);
-  SimDuration probe_cap = sec(2);
 };
 
 struct ReceiverConfig {
@@ -113,25 +68,16 @@ struct ReceiverConfig {
   // timeout of `single_timeout` (Section 6.4 reports 5x more NACKs).
   bool use_markov = true;
   SimDuration single_timeout = msec(25);
-  // Per-flow history buffer (cooperative responses / in-stream decode).
-  std::size_t buffer_packets = 1024;
   // A missing packet not recovered within this span is declared lost (the
   // paper counts recovery beyond one RTT as a loss); 0 means one RTT.
   SimDuration recovery_give_up = 0;
   // Re-NACK interval for still-missing packets (retries lost NACKs).
   SimDuration renack_interval = msec(100);
-  // Timer management: stop the per-flow timer after this much inactivity.
-  SimDuration idle_stop = sec(2);
-  // How long a cooperative request for a not-yet-received packet is held
-  // before being dropped (covers direct-path delay spread across peers).
-  SimDuration coop_defer_window = msec(150);
   // Straggler model for cooperative-recovery responses: with probability
   // `coop_slow_prob` a response is delayed by a uniform draw from
-  // [coop_slow_min, coop_slow_max] (loaded hosts, scheduling jitter --
-  // the behaviour the extra cross-coded packets protect against).
+  // [kCoopSlowMin, kCoopSlowMax] (receiver.cc) -- loaded hosts, scheduling
+  // jitter, the behaviour the extra cross-coded packets protect against.
   double coop_slow_prob = 0.0;
-  SimDuration coop_slow_min = msec(120);
-  SimDuration coop_slow_max = msec(450);
   // Record per-packet delay Samples (recovery_delay_ms / direct_delay_ms).
   // These grow one double per delivered packet -- fine for figure runs,
   // unbounded for million-session soaks, which turn them off and rely on
@@ -196,9 +142,9 @@ class Receiver final : public netsim::Node {
   // Starts tracking a flow (first expected sequence number is 0).
   void expect_flow(FlowId flow);
 
-  // Stops tracking a flow and reclaims ALL of its state (gap map, reorder
-  // buffer, history buffer, deferred coop requests, in-stream coded
-  // batches, detector, timer). Packets of the flow that are still in
+  // Stops tracking a flow and reclaims ALL of its state (sequence window
+  // and history, deferred coop requests, in-stream coded batches,
+  // detector, timer). Packets of the flow that are still in
   // flight arrive as unknown-flow packets, which every handler already
   // ignores; a cooperative request for a forgotten flow counts as a miss.
   // Session churn depends on this being a complete teardown: per-flow
@@ -227,22 +173,64 @@ class Receiver final : public netsim::Node {
   bool overlay_up() const { return overlay_up_; }
 
  private:
-  struct MissingInfo {
-    SimTime detected_at = 0;
-    SimTime last_nack_at = 0;
-    int nack_count = 0;
+  // One sequence number of a flow's SeqWindow.
+  struct SeqSlot {
+    enum class State : std::uint8_t {
+      kUnseen,   // No evidence yet, like every seq at or above hi.
+      kMissing,  // A detected hole, at or above the contiguity edge.
+      kArrived,  // Delivered, recovered or given up; every slot below the edge.
+    };
+    State state = State::kUnseen;
+    SeqNo history_next = 0;    // The next newer history packet's seq.
+    SimTime detected_at = 0;   // kMissing: when the hole was detected
+    SimTime last_nack_at = 0;  // and when it was last NACKed.
+    PacketPtr pkt;             // Set while this packet is in the history.
+  };
+
+  // A flow's sequence space: a power-of-two ring of slots over [lo, hi). The
+  // history -- the last 1,024 delivered packets, for cooperative responses
+  // and self-decode -- is linked oldest to newest through the slots. lo never
+  // passes the receiver's contiguity edge (lo <= next_expected) and advances
+  // only past slots that hold no packet, so the history stays in the window.
+  // lo and hi are 64-bit so that seq 2^32-1 does not wrap.
+  class SeqWindow {
+   public:
+    // The slot of a seq in [lo, hi).
+    SeqSlot& operator[](std::uint64_t seq) { return ring_[seq & (ring_.size() - 1)]; }
+    // Seqs outside [lo, hi) read as unseen: callers test the edge first.
+    SeqSlot::State state(std::uint64_t seq) const {
+      return seq >= lo_ && seq < hi_ ? ring_[seq & (ring_.size() - 1)].state
+                                     : SeqSlot::State::kUnseen;
+    }
+    // The history packet of `seq`, or null.
+    const Packet* packet(std::uint64_t seq) const {
+      return seq >= lo_ && seq < hi_ ? ring_[seq & (ring_.size() - 1)].pkt.get() : nullptr;
+    }
+    // Raises hi to `end` with unseen slots. Growing may reallocate the ring,
+    // so no slot reference survives this call.
+    void extend(std::uint64_t end);
+    // Advances lo toward `edge` past slots that hold no packet.
+    void trim(std::uint64_t edge);
+    // Appends a delivered packet (its seq in the window) as the newest
+    // history packet, first dropping the oldest when the history is full.
+    void remember(const PacketPtr& pkt);
+
+   private:
+    std::vector<SeqSlot> ring_;
+    std::uint64_t lo_ = 0;
+    std::uint64_t hi_ = 0;
+    SeqNo history_head_ = 0;  // Oldest history packet.
+    SeqNo history_tail_ = 0;  // Newest history packet.
+    std::size_t history_size_ = 0;
   };
 
   struct FlowState {
-    SeqNo next_expected = 0;
     // Contiguity edge: all seq < next_expected are delivered, recovered, or
-    // given up. Gaps above the edge live in `missing`; out-of-order
-    // arrivals above the edge in `arrived_ahead`.
-    std::map<SeqNo, MissingInfo> missing;
-    std::map<SeqNo, bool> arrived_ahead;  // value: was it `recovered`?
-    // Recent packets for coop responses / self-decode, FIFO-bounded.
-    std::unordered_map<SeqNo, PacketPtr> buffer;
-    SeqRing buffer_order;
+    // given up. `window` holds each seq's state from lo <= next_expected
+    // up; `missing` counts its kMissing slots, all at or above the edge.
+    SeqNo next_expected = 0;
+    SeqWindow window;
+    std::size_t missing = 0;
     // Cooperative requests for packets that have not arrived yet (the
     // requester's detection raced our slower direct path): answered as
     // soon as the packet lands, dropped after a short window.
@@ -281,7 +269,9 @@ class Receiver final : public netsim::Node {
   void send_probe();
   bool any_active_flow() const;
 
-  void note_missing(FlowState& fs, FlowId flow, SeqNo from, SeqNo to_exclusive);
+  // Marks the unseen seqs of [from, to_exclusive) missing and NACKs them.
+  void note_missing(FlowState& fs, FlowId flow, std::uint64_t from, std::uint64_t to_exclusive,
+                    bool tail = false);
   void send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& missing, bool tail,
                  bool probe = false);
   void deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recovered,
@@ -291,7 +281,6 @@ class Receiver final : public netsim::Node {
   void try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_id);
   void give_up_stale(FlowId flow, FlowState& fs);
   void arm_timer(FlowId flow, FlowState& fs, SimDuration timeout);
-  bool is_missing_or_future(const FlowState& fs, SeqNo seq) const;
 
   netsim::Network& net_;
   NodeId node_id_;

@@ -232,7 +232,6 @@ void ScenarioShard::build_path(IndexedPath path) {
   // Wide-area testbed hosts are sometimes slow to answer cooperative
   // requests (the straggler problem, Section 4.4).
   rc.coop_slow_prob = params_.coop_slow_prob;
-  rc.buffer_packets = params_.receiver_buffer_packets;
   rc.record_delay_samples = params_.record_delay_samples;
   rc.rng_seed = Rng::derive(pseed, "receiver-coop");
   rc.failover = params_.failover;

@@ -92,10 +92,6 @@ struct WanScenarioParams {
   // Per-packet delay Samples at the receivers (see ReceiverConfig); churn
   // soaks disable them to keep memory O(active sessions).
   bool record_delay_samples = true;
-  // Receiver history depth (cooperative responses / in-stream decode). The
-  // figure scenarios keep the generous default; churn workloads with short
-  // sessions size it to the session length.
-  std::size_t receiver_buffer_packets = 1024;
   std::uint64_t seed = 1;
   // Queue-disc configuration handed to the shard's Network; consulted only
   // by finite-bandwidth links (the default WAN topology is latency-only, so

@@ -169,6 +169,33 @@ TEST(Receiver, CoopRequestAnsweredFromBuffer) {
   EXPECT_EQ(f.receiver->stats().coop_responses_sent, 1u);
 }
 
+TEST(Receiver, HistoryKeepsTheLastArrivalsInArrivalOrder) {
+  // The history answers from the last 1,024 DELIVERED packets, counted in
+  // arrival order, not from the last 1,024 sequence numbers: a late
+  // recovery of seq 5 is the newest entry and pushes out 6 and 7.
+  Fixture f;
+  for (SeqNo s = 0; s <= 1030; ++s) {
+    if (s != 5) f.arrive(s);
+  }
+  f.arrive(5, PacketType::kRecovered);  // History: 5 and 8-1030.
+  for (SeqNo s : {5u, 7u, 8u}) {
+    auto req = std::make_shared<Packet>();
+    req->type = PacketType::kCoopRequest;
+    req->flow = 1;
+    req->seq = s;
+    req->src = f.dc.id();
+    f.receiver->handle_packet(req);
+  }
+  f.sim.run_until(msec(20));
+  auto resp = f.dc.of_type(PacketType::kCoopResponse);
+  ASSERT_EQ(resp.size(), 2u);
+  EXPECT_EQ(resp[0]->seq, 5u);
+  EXPECT_EQ(resp[0]->payload, std::vector<std::uint8_t>(32, 5));
+  EXPECT_EQ(resp[1]->seq, 8u);
+  EXPECT_EQ(resp[1]->payload, std::vector<std::uint8_t>(32, 8));
+  EXPECT_EQ(f.receiver->stats().coop_misses, 1u);
+}
+
 TEST(Receiver, CoopRequestForLostPacketIsMiss) {
   Fixture f;
   f.arrive(0);

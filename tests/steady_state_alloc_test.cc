@@ -111,8 +111,9 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
     }
   };
 
-  // Warmup must exceed buffer_packets (1024): the reorder buffer recycles
-  // its map nodes only once it reaches capacity and starts evicting.
+  // Warmup must exceed the 1,024-packet history: the flow's sequence window
+  // grows its ring by doubling until the history is full, then recycles
+  // its slots.
   feed(2048);
 
   alloc_probe::reset();
@@ -123,6 +124,54 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "receiver in-order path hit the global allocator "
                         << allocs << " times over " << kPackets << " packets";
   EXPECT_GT(pool.reused(), 0u);
+}
+
+// Holes cost no allocation either: each one takes a slot of the ring the
+// window already has, and stays open while the arrivals behind it land.
+TEST(SteadyStateAlloc, ReceiverLossPathIsAllocationFree) {
+  if (!alloc_probe::active()) {
+    GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
+  }
+
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  endpoint::ReceiverConfig rc;
+  rc.record_delay_samples = false;  // Per-packet Samples grow unboundedly.
+  endpoint::Receiver receiver(net, rc);
+  receiver.expect_flow(1);
+
+  PacketPool pool;
+  receiver.set_pool(&pool);
+
+  // The direct path loses one seq in 64; its recovered copy lands ten
+  // arrivals later.
+  SeqNo seq = 0;
+  auto feed = [&](int n) {
+    for (int i = 0; i < n; ++i, ++seq) {
+      if (seq % 64 != 0) {
+        receiver.handle_packet(make_data_packet(1, seq, /*src=*/1, /*dst=*/receiver.id(),
+                                                /*now=*/0, /*payload_bytes=*/256, &pool));
+      }
+      if (seq % 64 == 10) {
+        auto copy = make_packet(&pool, PacketType::kRecovered, ServiceType::kCode, 1,
+                                seq - 10, /*src=*/1, receiver.id(), /*now=*/0);
+        copy->payload.assign(256, 0);
+        receiver.handle_packet(copy);
+      }
+    }
+  };
+
+  feed(4096);
+
+  alloc_probe::reset();
+  constexpr int kPackets = 2048;
+  feed(kPackets);
+  const std::uint64_t allocs = alloc_probe::allocations();
+
+  EXPECT_EQ(allocs, 0u) << "receiver loss path hit the global allocator " << allocs
+                        << " times over " << kPackets << " packets";
+  EXPECT_EQ(receiver.stats().losses_detected, 96u);
+  EXPECT_EQ(receiver.stats().delivered_recovered, 96u);
 }
 
 // The paper's headline service: DC1 encodes, DC2 stores every coded batch

@@ -18,8 +18,13 @@
 // a shared_ptr would cost half a dozen atomic ops per packet -- and the core
 // counts its outstanding packets and control blocks intrusively: it deletes
 // itself when the facade is gone AND the last piece of storage returns, so
-// packets that outlive their pool (or return from another thread) still
-// recycle safely.
+// packets that outlive their pool still recycle safely.
+//
+// Threading: only one thread at a time uses a pool -- acquiring from it,
+// releasing its packets, reading its counts -- and the pool takes no lock.
+// Moving a pool or its packets to another thread needs a happens-before
+// edge, such as thread start or join (a worker builds and runs a shard, the
+// caller destroys it).
 //
 // Retained memory is bounded by total bytes across packets, control blocks,
 // and salvaged key vectors (never by object count -- the PR 7 ratchet
@@ -58,9 +63,8 @@ class PacketPool {
 
   // Byte-bounded retained-memory accounting.
   std::size_t pooled_bytes() const;
-  std::size_t high_water() const;  // max simultaneously outstanding packets
   std::size_t outstanding() const;
-  std::uint64_t reused() const;  // freelist + thread-local stash hits
+  std::uint64_t reused() const;  // freelist hits
   std::uint64_t fresh() const;   // global-allocator constructions
 
   // JQOS_OBJ_POOL, read on every call (not cached) so one process can
@@ -69,16 +73,12 @@ class PacketPool {
   // other value throws std::invalid_argument.
   static bool env_enabled();
 
-  // Opaque shared freelist state (defined in packet_pool.cc); public only so
-  // the file-local deleter and control-block allocator can name it.
+  // Opaque freelist state (defined in packet_pool.cc); public only so the
+  // file-local deleter and control-block allocator can name it.
   struct Core;
 
  private:
   Core* core_;  // Self-deleting once orphaned and drained; see ~PacketPool.
-  // Stash-hit count, kept on the facade because the stash fast path must
-  // not touch the core (no lock) and an empty stash must not pin it.
-  // Plain (non-atomic): acquire is single-threaded (one pool per shard).
-  std::uint64_t stash_reused_ = 0;
 };
 
 }  // namespace jqos

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <memory>
 
-#include "common/obj_pool.h"
 #include "common/parallel.h"
 #include "exp/sharded_runner.h"
 #include "geo/path_dataset.h"
@@ -29,11 +28,11 @@ struct SessionState {
   std::uint32_t direct = 0;
   std::uint32_t recovered = 0;
   std::uint32_t lost = 0;
-  // Per-packet codes indexed by the flow's sequence number. Pooled: a soak
-  // opens and closes millions of sessions, and recycling the vector's
-  // capacity keeps session open/close off the global allocator (the buffer
-  // returns to the engine's pool when the session is erased).
-  common::ObjPool<std::vector<std::uint8_t>>::Handle outcome;
+  // Per-packet codes indexed by the flow's sequence number. Recycled: a
+  // soak opens and closes millions of sessions, and reusing the vector's
+  // capacity keeps session open/close off the global allocator (finalize
+  // parks it on the engine's spare list before the session is erased).
+  std::vector<std::uint8_t> outcome;
 };
 
 // One shard's churn workload: owns the ScenarioShard, drives arrivals,
@@ -129,8 +128,11 @@ class ChurnShardEngine {
     s.path = path_index;
     s.opened_at = shard_.sim().now();
     s.total = total;
-    s.outcome = outcome_pool_.acquire();
-    s.outcome->assign(total, kPending);
+    if (!spare_outcomes_.empty()) {
+      s.outcome = std::move(spare_outcomes_.back());
+      spare_outcomes_.pop_back();
+    }
+    s.outcome.assign(total, kPending);
     ++totals.sessions_opened;
     send_next(flow, 0);
   }
@@ -153,8 +155,8 @@ class ChurnShardEngine {
     auto it = active_.find(rec.flow);
     if (it == active_.end()) return;  // Record for an already-closed session.
     SessionState& s = it->second;
-    if (rec.seq >= s.outcome->size()) return;
-    std::uint8_t& o = (*s.outcome)[rec.seq];
+    if (rec.seq >= s.outcome.size()) return;
+    std::uint8_t& o = s.outcome[rec.seq];
 
     if (rec.late_direct) {
       // The direct copy arrived after all: not a path loss (same
@@ -207,7 +209,7 @@ class ChurnShardEngine {
     // Ground truth: every sequence number with no delivery record by the
     // end of the linger window is a loss (tail losses the receiver never
     // distinguished from a finished stream).
-    for (std::uint8_t& o : *s.outcome) {
+    for (std::uint8_t& o : s.outcome) {
       if (o == kPending) {
         o = kLost;
         ++s.lost;
@@ -240,6 +242,7 @@ class ChurnShardEngine {
       (in_fault ? completion_in_fault_ms : completion_clear_ms).add(completion);
     }
     const std::size_t path_index = s.path;
+    spare_outcomes_.push_back(std::move(s.outcome));
     active_.erase(it);
     // Tear the session down through every layer; per-flow state anywhere in
     // the stack after this point is a leak (O(active sessions) contract).
@@ -249,10 +252,10 @@ class ChurnShardEngine {
   std::vector<netsim::OutageWindow> fault_windows_;
   std::vector<ArrivalProcess> arrivals_;  // Indexed like shard_.path(i).
   std::vector<Rng> size_rngs_;
-  // One engine-wide pool of session outcome vectors; its byte bound keeps a
-  // bulk-mix burst from pinning memory past the soak's concurrency
-  // high-water.
-  common::ObjPool<std::vector<std::uint8_t>> outcome_pool_;
+  // Outcome vectors of finalized sessions, reused by the next sessions to
+  // open. It never holds more vectors than the peak number of concurrent
+  // sessions.
+  std::vector<std::vector<std::uint8_t>> spare_outcomes_;
   std::unordered_map<FlowId, SessionState> active_;
   SimTime end_ = 0;
   SimDuration send_gap_;

@@ -1,7 +1,6 @@
-// Object-pool subsystem tests: ObjPool checkout/return RAII semantics,
-// byte-bounded trim limits, high-water accounting, cross-thread return
-// safety (ASan/TSan validate the Core lifetime rules), PacketPool recycling
-// behind the packet.h factories, the JQOS_OBJ_POOL env gate, and the
+// Packet-pool tests: PacketPool recycling behind the packet.h factories,
+// its byte-bounded retention, packets that outlive their pool (ASan
+// validates the Core lifetime rules), the JQOS_OBJ_POOL env gate, and the
 // load-bearing determinism property: WAN-scenario and churn fingerprints are
 // bit-identical with pools on vs off, across event-queue backends. Pool
 // state must never feed a simulation value.
@@ -11,11 +10,9 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/obj_pool.h"
 #include "common/packet.h"
 #include "common/packet_pool.h"
 #include "common/rng.h"
@@ -28,157 +25,8 @@
 namespace jqos {
 namespace {
 
-using common::ObjPool;
 using jqos::testing::EnvVarGuard;
 using jqos::testing::EvqBackendGuard;
-
-using BytePool = ObjPool<std::vector<std::uint8_t>>;
-
-// --- ObjPool<T> semantics ------------------------------------------------
-
-TEST(ObjPoolTest, RoundTripReusesStorage) {
-  BytePool pool;
-  std::uint8_t* buf = nullptr;
-  {
-    auto h = pool.acquire();
-    ASSERT_TRUE(h);
-    h->assign(100, 0xab);
-    buf = h->data();
-  }
-  EXPECT_EQ(pool.pooled_count(), 1u);
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.fresh(), 1u);
-  EXPECT_EQ(pool.reused(), 0u);
-
-  auto h2 = pool.acquire();
-  EXPECT_EQ(pool.reused(), 1u);
-  EXPECT_EQ(pool.fresh(), 1u);
-  // The object comes back scrubbed (empty) but with its buffer retained.
-  EXPECT_TRUE(h2->empty());
-  EXPECT_GE(h2->capacity(), 100u);
-  EXPECT_EQ(h2->data(), buf);
-}
-
-TEST(ObjPoolTest, HandleMoveAndExplicitRelease) {
-  BytePool pool;
-  auto a = pool.acquire();
-  auto b = std::move(a);
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty.
-  EXPECT_TRUE(b);
-  EXPECT_EQ(pool.outstanding(), 1u);
-
-  BytePool::Handle c;
-  c = std::move(b);
-  EXPECT_TRUE(c);
-  EXPECT_EQ(pool.outstanding(), 1u);
-
-  c.release();
-  EXPECT_FALSE(c);
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.pooled_count(), 1u);
-  c.release();  // Idempotent.
-  EXPECT_EQ(pool.pooled_count(), 1u);
-}
-
-TEST(ObjPoolTest, HighWaterTracksMaxSimultaneousCheckouts) {
-  BytePool pool;
-  {
-    std::vector<BytePool::Handle> held;
-    for (int i = 0; i < 3; ++i) held.push_back(pool.acquire());
-    EXPECT_EQ(pool.outstanding(), 3u);
-    EXPECT_EQ(pool.high_water(), 3u);
-  }
-  EXPECT_EQ(pool.outstanding(), 0u);
-  // High water is a ratchet: it survives the returns.
-  EXPECT_EQ(pool.high_water(), 3u);
-  { auto h = pool.acquire(); }
-  EXPECT_EQ(pool.high_water(), 3u);
-}
-
-TEST(ObjPoolTest, OversizedObjectsAreFreedNotPooled) {
-  BytePool::Limits limits;
-  limits.max_retained_bytes = 1u << 20;
-  limits.max_object_bytes = 512;
-  BytePool pool(limits);
-  {
-    auto h = pool.acquire();
-    h->reserve(4096);  // Outgrows max_object_bytes: must not fatten the pool.
-  }
-  EXPECT_EQ(pool.pooled_count(), 0u);
-  EXPECT_EQ(pool.pooled_bytes(), 0u);
-  {
-    auto h = pool.acquire();
-    h->reserve(64);  // Small buffers still pool.
-  }
-  EXPECT_EQ(pool.pooled_count(), 1u);
-}
-
-TEST(ObjPoolTest, RetainedBytesBoundedByTotalBudgetNotCount) {
-  BytePool::Limits limits;
-  limits.max_retained_bytes = 2048;
-  limits.max_object_bytes = 2048;
-  BytePool pool(limits);
-  {
-    std::vector<BytePool::Handle> held;
-    for (int i = 0; i < 4; ++i) {
-      held.push_back(pool.acquire());
-      held.back()->reserve(700);
-    }
-  }
-  // Each return retains ~700 bytes of capacity; the byte budget admits two
-  // of the four, and the rest are freed (a count bound would keep all 4).
-  EXPECT_LT(pool.pooled_count(), 4u);
-  EXPECT_LE(pool.pooled_bytes(), 2048u);
-  EXPECT_GT(pool.pooled_bytes(), 0u);
-}
-
-TEST(ObjPoolTest, TrimFreesEverythingPooled) {
-  BytePool pool;
-  for (int i = 0; i < 5; ++i) {
-    auto h = pool.acquire();
-    h->reserve(256);
-    // Cycle one at a time so each return lands on the freelist.
-  }
-  EXPECT_GT(pool.pooled_bytes(), 0u);
-  pool.trim();
-  EXPECT_EQ(pool.pooled_count(), 0u);
-  EXPECT_EQ(pool.pooled_bytes(), 0u);
-  // The pool keeps working after a trim.
-  auto h = pool.acquire();
-  EXPECT_TRUE(h);
-}
-
-TEST(ObjPoolTest, CrossThreadReleaseIsSafe) {
-  // A pooled object may be released on another thread; the return must take
-  // the OWNER's freelist lock from the releasing thread. ASan/TSan validate.
-  BytePool pool;
-  std::vector<BytePool::Handle> handles;
-  for (int i = 0; i < 8; ++i) {
-    handles.push_back(pool.acquire());
-    handles.back()->assign(64, static_cast<std::uint8_t>(i));
-  }
-  std::vector<std::thread> threads;
-  for (auto& h : handles) {
-    threads.emplace_back([moved = std::move(h)]() mutable { moved.release(); });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(pool.outstanding(), 0u);
-  EXPECT_EQ(pool.high_water(), 8u);
-}
-
-TEST(ObjPoolTest, HandleOutlivesPoolFacade) {
-  // The freelist Core is refcounted: a handle released after the pool facade
-  // is gone frees cleanly instead of dangling (the churn engine erases
-  // sessions whose outcome buffers may still be in flight).
-  BytePool::Handle survivor;
-  {
-    BytePool pool;
-    survivor = pool.acquire();
-    survivor->assign(32, 0xcd);
-  }
-  EXPECT_TRUE(survivor);
-  survivor.release();  // Must not crash; ASan validates the free.
-}
 
 // --- PacketPool ----------------------------------------------------------
 
@@ -294,6 +142,33 @@ TEST(PacketPoolTest, PacketsOutliveThePool) {
   }
   EXPECT_EQ(survivor->payload.size(), 64u);
   survivor.reset();  // Must not crash; ASan validates.
+}
+
+TEST(PacketPoolTest, RetentionIsByteBounded) {
+  PacketPool pool;
+  // A payload past the 256 KB per-packet cap is shrunk before pooling: the
+  // packet comes back, its burst capacity does not.
+  {
+    auto p = pool.acquire();
+    p->payload.assign(300u << 10, 0x11);
+  }
+  {
+    auto p = pool.acquire();
+    EXPECT_EQ(pool.reused(), 1u);
+    EXPECT_LT(p->payload.capacity(), 256u << 10);
+  }
+  // 100 packets of 200 KB each (20 MB) returned together overrun the 16 MB
+  // budget: the pool keeps what fits and frees the rest.
+  {
+    std::vector<std::shared_ptr<Packet>> held;
+    for (int i = 0; i < 100; ++i) {
+      held.push_back(pool.acquire());
+      held.back()->payload.assign(200u << 10, 0x22);
+    }
+  }
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_GT(pool.pooled_bytes(), 0u);
+  EXPECT_LE(pool.pooled_bytes(), 16u << 20);
 }
 
 TEST(PacketPoolTest, FactoriesProduceIdenticalPacketsPooledOrNot) {

@@ -89,7 +89,8 @@ workload::ChurnResult run_soak(const SoakSpec& spec, SimDuration duration, bool 
   std::snprintf(fp, sizeof(fp), "%016" PRIx64, r.fingerprint());
   if (json) {
     bench::JsonRow row("churn");
-    row.add("mode", spec.mode)
+    row.add("name", "churn")
+        .add("mode", spec.mode)
         .add("soak", label)
         .add("sessions", static_cast<std::uint64_t>(r.totals.sessions_completed))
         .add("packets", static_cast<std::uint64_t>(r.totals.packets_sent))
@@ -155,7 +156,8 @@ int main(int argc, char** argv) {
   const double ratio = rss_1x > 0.0 ? rss_4x / rss_1x : 0.0;
 
   if (json) {
-    bench::JsonRow("churn_rss_scaling")
+    bench::JsonRow("churn")
+        .add("name", "churn_rss_scaling")
         .add("mode", spec.mode)
         .add("rss_1x_mb", rss_1x)
         .add("rss_4x_mb", rss_4x)

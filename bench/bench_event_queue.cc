@@ -17,6 +17,10 @@
 //   churn  hold with cancellation: each fired event schedules two
 //          successors and cancels one pending event, exercising the slab
 //          freelist and lazy-cancel skipping at speed.
+//   hold_shard  hold at one scenario shard's population: 1,000 live
+//          events, successors 1-2,000 ticks out, under eight timers ~1e9
+//          ticks out (the sweeps and idle timers that hold the ladder's top
+//          tier far ahead of the dense near future). Same shape in --quick.
 //
 // Flags: --json (JSON Lines rows), --quick (CI smoke preset).
 #include <chrono>
@@ -50,8 +54,11 @@ struct Result {
 
 // ------------------------------- workloads --------------------------------
 
-// Steady-state hold model: fire `total` events through `live` in-flight.
-Result run_hold(EvqBackend backend, std::uint64_t live, std::uint64_t total) {
+// Steady-state hold model: fire `total` events through `live` in-flight,
+// first scheduled uniformly over [0, first_span], beside `far_timers`
+// events ~1e9 ticks out.
+Result run_hold(EvqBackend backend, const char* name, std::uint64_t live, SimTime first_span,
+                int far_timers, std::uint64_t total) {
   Simulator sim(backend);
   Rng rng(42);
 
@@ -67,14 +74,15 @@ Result run_hold(EvqBackend backend, std::uint64_t live, std::uint64_t total) {
     }
   } driver{sim, rng, total};
 
+  for (int i = 0; i < far_timers; ++i) sim.at(1'000'000'000 + i, [] {});
   for (std::uint64_t i = 0; i < live; ++i) {
-    sim.at(rng.uniform_int(0, 1000000), [&driver] { driver.fire(); });
+    sim.at(rng.uniform_int(0, first_span), [&driver] { driver.fire(); });
   }
 
   const auto start = Clock::now();
   sim.run();
   const double secs = std::chrono::duration<double>(Clock::now() - start).count();
-  return {netsim::evq_backend_name(backend), "hold", live, sim.events_processed(), secs,
+  return {netsim::evq_backend_name(backend), name, live, sim.events_processed(), secs,
           sim.queue().slab_slots()};
 }
 
@@ -151,9 +159,14 @@ int main(int argc, char** argv) {
     }
     results.push_back(b);
   };
-  for (EvqBackend b : kBackends) best([&, b] { return run_hold(b, live, total); });
+  for (EvqBackend b : kBackends) {
+    best([&, b] { return run_hold(b, "hold", live, 1'000'000, 0, total); });
+  }
   for (EvqBackend b : kBackends) best([&, b] { return run_drain(b, drain_n); });
   for (EvqBackend b : kBackends) best([&, b] { return run_churn(b, live / 4, total / 2); });
+  for (EvqBackend b : kBackends) {
+    best([&, b] { return run_hold(b, "hold_shard", 1000, 2000, 8, total); });
+  }
 
   const auto heap_rate = [&](const std::string& name) {
     for (const Result& r : results) {
@@ -181,11 +194,11 @@ int main(int argc, char** argv) {
 
   std::printf("== Event-queue dispatch: %llu live, %llu events (single thread) ==\n",
               static_cast<unsigned long long>(live), static_cast<unsigned long long>(total));
-  std::printf("%-7s %-8s %12s %12s %14s %10s %10s\n", "work", "backend", "live",
+  std::printf("%-10s %-8s %12s %12s %14s %10s %10s\n", "work", "backend", "live",
               "events", "events/sec", "wall s", "vs heap");
   for (const Result& r : results) {
     const double heap = heap_rate(r.name);
-    std::printf("%-7s %-8s %12llu %12llu %14.0f %10.3f %9.2fx\n", r.name.c_str(),
+    std::printf("%-10s %-8s %12llu %12llu %14.0f %10.3f %9.2fx\n", r.name.c_str(),
                 r.backend.c_str(), static_cast<unsigned long long>(r.live),
                 static_cast<unsigned long long>(r.events), r.events_per_sec(), r.wall_sec,
                 heap > 0 ? r.events_per_sec() / heap : 0.0);

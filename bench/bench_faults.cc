@@ -97,6 +97,7 @@ void run_case(const char* scenario, const Spec& spec, const workload::ChurnConfi
   std::snprintf(fp, sizeof(fp), "%016" PRIx64, r.fingerprint());
   if (json) {
     bench::JsonRow("faults")
+        .add("name", "faults")
         .add("scenario", scenario)
         .add("mode", spec.mode)
         .add("sessions", r.totals.sessions_completed)

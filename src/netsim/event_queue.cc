@@ -12,11 +12,6 @@ namespace jqos::netsim {
 
 namespace {
 
-// Buckets bigger than this are split into a finer rung instead of sorted.
-// Sorting a run of 16-byte POD entries is cheap (and the sorted run then
-// feeds the prefetching dispatch loop), so the threshold is set where a
-// sort's n·log n starts losing to one more cache-resident scatter pass.
-constexpr std::size_t kSortThreshold = 1024;
 // Rung sizing: aim for ~kPerBucket entries per bucket -- fine enough that
 // sorting a bucket is trivial, coarse enough that per-bucket fixed costs
 // (take, scan, sort call, recycle) amortize across a cache line's worth of
@@ -29,8 +24,10 @@ constexpr std::uint64_t kMinBuckets = 8;
 // scatters (coarse rung, then a tiny child rung per bucket) instead of one
 // cache-hostile scatter across hundreds of thousands of buckets.
 constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 13;
-// Depth backstop: at width 1 a bucket holds only equal timestamps and is
-// sorted regardless, so real workloads never get near this.
+// Depth backstop: each spread or re-spread narrows buckets several-fold,
+// and at width 1 a bucket holds only equal timestamps and is sorted
+// regardless, so real workloads never get near this. At the backstop,
+// buckets are sorted and the bottom takes inserts whatever its size.
 constexpr std::size_t kMaxRungs = 40;
 // Caps on recycled bucket storage. The pool only needs to absorb one
 // spread's worth of bucket vectors between a rung being consumed and the
@@ -203,6 +200,20 @@ void EventQueue::recycle_bucket(std::vector<Entry>&& v) {
   bucket_pool_.push_back(std::move(v));
 }
 
+void EventQueue::bucket_push(std::vector<Entry>& bucket, const Entry& e) {
+  if (bucket.capacity() == 0) {
+    // Pooled storage first; either way room for a typical bucket, so its
+    // first entries do not regrow it one doubling at a time.
+    if (!bucket_pool_.empty()) {
+      pool_entries_ -= bucket_pool_.back().capacity();
+      bucket = std::move(bucket_pool_.back());
+      bucket_pool_.pop_back();
+    }
+    bucket.reserve(static_cast<std::size_t>(kPerBucket));
+  }
+  bucket.push_back(e);
+}
+
 void EventQueue::ladder_reset() {
   ++version_;
   for (Rung& r : rungs_) {
@@ -223,32 +234,69 @@ void EventQueue::ladder_push(const Entry& e) {
     top_.push_back(e);
     return;
   }
-  // Rung spans nest (each rung refines its parent's current bucket), so the
-  // first rung whose unconsumed range contains e.at is the right home.
+  // Each rung's unconsumed range ends where the next coarser rung's begins
+  // (the coarsest ends at top_start_), so the first rung whose unconsumed
+  // range starts at or before e.at is the right home. A re-spread rung can
+  // begin below the base of the rung before it, so a base above e.at does
+  // not end the search.
   for (Rung& r : rungs_) {
-    if (e.at < r.base) break;  // Earlier than every remaining rung's range.
+    if (e.at < r.base) continue;
     std::uint64_t idx = static_cast<std::uint64_t>(e.at - r.base) >> r.shift;
     if (idx >= r.buckets.size()) idx = r.buckets.size() - 1;  // Defensive clamp.
     if (idx >= r.cur) {
-      r.buckets[idx].push_back(e);
+      bucket_push(r.buckets[idx], e);
       ++r.count;
       return;
     }
   }
-  // Inside already-consumed territory: sorted insert into the live bottom.
+  // Inside already-consumed territory: the sorted bottom. A full one is
+  // re-spread unless its entries share one timestamp (no rung splits them,
+  // and a push at or after it is an append) or the rungs are at the depth
+  // backstop.
   ++version_;
+  if (bottom_.size() - bottom_pos_ >= kBottomCap && rungs_.size() < kMaxRungs &&
+      bottom_[bottom_pos_].at != bottom_.back().at) {
+    respread_bottom(e);
+    return;
+  }
   auto it = std::upper_bound(bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_pos_),
                              bottom_.end(), e, EntryLt{});
   bottom_.insert(it, e);
 }
 
+void EventQueue::respread_bottom(const Entry& e) {
+  // The bottom lies below every rung's unconsumed range, so the new rung
+  // ends where the finest rung's begins. With no rungs the bottom came from
+  // a small top spread, which can leave entries at exactly top_start_; the
+  // rung then ends just past it (later pushes at top_start_ still go to
+  // top, after those entries in (time, seq) order).
+  //
+  // Served entries are dead too, so one pass drops them with the cancelled.
+  std::erase_if(bottom_, [this](const Entry& x) { return !entry_live(x); });
+  bottom_.push_back(e);  // Highest seq, so last among its equal timestamps.
+  const SimTime lo = std::min(bottom_.front().at, e.at);
+  std::uint64_t span;
+  if (rungs_.empty()) {
+    span = static_cast<std::uint64_t>(top_start_ - lo) + 1;
+  } else {
+    const Rung& r = rungs_.back();
+    const SimTime end = r.base + static_cast<SimTime>(r.cur << r.shift);
+    span = static_cast<std::uint64_t>(end - lo);
+  }
+  spawn_rung(lo, span, bottom_);
+  bottom_.clear();
+  bottom_pos_ = 0;
+}
+
 void EventQueue::sort_into_bottom(std::vector<Entry>& bucket, SimTime start,
                                   std::uint64_t width) {
-  // Bucket entries arrive in push order (monotonic seq), both from direct
-  // pushes and from spreads (which preserve source order), so a STABLE sort
-  // by time alone yields the full (time, seq) delivery order. When the
-  // bucket's time span is narrow relative to its population, a stable
-  // counting sort by time offset does it in O(n + width) with no compares.
+  // Entries of one timestamp sit in a bucket in seq order: direct pushes
+  // append in seq order, spreads keep their source's order, and a
+  // re-spread's source is the (time, seq)-sorted bottom followed by the
+  // newest push. So a STABLE sort by time alone yields the full (time, seq)
+  // delivery order. When the bucket's time span is narrow relative to its
+  // population, a stable counting sort by time offset does it in
+  // O(n + width) with no compares.
   // The counting path scatters into bottom_'s EXISTING storage (it is
   // already drained when this runs): churning it through the pool and
   // reallocating per bucket would both malloc on the hot path and feed the
@@ -292,13 +340,7 @@ void EventQueue::spawn_rung(SimTime base, std::uint64_t span, const std::vector<
   for (const Entry& e : entries) {
     const auto idx =
         static_cast<std::size_t>(static_cast<std::uint64_t>(e.at - base) >> r.shift);
-    auto& bucket = r.buckets[idx];
-    if (bucket.capacity() == 0 && !bucket_pool_.empty()) {
-      pool_entries_ -= bucket_pool_.back().capacity();
-      bucket = std::move(bucket_pool_.back());
-      bucket_pool_.pop_back();
-    }
-    bucket.push_back(e);
+    bucket_push(r.buckets[idx], e);
   }
   rungs_.push_back(std::move(r));
 }
@@ -330,7 +372,7 @@ bool EventQueue::ladder_prepare() {
         recycle_bucket(std::move(bucket));
         continue;
       }
-      if (bucket.size() <= kSortThreshold || bucket_width == 1 ||
+      if (bucket.size() <= kBottomCap || bucket_width == 1 ||
           rungs_.size() >= kMaxRungs) {
         sort_into_bottom(bucket, bucket_start, bucket_width);
       } else {
@@ -352,10 +394,11 @@ bool EventQueue::ladder_prepare() {
       lo = std::min(lo, e.at);
       hi = std::max(hi, e.at);
     }
-    if (top_.size() <= kSortThreshold) {
+    if (top_.size() <= kBottomCap) {
       // Small spread: sort top straight into bottom (reusing its drained
       // storage), skipping the rung machinery entirely -- the common case
-      // at simulation tails and in lightly-loaded phases.
+      // at simulation tails and in lightly-loaded phases. Entries at hi
+      // stay in bottom while later pushes at hi go to top.
       bottom_.assign(top_.begin(), top_.end());
       std::sort(bottom_.begin(), bottom_.end(), EntryLt{});
       top_.clear();

@@ -9,9 +9,17 @@
 //   kLadder  a ladder queue (Tang/Goh/Thng): far-future events sit in an
 //            unsorted top tier; when needed they are spread into rungs of
 //            time buckets, and only the single earliest bucket is ever
-//            sorted ("bottom"). push and cancel are O(1) amortized, and
-//            ordering work is amortized across every event in a bucket, so
-//            dispatch stays flat as the live-event count grows. The default.
+//            sorted ("bottom"). As the ladder paper's threshold does, a cap
+//            (kBottomCap) bounds the sorted bottom: a bucket or top spread
+//            larger than the cap becomes a finer rung instead, and a push
+//            that would insert into a full bottom re-spreads the bottom's
+//            live entries and itself into a new finest rung, which ends
+//            where the rung above begins (or just past top_start_). So a
+//            push never shifts more than the cap's worth of entries, even
+//            when a far-off timer holds top_start_ far ahead of the dense
+//            near future. push and cancel are O(1) amortized, and ordering
+//            work is amortized across every event in a bucket, so dispatch
+//            stays flat as the live-event count grows. The default.
 //   kHeap    the classic binary heap, O(log n) per operation. Retained as
 //            the reference backend for differential tests and as the
 //            baseline the event-queue microbench measures speedups against.
@@ -174,9 +182,19 @@ class EventQueue {
   // Total capacity (in entries) of the ladder's recycled-bucket pool; 0 for
   // the heap backend. Held to O(slab_slots) by recycle_bucket -- the memory
   // regression test pins this (it must NOT scale with run length: bucket
-  // consumptions feed the pool every few events, spreads drain it only when
-  // a rung exhausts).
+  // consumptions feed the pool every few events, while only spreads and
+  // pushes into empty buckets draw from it).
   std::size_t pooled_bucket_entries() const { return pool_entries_; }
+
+  // Bound on the ladder's sorted bottom: past it, buckets and top spreads
+  // become finer rungs and a push into the bottom re-spreads it.
+  static constexpr std::size_t kBottomCap = 64;
+
+  // Entries waiting in the ladder's sorted bottom (cancelled ones included
+  // until they are skipped); 0 for the heap backend. At most kBottomCap,
+  // except when they all share one timestamp, where only a sorted insert
+  // (an append) can order them, or at the rung-depth backstop.
+  std::size_t bottom_entries() const { return bottom_.size() - bottom_pos_; }
 
  private:
   struct alignas(64) Slot {
@@ -227,6 +245,9 @@ class EventQueue {
 
   void ladder_reset();
   void ladder_push(const Entry& e);
+  // Moves the full bottom's live entries and `e` (which belongs below every
+  // rung) into a new finest rung.
+  void respread_bottom(const Entry& e);
   // Ensures bottom_[bottom_pos_] is the earliest live event (spreading top /
   // spawning rungs / sorting a bucket as needed); false when queue is empty.
   bool ladder_prepare();
@@ -235,6 +256,8 @@ class EventQueue {
   void sort_into_bottom(std::vector<Entry>& bucket, SimTime start, std::uint64_t width);
   void spawn_rung(SimTime base, std::uint64_t span, const std::vector<Entry>& entries);
   void recycle_bucket(std::vector<Entry>&& v);
+  // Appends to a rung bucket; an empty one first takes pooled storage.
+  void bucket_push(std::vector<Entry>& bucket, const Entry& e);
 
   EvqBackend backend_;
 
@@ -259,15 +282,17 @@ class EventQueue {
   std::vector<Entry> top_;     // Unsorted; every entry has at >= top_start_.
   SimTime top_start_;          // Initialized by ladder_reset() on first push.
   std::vector<Rung> rungs_;    // Coarsest first; back() is being drained.
-  std::vector<Entry> bottom_;  // Sorted (at, seq); drained from bottom_pos_.
+  std::vector<Entry> bottom_;  // Sorted (at, seq); drained from bottom_pos_;
+                               // below every rung's unconsumed range.
   std::size_t bottom_pos_ = 0;
   std::vector<std::uint32_t> counts_;  // Scratch for the counting sort.
   bool ladder_init_ = false;
   // Retired bucket vectors, recycled with their capacity so steady-state
-  // spreads allocate nothing. Bounded by TOTAL capacity (pool_entries_,
-  // kept O(peak live events) by recycle_bucket), not just vector count:
-  // consumptions feed the pool far more often than spreads draw from it,
-  // so a count-only cap lets pooled storage ratchet up for the whole run.
+  // spreads and bucket pushes allocate nothing. Bounded by TOTAL capacity
+  // (pool_entries_, kept O(peak live events) by recycle_bucket), not just
+  // vector count: consumptions can feed the pool faster than empty buckets
+  // draw from it, so a count-only cap lets pooled storage ratchet up for the
+  // whole run.
   std::vector<std::vector<Entry>> bucket_pool_;
   std::size_t pool_entries_ = 0;  // Sum of capacities pooled above.
 };

@@ -8,7 +8,8 @@
 //
 // Also pins the slab memory contract: resident slots track PEAK LIVE
 // events, not total events ever pushed (the pre-ladder EventQueue grew its
-// handler table forever — a long sweep leaked O(total events)).
+// handler table forever — a long sweep leaked O(total events)), and the
+// ladder's bound on its sorted bottom.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +42,14 @@ class NaiveModel {
     return n;
   }
   bool empty() const { return size() == 0; }
+  // Time of the earliest live event; only valid when !empty().
+  SimTime next_time() const {
+    const Ev* best = nullptr;
+    for (const auto& e : events_) {
+      if (e.live && (best == nullptr || e.at < best->at)) best = &e;
+    }
+    return best->at;
+  }
   // Returns (at, label) of the earliest live event and removes it.
   std::pair<SimTime, int> pop() {
     std::size_t best = events_.size();
@@ -70,12 +79,22 @@ class NaiveModel {
 struct TimeMix {
   SimDuration quantum;   // Delays snap to this grid (ties when coarse).
   SimDuration max_delay; // Horizon of scheduled delays.
+  // Below this many pending events the script only grows: it pushes,
+  // cancels, and peeks at next_time() but pops nothing, so `now` stays put,
+  // and each push lands max_delay * (min_live - pending) / min_live out --
+  // just before the previous one, in front of every pending event.
+  std::size_t min_live = 0;
+  // Timers kept pending kFarDelay out; a cancelled one is re-armed.
+  int far_timers = 0;
 };
+
+constexpr SimDuration kFarDelay = 1'000'000'000;
 
 void run_script(std::uint64_t seed, const TimeMix& mix) {
   const std::string what = "seed=" + std::to_string(seed) +
                            " quantum=" + std::to_string(mix.quantum) +
-                           " max_delay=" + std::to_string(mix.max_delay);
+                           " max_delay=" + std::to_string(mix.max_delay) +
+                           " min_live=" + std::to_string(mix.min_live);
   Rng rng(seed);
   NaiveModel model;
   EventQueue heap(EvqBackend::kHeap);
@@ -87,16 +106,18 @@ void run_script(std::uint64_t seed, const TimeMix& mix) {
     EventId heap_id;
     EventId ladder_id;
     int label;
+    bool far;
   };
   std::vector<LiveEvent> live;
   std::vector<int> fired_heap, fired_ladder;
   int next_label = 0;
   SimTime now = 0;
 
-  const auto push_all = [&](SimTime at) {
+  const auto push_all = [&](SimTime at, bool far = false) {
     const int label = next_label++;
     LiveEvent ev;
     ev.label = label;
+    ev.far = far;
     ev.model_id = model.push(at, label);
     ev.heap_id = heap.push(at, [&fired_heap, label] { fired_heap.push_back(label); });
     ev.ladder_id =
@@ -104,20 +125,34 @@ void run_script(std::uint64_t seed, const TimeMix& mix) {
     live.push_back(ev);
   };
 
+  const auto push_far = [&] { push_all(now + kFarDelay + rng.uniform_int(0, 1000), true); };
+  for (int i = 0; i < mix.far_timers; ++i) push_far();
+
   for (int op = 0; op < 6000; ++op) {
     const std::int64_t dice = rng.uniform_int(0, 99);
-    if (dice < 45 || model.empty()) {
-      const SimDuration delay =
-          mix.quantum * (rng.uniform_int(0, mix.max_delay / mix.quantum));
-      push_all(now + delay);
-    } else if (dice < 55) {
+    const bool growing = model.size() < mix.min_live;
+    if (dice < (growing ? 80 : 45) || model.empty()) {
+      const std::int64_t steps = mix.max_delay / mix.quantum;
+      const std::int64_t step =
+          growing ? steps * static_cast<std::int64_t>(mix.min_live - model.size()) /
+                        static_cast<std::int64_t>(mix.min_live)
+                  : rng.uniform_int(0, steps);
+      push_all(now + mix.quantum * step);
+    } else if (dice < (growing ? 90 : 55)) {
       // Cancel a random still-pending event everywhere.
       const auto pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const bool far = live[pick].far;
       model.cancel(live[pick].model_id);
       heap.cancel(live[pick].heap_id);
       ladder.cancel(live[pick].ladder_id);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      if (far) push_far();
+    } else if (growing) {
+      // Peek: next_time() runs the ladder's refill without moving `now`.
+      const SimTime at = model.next_time();
+      EXPECT_EQ(heap.next_time(), at) << what << " op=" << op;
+      EXPECT_EQ(ladder.next_time(), at) << what << " op=" << op;
     } else {
       ASSERT_FALSE(heap.empty()) << what;
       ASSERT_FALSE(ladder.empty()) << what;
@@ -164,6 +199,13 @@ TEST(EvqStress, DifferentialAgainstHeapAndNaiveModel) {
       {msec(1), msec(5)},     // ~5 distinct delays: massive tie pileups.
       {usec(100), msec(50)},  // The figure benches' coarse-grid profile.
       {usec(1), sec(100)},    // Sparse far-future spread (deep rungs).
+      // A dense near future, above the ladder's bottom cap, under far
+      // timers. The first peek sorts the few pending events, far timers
+      // included, into the bottom, one at exactly top_start_. Growth pushes
+      // then land in front of everything, so the bottom keeps filling and is
+      // re-spread into rungs that each begin below the one before; the
+      // uniform pushes that follow land inside those rungs.
+      {usec(1), usec(256), 3 * EventQueue::kBottomCap, 4},
   };
   for (const TimeMix& mix : mixes) {
     for (std::uint64_t seed : {1ull, 2ull, 3ull, 99ull}) run_script(seed, mix);
@@ -260,6 +302,65 @@ TEST(EvqStress, BucketPoolCapacityStaysBoundedUnderSteadyChurn) {
   const std::size_t limit =
       std::max<std::size_t>(std::size_t{1} << 12, 8 * q.slab_slots());
   EXPECT_LE(q.pooled_bucket_entries(), limit);
+}
+
+TEST(EvqStress, SortedBottomStaysBounded) {
+  // A scenario shard's shape: 1,000 live events, each scheduling a
+  // successor 1-2,000 ticks out, under eight timers ~1e9 ticks out, with
+  // cancels and re-arms of both. The far timers hold the ladder's top_start_
+  // far ahead, so every successor lands below it: an unbounded sorted bottom
+  // would grow to the whole population and shift ~1,000 entries per push.
+  // After every push the bottom must be within its cap, and the ladder must
+  // fire in the heap's order.
+  EventQueue ladder(EvqBackend::kLadder);
+  EventQueue heap(EvqBackend::kHeap);
+  Rng rng(31);
+  int fired_ladder = -1;
+  int fired_heap = -1;
+  int next_label = 0;
+  std::size_t max_bottom = 0;
+  int first_over = -1;  // Label of the first push that left the bottom over its cap.
+  struct Ids {
+    EventId ladder;
+    EventId heap;
+  };
+  const auto push_both = [&](SimTime at) {
+    const int label = next_label++;
+    const Ids ids{ladder.push(at, [&fired_ladder, label] { fired_ladder = label; }),
+                  heap.push(at, [&fired_heap, label] { fired_heap = label; })};
+    max_bottom = std::max(max_bottom, ladder.bottom_entries());
+    if (first_over < 0 && ladder.bottom_entries() > EventQueue::kBottomCap) first_over = label;
+    return ids;
+  };
+  const auto cancel_both = [&](const Ids& ids) {
+    ladder.cancel(ids.ladder);
+    heap.cancel(ids.heap);
+  };
+
+  Ids far[8];
+  for (Ids& t : far) t = push_both(kFarDelay + rng.uniform_int(0, 1000));
+  for (int i = 0; i < 1000; ++i) push_both(rng.uniform_int(1, 2000));
+  for (int n = 0; n < 200'000; ++n) {
+    auto lf = ladder.pop();
+    auto hf = heap.pop();
+    ASSERT_EQ(lf.at, hf.at) << "event " << n;
+    lf.fn();
+    hf.fn();
+    ASSERT_EQ(fired_ladder, fired_heap) << "event " << n;
+    const SimTime now = lf.at;
+    const Ids next = push_both(now + rng.uniform_int(1, 2000));
+    if (rng.bernoulli(0.05)) {  // A timer re-armed before it fires.
+      cancel_both(next);
+      push_both(now + rng.uniform_int(1, 2000));
+    }
+    if (rng.bernoulli(0.001)) {  // A far timer pushed back.
+      Ids& t = far[rng.uniform_int(0, 7)];
+      cancel_both(t);
+      t = push_both(now + kFarDelay + rng.uniform_int(0, 1000));
+    }
+  }
+  EXPECT_EQ(ladder.size(), heap.size());
+  EXPECT_LE(max_bottom, EventQueue::kBottomCap) << "first over the cap: push " << first_over;
 }
 
 }  // namespace

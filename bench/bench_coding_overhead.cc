@@ -159,7 +159,6 @@ SweepPoint run_point(std::size_t k, std::uint64_t seed) {
   params.coding.queues_per_group = 1;  // One queue: fill at the full group rate.
   // Google-study style losses (as in the paper's controlled experiment).
   params.direct.bernoulli_loss = 0.0;
-  params.direct.enable_bursts = true;
   params.direct.gilbert.p_good_to_bad = 0.01;
   params.direct.gilbert.p_bad_to_good = 0.5;
   params.direct.gilbert.loss_in_bad = 0.5;

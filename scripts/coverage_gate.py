@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the simulation core, the DC services, the
-end-points, the common layer and the churn workload (src/netsim, src/exp,
-src/services, src/endpoint, src/common, src/workload).
+"""Line-coverage gate for the simulation core, the cloud overlay, the DC
+services, the end-points, the common layer and the churn workload
+(src/netsim, src/exp, src/overlay, src/services, src/endpoint, src/common,
+src/workload).
 
 Runs gcov over every .gcda the coverage-preset test run produced, unions the
 per-line execution counts across translation units (a header inlined into
@@ -27,8 +28,8 @@ import subprocess
 import sys
 import tempfile
 
-GATED_DIRS = ("src/netsim", "src/exp", "src/services", "src/endpoint",
-              "src/common", "src/workload")
+GATED_DIRS = ("src/netsim", "src/exp", "src/overlay", "src/services",
+              "src/endpoint", "src/common", "src/workload")
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "coverage_baseline.json")
 

@@ -19,6 +19,13 @@ std::uint64_t path_seed(std::uint64_t scenario_seed, std::size_t global_index) {
   return Rng::derive(scenario_seed, kPathStreamBase + global_index);
 }
 
+// Jitter of the direct path. Spikes are rare: a delayed packet that gets
+// recovered anyway is reclassified as delivered when the direct copy lands,
+// but spikes still cost NACK/recovery traffic.
+constexpr double kDirectJitterSigma = 0.5;
+constexpr double kDirectJitterScaleMs = 1.5;
+constexpr double kDirectSpikeProb = 0.003;
+
 }  // namespace
 
 std::uint64_t FaultSummary::total_dc_crashes() const {
@@ -135,7 +142,7 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
       if (names.insert(site->name).second) sites.push_back(*site);
     }
   }
-  overlay_ = std::make_unique<overlay::OverlayNetwork>(net_, sites, params_.overlay, rng_);
+  overlay_ = std::make_unique<overlay::OverlayNetwork>(net_, sites, rng_);
 
   // Install the full service stack on every DC. Forwarding runs first (it
   // claims in-transit packets), then the local services.
@@ -208,7 +215,6 @@ void ScenarioShard::build_path(IndexedPath path) {
   rt->label = geo::region_pair_label(sample);
   rt->global_index = path.global_index;
   rt->rtt_ms = 2.0 * sample.y_ms;
-  rt->give_up_rtts = params_.give_up_rtts;
   rt->flow = next_flow_++;
   rt->dc1 = overlay_->dc_by_site(sample.dc1.name);
   rt->dc2 = overlay_->dc_by_site(sample.dc2.name);
@@ -263,7 +269,7 @@ void ScenarioShard::build_path(IndexedPath path) {
           }
           // Paper's success criterion: recovery beyond one direct-path RTT
           // counts as a loss.
-          if (ms <= rt_raw->give_up_rtts * rt_raw->rtt_ms) {
+          if (ms <= rt_raw->rtt_ms) {
             rt_raw->outcome[rec.seq] = Outcome::kRecovered;
             ++rt_raw->recovered;
           } else {
@@ -299,32 +305,30 @@ void ScenarioShard::build_path(IndexedPath path) {
           : 1.0;
   netsim::LossModelPtr loss = netsim::make_bernoulli_loss(
       std::min(0.05, params_.direct.bernoulli_loss * severity), loss_rng.fork("bern"));
-  if (params_.direct.enable_bursts) {
-    // Compose: Gilbert-Elliott bursts on top of the random-loss floor.
-    struct Composite final : netsim::LossModel {
-      netsim::LossModelPtr a, b;
-      Composite(netsim::LossModelPtr x, netsim::LossModelPtr y)
-          : a(std::move(x)), b(std::move(y)) {}
-      bool should_drop(SimTime now) override {
-        const bool da = a->should_drop(now);
-        const bool db = b->should_drop(now);
-        return da || db;
-      }
-    };
-    netsim::GilbertElliottParams ge = params_.direct.gilbert;
-    ge.p_good_to_bad = std::min(0.02, ge.p_good_to_bad * severity);
-    loss = std::make_unique<Composite>(std::move(loss),
-                                       netsim::make_gilbert_elliott(ge, loss_rng.fork("ge")));
-  }
+  // Compose: Gilbert-Elliott bursts on top of the random-loss floor.
+  struct Composite final : netsim::LossModel {
+    netsim::LossModelPtr a, b;
+    Composite(netsim::LossModelPtr x, netsim::LossModelPtr y)
+        : a(std::move(x)), b(std::move(y)) {}
+    bool should_drop(SimTime now) override {
+      const bool da = a->should_drop(now);
+      const bool db = b->should_drop(now);
+      return da || db;
+    }
+  };
+  netsim::GilbertElliottParams ge = params_.direct.gilbert;
+  ge.p_good_to_bad = std::min(0.02, ge.p_good_to_bad * severity);
+  loss = std::make_unique<Composite>(std::move(loss),
+                                     netsim::make_gilbert_elliott(ge, loss_rng.fork("ge")));
   if (path_rng.fork("outage-sel").bernoulli(params_.direct.outage_path_fraction)) {
     loss = netsim::make_outage_over(std::move(loss), params_.direct.outage,
                                     loss_rng.fork("outage"));
   }
   netsim::JitterParams jp;
   jp.base = msec_f(sample.y_ms);
-  jp.jitter_sigma = params_.direct.jitter_sigma;
-  jp.jitter_scale_ms = params_.direct.jitter_scale_ms;
-  jp.spike_prob = params_.direct.spike_prob;
+  jp.jitter_sigma = kDirectJitterSigma;
+  jp.jitter_scale_ms = kDirectJitterScaleMs;
+  jp.spike_prob = kDirectSpikeProb;
   netsim::Link& direct_link =
       net_.add_link(rt->sender->id(), rt->receiver->id(),
                     netsim::make_jitter_latency(jp, path_rng.fork("direct-lat")),
@@ -359,27 +363,13 @@ void ScenarioShard::build_path(IndexedPath path) {
   }
 
   // --- J-QoS registration ---
-  endpoint::RegisterRequest req;
-  req.force_service = params_.service;
-  req.send_direct = params_.send_direct;
-  req.dc1 = rt->dc1->id();
-  req.dc2 = rt->dc2->id();
-  req.delays.y_ms = sample.y_ms;
-  req.delays.delta_s_ms = sample.delta_s_ms;
-  req.delays.delta_r_ms = sample.delta_r_ms;
-  req.delays.x_ms = sample.x_ms;
-  req.delays.delta_r_median_ms = sample.delta_r_ms;
-  req.coding_rate = params_.coding.cross_rate();
-  endpoint::Session session =
-      sessions_.register_flow(*rt->sender, *rt->receiver, req);
-  rt->flow = session.flow;
+  rt->flow = sessions_.register_flow(*rt->sender, *rt->receiver, register_request(*rt)).flow;
 
   // The workload app is instantiated in run(), where per-path skew is known.
   paths_.push_back(std::move(rt));
 }
 
-FlowId ScenarioShard::open_session(std::size_t path_index) {
-  PathRuntime& rt = *paths_.at(path_index);
+endpoint::RegisterRequest ScenarioShard::register_request(const PathRuntime& rt) const {
   endpoint::RegisterRequest req;
   req.force_service = params_.service;
   req.send_direct = params_.send_direct;
@@ -391,18 +381,22 @@ FlowId ScenarioShard::open_session(std::size_t path_index) {
   req.delays.x_ms = rt.path.x_ms;
   req.delays.delta_r_median_ms = rt.path.delta_r_ms;
   req.coding_rate = params_.coding.cross_rate();
-  return sessions_.register_flow(*rt.sender, *rt.receiver, req).flow;
+  return req;
+}
+
+FlowId ScenarioShard::open_session(std::size_t path_index) {
+  PathRuntime& rt = *paths_.at(path_index);
+  return sessions_.register_flow(*rt.sender, *rt.receiver, register_request(rt)).flow;
 }
 
 void ScenarioShard::close_session(std::size_t path_index, FlowId flow) {
   PathRuntime& rt = *paths_.at(path_index);
-  // Look the flow up BEFORE unwinding the registry entry: the encoder needs
-  // the dc2 group key, and its residual-queue flush re-reads the registry.
-  const services::FlowInfo* info = registry_->find(flow);
-  if (info != nullptr) {
+  // Notify the encoder BEFORE unwinding the registry entry: its
+  // residual-queue flush re-reads the registry.
+  if (registry_->find(flow) != nullptr) {
     for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
       if (&overlay_->dc(i) == rt.dc1) {
-        encoders_[i]->flow_departed(flow, info->dc2);
+        encoders_[i]->flow_departed(flow);
         break;
       }
     }

@@ -55,8 +55,7 @@ enum class Outcome : std::uint8_t {
 struct DirectPathParams {
   // Random (single-packet) losses.
   double bernoulli_loss = 0.0002;
-  // Multi-packet bursts.
-  bool enable_bursts = true;
+  // Multi-packet bursts, on top of the random losses.
   netsim::GilbertElliottParams gilbert{.p_good_to_bad = 0.0001,
                                        .p_bad_to_good = 0.25,
                                        .loss_in_good = 0.0,
@@ -68,12 +67,6 @@ struct DirectPathParams {
   double outage_path_fraction = 0.45;
   netsim::OutageParams outage{.mean_interval = minutes(12), .min_len = sec(1),
                               .max_len = sec(3)};
-  // Jitter of the direct path. Spikes are rare: a delayed packet that gets
-  // recovered anyway is reclassified as delivered when the direct copy
-  // lands, but spikes still cost NACK/recovery traffic.
-  double jitter_sigma = 0.5;
-  double jitter_scale_ms = 1.5;
-  double spike_prob = 0.003;
 };
 
 struct WanScenarioParams {
@@ -81,11 +74,7 @@ struct WanScenarioParams {
   services::CodingParams coding;
   services::RecoveryParams recovery;
   DirectPathParams direct;
-  overlay::OverlayParams overlay;
   transport::CbrParams cbr;
-  // Give-up window as a multiple of the path RTT (1.0 = the paper's "longer
-  // than one RTT to recover counts as lost").
-  double give_up_rtts = 1.0;
   // Probability a receiver answers a cooperative request late (straggler).
   double coop_slow_prob = 0.10;
   bool use_markov = true;
@@ -159,8 +148,9 @@ struct PathRuntime {
   // stable identity all of its random streams are derived from, and the
   // position it occupies in ShardedRunner's merged view.
   std::size_t global_index = 0;
+  // Direct-path RTT, also the success criterion: a recovery slower than one
+  // RTT counts as a loss (the paper's rule).
   double rtt_ms = 0.0;
-  double give_up_rtts = 1.0;  // Success criterion (copied from params).
   FlowId flow = 0;
   std::unique_ptr<endpoint::Sender> sender;
   std::unique_ptr<endpoint::Receiver> receiver;
@@ -262,6 +252,9 @@ class ScenarioShard {
  private:
   void build_overlay(const std::vector<IndexedPath>& paths);
   void build_path(IndexedPath path);
+  // The registration request of a flow on `rt`, for the build-time flow and
+  // every churn session alike.
+  endpoint::RegisterRequest register_request(const PathRuntime& rt) const;
 
   WanScenarioParams params_;
   netsim::Simulator sim_;

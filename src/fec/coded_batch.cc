@@ -1,8 +1,6 @@
 #include "fec/coded_batch.h"
 
 #include <algorithm>
-
-#include "common/packet_pool.h"
 #include <cstring>
 #include <map>
 #include <memory>
@@ -195,31 +193,17 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
 
   // Create the coded packets up front so parity is computed directly into
   // their payload buffers — the arena-to-packet copy of the legacy path
-  // disappears. Two storage strategies, byte-identical outputs:
-  //
-  //  * Pooled (non-null pool): each packet is recycled from the owning
-  //    shard's PacketPool, reusing payload capacity and covered-key capacity
-  //    from earlier batches — zero allocator traffic in steady state.
-  //  * Slab (no pool): the batch's packets share one slab allocation
-  //    (aliasing shared_ptrs into a make_shared array): one control block
-  //    for all r outputs instead of one per packet.
+  // disappears. With a pool each packet is recycled from the owning shard's
+  // PacketPool, reusing payload capacity and covered-key capacity from
+  // earlier batches — zero allocator traffic in steady state.
   out.reserve(out.size() + num_coded);
   parity_ptrs_.clear();
-  pooled_pkts_.clear();
-  std::shared_ptr<Packet[]> slab;
-  if (pool == nullptr) slab = std::make_shared<Packet[]>(num_coded);
+  coded_pkts_.clear();
   for (std::size_t i = 0; i < num_coded; ++i) {
-    Packet* pkt_ptr;
-    if (pool != nullptr) {
-      auto pp = pool->acquire();
-      pkt_ptr = const_cast<Packet*>(pp.get());
-      out.push_back(std::move(pp));
-    } else {
-      pkt_ptr = &slab[i];
-      out.push_back(PacketPtr(slab, pkt_ptr));
-    }
-    pooled_pkts_.push_back(pkt_ptr);
-    Packet& pkt = *pkt_ptr;
+    auto pp = alloc_packet(pool);
+    Packet& pkt = *pp;
+    out.push_back(std::move(pp));
+    coded_pkts_.push_back(&pkt);
     pkt.type = coded_type;
     // Same field conventions as encode_batch (see comment there).
     pkt.flow = 0;
@@ -227,12 +211,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
     pkt.src = src;
     pkt.dst = dst;
     pkt.sent_at = now;
-    if (pool != nullptr) {
-      pool->engage_meta(pkt);
-    } else {
-      pkt.meta.emplace();
-    }
-    auto& m = *pkt.meta;
+    CodedMeta& m = engage_meta(pool, pkt);
     m.batch_id = batch_id;
     m.index = static_cast<std::uint8_t>(k + i);
     m.k = static_cast<std::uint8_t>(k);
@@ -247,7 +226,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   // trimmed bytes are parity over zeros, i.e. zero).
   codec_->encode_into(arena_.data(), arena_.stride(), arena_.padded_len(),
                       parity_ptrs_.data());
-  for (Packet* pkt : pooled_pkts_) pkt->payload.resize(len);
+  for (Packet* pkt : coded_pkts_) pkt->payload.resize(len);
 }
 
 std::optional<std::vector<RecoveredPacket>> decode_batch(

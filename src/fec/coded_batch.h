@@ -137,11 +137,11 @@ class BatchEncoder {
   // returns for the same inputs). `out` is appended to, not cleared, so a
   // caller-reused vector amortizes its allocation too.
   //
-  // With a non-null enabled `pool`, the coded packets come from the pool
-  // (recycled storage, payload/covered capacity reused, zero allocator
-  // traffic in steady state); otherwise they share one slab allocation.
-  // Either way the bytes and metadata are identical — the RS kernels fully
-  // overwrite the parity buffers, so recycled payloads need no re-zeroing.
+  // With a non-null `pool`, the coded packets come from the pool (recycled
+  // storage, payload/covered capacity reused, zero allocator traffic in
+  // steady state); otherwise each is a fresh heap packet. Either way the
+  // bytes and metadata are identical — the RS kernels fully overwrite the
+  // parity buffers, so recycled payloads need no re-zeroing.
   //
   // Preconditions: as encode_batch (throws std::invalid_argument on an
   // empty batch or k + num_coded > 255; packets non-null). Complexity:
@@ -157,7 +157,7 @@ class BatchEncoder {
  private:
   ShardArena arena_;
   std::vector<std::uint8_t*> parity_ptrs_;            // Reused per batch.
-  std::vector<Packet*> pooled_pkts_;                  // Reused per batch.
+  std::vector<Packet*> coded_pkts_;                   // Reused per batch.
   std::shared_ptr<const ReedSolomon> codec_;          // Memoized last shape,
                                                       // backed by the global
                                                       // (k, r) cache.

@@ -99,14 +99,6 @@ static PacketPtr with_ce_mark(PacketPool* pool, const PacketPtr& pkt) {
   return marked;
 }
 
-void Link::send(PacketPtr pkt, DeliverFn deliver) {
-  bool mark = false;
-  const SimTime arrive = admit(pkt, mark);
-  if (arrive < 0) return;
-  PacketPtr out = mark ? with_ce_mark(pool_, pkt) : std::move(pkt);
-  sim_.at(arrive, [out = std::move(out), deliver = std::move(deliver)] { deliver(out); });
-}
-
 void Link::send(PacketPtr pkt) {
   assert(deliver_ && "Link::send(pkt) requires set_deliver()");
   bool mark = false;

@@ -69,17 +69,13 @@ class Link {
   Link& operator=(const Link&) = delete;
 
   // Offers a packet to the link; if it survives the loss process and the
-  // queue discipline it is delivered to `deliver` after serialization +
-  // queueing + propagation.
+  // queue discipline it is delivered to the sink registered with
+  // set_deliver() after serialization + queueing + propagation.
   // By-value: a caller sending a temporary (the common fabric path) moves
   // the PacketPtr all the way into the scheduled event, so the hot path
-  // never touches the shared_ptr refcount.
-  void send(PacketPtr pkt, DeliverFn deliver);
-
-  // Hot-path variant: delivers to the sink registered with set_deliver().
-  // Network registers its node-dispatch sink once per link so the per-packet
-  // path schedules a small (this, pkt) closure instead of copying a
-  // std::function into every event.
+  // never touches the shared_ptr refcount. Network registers its
+  // node-dispatch sink once per link, so each packet schedules a small
+  // (this, pkt) closure instead of copying a std::function into its event.
   void send(PacketPtr pkt);
   void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
 
@@ -169,7 +165,7 @@ class Link {
   // queue discipline and the depth stats read.
   BacklogRing backlog_;
   std::size_t backlog_bytes_ = 0;
-  // Registered delivery sink for the zero-argument send().
+  // Registered delivery sink for send().
   DeliverFn deliver_;
   PacketPool* pool_ = nullptr;
   LinkStats stats_;

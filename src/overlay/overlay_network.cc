@@ -8,11 +8,25 @@
 
 namespace jqos::overlay {
 
+namespace {
+
+// Inter-DC paths: order-of-magnitude lower loss than the public Internet
+// and tight jitter (Section 2's measurements).
+constexpr double kInterDcLoss = 1e-5;
+constexpr double kInterDcJitterSigma = 0.2;
+constexpr double kInterDcJitterScaleMs = 0.3;
+// Access (host <-> DC) paths: low loss, modest jitter.
+constexpr double kAccessLoss = 1e-4;
+constexpr double kAccessJitterSigma = 0.3;
+constexpr double kAccessJitterScaleMs = 0.5;
+
+}  // namespace
+
 OverlayNetwork::OverlayNetwork(netsim::Network& net, const std::vector<geo::CloudSite>& sites,
-                               const OverlayParams& params, Rng& rng)
-    : net_(net), params_(params), sites_(sites), rng_(rng.fork("overlay")) {
+                               Rng& rng)
+    : net_(net), sites_(sites) {
   if (sites_.empty()) throw std::invalid_argument("OverlayNetwork: no sites");
-  link_seed_ = rng_.next_u64();
+  link_seed_ = rng.fork("overlay").next_u64();
   dcs_.reserve(sites_.size());
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     dcs_.push_back(
@@ -30,14 +44,14 @@ OverlayNetwork::OverlayNetwork(netsim::Network& net, const std::vector<geo::Clou
       const double km = geo::haversine_km(sites_[i].location, sites_[j].location);
       netsim::JitterParams jp;
       jp.base = msec_f(geo::propagation_ms(km, geo::kCloudInflation));
-      jp.jitter_sigma = params_.inter_dc_jitter_sigma;
-      jp.jitter_scale_ms = params_.inter_dc_jitter_scale_ms;
+      jp.jitter_sigma = kInterDcJitterSigma;
+      jp.jitter_scale_ms = kInterDcJitterScaleMs;
       const std::string pair = sites_[i].name + ">" + sites_[j].name;
       Rng lat_rng = Rng::derived(link_seed_, "dc-link:" + pair);
       Rng loss_rng = Rng::derived(link_seed_, "dc-loss:" + pair);
       net_.add_link(dcs_[i]->id(), dcs_[j]->id(),
                     netsim::make_jitter_latency(jp, lat_rng),
-                    netsim::make_bernoulli_loss(params_.inter_dc_loss, loss_rng));
+                    netsim::make_bernoulli_loss(kInterDcLoss, loss_rng));
     }
   }
 }
@@ -56,20 +70,16 @@ DataCenter& OverlayNetwork::nearest_dc(const geo::GeoPoint& p) {
   return *dc;
 }
 
-void OverlayNetwork::attach_host(NodeId host, DataCenter& dc, SimDuration one_way_delay) {
-  attach_host(host, dc, one_way_delay, rng_);
-}
-
 void OverlayNetwork::attach_host(NodeId host, DataCenter& dc, SimDuration one_way_delay,
                                  Rng& rng) {
   netsim::JitterParams jp;
   jp.base = one_way_delay;
-  jp.jitter_sigma = params_.access_jitter_sigma;
-  jp.jitter_scale_ms = params_.access_jitter_scale_ms;
+  jp.jitter_sigma = kAccessJitterSigma;
+  jp.jitter_scale_ms = kAccessJitterScaleMs;
   net_.add_link(host, dc.id(), netsim::make_jitter_latency(jp, rng.fork("up")),
-                netsim::make_bernoulli_loss(params_.access_loss, rng.fork("up-loss")));
+                netsim::make_bernoulli_loss(kAccessLoss, rng.fork("up-loss")));
   net_.add_link(dc.id(), host, netsim::make_jitter_latency(jp, rng.fork("down")),
-                netsim::make_bernoulli_loss(params_.access_loss, rng.fork("down-loss")));
+                netsim::make_bernoulli_loss(kAccessLoss, rng.fork("down-loss")));
 }
 
 }  // namespace jqos::overlay

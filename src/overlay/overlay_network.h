@@ -16,29 +16,15 @@
 
 namespace jqos::overlay {
 
-struct OverlayParams {
-  // Inter-DC paths: order-of-magnitude lower loss than the public Internet
-  // and tight jitter (Section 2's measurements).
-  double inter_dc_loss = 1e-5;
-  double inter_dc_jitter_sigma = 0.2;
-  double inter_dc_jitter_scale_ms = 0.3;
-  // Access (host <-> DC) paths: low loss, modest jitter.
-  double access_loss = 1e-4;
-  double access_jitter_sigma = 0.3;
-  double access_jitter_scale_ms = 0.5;
-};
-
 class OverlayNetwork {
  public:
-  // Every stochastic process the overlay owns (inter-DC jitter/loss, access
-  // links added through the legacy attach_host overload) draws from a stream
-  // derived from (rng-derived base seed, stable link identity) -- site names
-  // for the backbone mesh -- NOT from construction order. Two overlays built
-  // from different subsets of the same site catalog therefore give each
-  // shared link an identical random sequence, which is what lets the sharded
-  // scenario runner split paths across shards without perturbing results.
-  OverlayNetwork(netsim::Network& net, const std::vector<geo::CloudSite>& sites,
-                 const OverlayParams& params, Rng& rng);
+  // Every inter-DC link's jitter and loss draw from a stream derived from
+  // (rng-derived base seed, the link's site names) -- NOT from construction
+  // order. Two overlays built from different subsets of the same site
+  // catalog therefore give each shared link an identical random sequence,
+  // which is what lets the sharded scenario runner split paths across
+  // shards without perturbing results.
+  OverlayNetwork(netsim::Network& net, const std::vector<geo::CloudSite>& sites, Rng& rng);
 
   // The DC built for the i-th site passed at construction.
   DataCenter& dc(std::size_t index) { return *dcs_.at(index); }
@@ -51,22 +37,17 @@ class OverlayNetwork {
   DataCenter& nearest_dc(const geo::GeoPoint& p);
 
   // Installs bidirectional access links between a host node and a DC with
-  // the given one-way base delay. The overload taking an Rng draws the
-  // links' jitter/loss streams from it -- pass a stream keyed to a stable
-  // identity (e.g. the path's global index) for composition-invariant runs;
-  // the legacy overload draws from the overlay's own sequential stream and
-  // therefore depends on attach order.
-  void attach_host(NodeId host, DataCenter& dc, SimDuration one_way_delay);
+  // the given one-way base delay. The links' jitter/loss streams are forked
+  // from `rng` -- pass a stream keyed to a stable identity (e.g. the path's
+  // global index) for composition-invariant runs.
   void attach_host(NodeId host, DataCenter& dc, SimDuration one_way_delay, Rng& rng);
 
   const geo::CloudSite& site(std::size_t index) const { return sites_.at(index); }
 
  private:
   netsim::Network& net_;
-  OverlayParams params_;
   std::vector<geo::CloudSite> sites_;
   std::vector<std::unique_ptr<DataCenter>> dcs_;
-  Rng rng_;
   // Base seed for name-keyed link streams; drawn once from the ctor rng so
   // equal-state ctor rngs (e.g. every shard of one scenario) agree on it.
   std::uint64_t link_seed_ = 0;

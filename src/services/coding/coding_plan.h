@@ -36,12 +36,6 @@ struct CodingParams {
   // less head-of-line contention between bursty flows.
   std::size_t queues_per_group = 4;
 
-  // Flushes toward a destination DC the health oracle reports dead are
-  // suppressed; the encoder retries (a "probe" flush) with this exponential
-  // backoff so a long outage costs O(log) wasted batches, not one per flush.
-  SimDuration peer_backoff_base = msec(100);
-  SimDuration peer_backoff_cap = sec(2);
-
   double cross_rate() const {
     return k == 0 ? 0.0 : static_cast<double>(cross_coded) / static_cast<double>(k);
   }

@@ -7,6 +7,16 @@
 
 namespace jqos::services {
 
+namespace {
+
+// Flushes toward a destination DC the health oracle reports dead are
+// suppressed; the encoder retries (a "probe" flush) with this exponential
+// backoff so a long outage costs O(log) wasted batches, not one per flush.
+constexpr SimDuration kPeerBackoffBase = msec(100);
+constexpr SimDuration kPeerBackoffCap = sec(2);
+
+}  // namespace
+
 CodingEncoderService::CodingEncoderService(overlay::DataCenter& dc, const CodingParams& params,
                                            FlowRegistryPtr registry)
     : dc_(dc),
@@ -24,42 +34,44 @@ bool CodingEncoderService::handle(overlay::DataCenter& dc, const PacketPtr& pkt)
     return true;
   }
   ++stats_.data_packets;
+  Flow& flow = flows_[pkt->flow];
 
   // (1) In-stream coding (Algorithm 1 lines 1-5).
-  if (params_.in_coded > 0 && params_.in_block > 0) enqueue_in_stream(pkt);
+  if (params_.in_coded > 0 && params_.in_block > 0) enqueue_in_stream(flow, pkt, info->dc2);
 
   // (2) Cross-stream coding (Algorithm 1 lines 6-23). The destination DC is
   // derived from the flow (extract_dc2_id in the paper's pseudocode).
-  if (params_.cross_coded > 0 && params_.k > 0) enqueue_cross_stream(pkt, info->dc2);
+  if (params_.cross_coded > 0 && params_.k > 0) enqueue_cross_stream(flow, pkt, info->dc2);
   return true;
 }
 
-void CodingEncoderService::enqueue_in_stream(const PacketPtr& pkt) {
-  Queue& q = in_qs_[pkt->flow];
+void CodingEncoderService::enqueue_in_stream(Flow& flow, const PacketPtr& pkt, NodeId dc2) {
+  Queue& q = flow.in_stream;
   q.pkts.push_back(pkt);
   if (q.pkts.size() >= params_.in_block) {
-    const FlowInfo* info = registry_->find(pkt->flow);
     ++stats_.in_batches;
-    encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
+    encode_queue(q, params_.in_coded, PacketType::kInCoded, dc2);
   } else if (!q.timer_armed) {
-    arm_timer_in(pkt->flow);
+    arm_timer_in(q, pkt->flow);
   }
 }
 
-void CodingEncoderService::enqueue_cross_stream(const PacketPtr& pkt, NodeId dc2) {
-  auto& queues = cross_qs_[dc2];
+void CodingEncoderService::enqueue_cross_stream(Flow& flow, const PacketPtr& pkt, NodeId dc2) {
+  if (flow.group == nullptr) {
+    flow.group = &groups_[dc2];
+    ++flow.group->live_flows;
+  }
+  auto& queues = flow.group->queues;
   if (queues.empty()) queues.resize(std::max<std::size_t>(1, params_.queues_per_group));
-  group_flows_[dc2].insert(pkt->flow);
   // Batches can hold at most one packet per flow, so a group with fewer
   // flows than k closes batches at the group size (>= 2; single-flow groups
   // fall back to the queue timer).
   const std::size_t effective_k =
-      std::min(params_.k, std::max<std::size_t>(2, group_flows_[dc2].size()));
+      std::min(params_.k, std::max<std::size_t>(2, flow.group->live_flows));
 
   // Round-robin queue choice for this flow (line 7).
-  std::size_t& cursor = rr_cursor_[pkt->flow];
-  std::size_t idx = cursor % queues.size();
-  cursor = (cursor + 1) % queues.size();
+  std::size_t idx = flow.cursor % queues.size();
+  flow.cursor = (flow.cursor + 1) % queues.size();
 
   // Find a queue without a packet from this flow (lines 9-12).
   const std::size_t initial = idx;
@@ -90,18 +102,18 @@ void CodingEncoderService::enqueue_cross_stream(const PacketPtr& pkt, NodeId dc2
     ++stats_.cross_batches;
     encode_queue(q, params_.cross_coded, PacketType::kCrossCoded, dc2);  // Lines 21-23.
   } else if (!q.timer_armed) {
-    arm_timer_cross(dc2, idx);
+    arm_timer_cross(q, dc2, idx);
   }
 }
 
 bool CodingEncoderService::peer_sendable(NodeId dc2) {
   if (!peer_health_) return true;
-  PeerState& peer = peers_[dc2];
+  PeerState& peer = groups_[dc2].peer;
   if (!peer.suspended) {
     if (peer_health_(dc2)) return true;
     // First flush to find the DC dead: suspend and start the backoff clock.
     peer.suspended = true;
-    peer.backoff = params_.peer_backoff_base;
+    peer.backoff = kPeerBackoffBase;
     peer.retry_at = dc_.now() + peer.backoff;
     ++stats_.peer_suspends;
     return false;
@@ -116,7 +128,7 @@ bool CodingEncoderService::peer_sendable(NodeId dc2) {
     ++stats_.peer_reengages;
     return true;
   }
-  peer.backoff = std::min(peer.backoff * 2, params_.peer_backoff_cap);
+  peer.backoff = std::min(peer.backoff * 2, kPeerBackoffCap);
   peer.retry_at = dc_.now() + peer.backoff;
   return false;
 }
@@ -153,33 +165,33 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
   disarm(q);
 }
 
-void CodingEncoderService::arm_timer_in(FlowId flow) {
-  Queue& q = in_qs_[flow];
+void CodingEncoderService::arm_timer_in(Queue& q, FlowId flow) {
   q.timer_armed = true;
   const std::uint64_t gen = ++q.generation;
   q.timer = dc_.network().sim().after(params_.queue_timeout, [this, flow, gen] {
-    auto it = in_qs_.find(flow);
-    if (it == in_qs_.end() || it->second.generation != gen || it->second.pkts.empty()) return;
+    auto it = flows_.find(flow);
+    if (it == flows_.end()) return;
+    Queue& queue = it->second.in_stream;
+    if (queue.generation != gen || queue.pkts.empty()) return;
     const FlowInfo* info = registry_->find(flow);
     if (info == nullptr) {
-      it->second.pkts.clear();
+      queue.pkts.clear();
       return;
     }
     ++stats_.timer_flushes;
     ++stats_.in_batches;
-    it->second.timer_armed = false;
-    encode_queue(it->second, params_.in_coded, PacketType::kInCoded, info->dc2);
+    queue.timer_armed = false;
+    encode_queue(queue, params_.in_coded, PacketType::kInCoded, info->dc2);
   });
 }
 
-void CodingEncoderService::arm_timer_cross(NodeId dc2, std::size_t index) {
-  Queue& q = cross_qs_[dc2][index];
+void CodingEncoderService::arm_timer_cross(Queue& q, NodeId dc2, std::size_t index) {
   q.timer_armed = true;
   const std::uint64_t gen = ++q.generation;
   q.timer = dc_.network().sim().after(params_.queue_timeout, [this, dc2, index, gen] {
-    auto it = cross_qs_.find(dc2);
-    if (it == cross_qs_.end() || index >= it->second.size()) return;
-    Queue& queue = it->second[index];
+    auto it = groups_.find(dc2);
+    if (it == groups_.end() || index >= it->second.queues.size()) return;
+    Queue& queue = it->second.queues[index];
     if (queue.generation != gen || queue.pkts.empty()) return;
     ++stats_.timer_flushes;
     ++stats_.cross_batches;
@@ -201,45 +213,33 @@ bool CodingEncoderService::queue_contains_flow(const Queue& q, FlowId flow) cons
                      [flow](const PacketPtr& p) { return p->flow == flow; });
 }
 
-void CodingEncoderService::flow_departed(FlowId flow, NodeId dc2) {
+void CodingEncoderService::flow_departed(FlowId flow) {
   ++stats_.flow_departures;
-  auto in_it = in_qs_.find(flow);
-  if (in_it != in_qs_.end()) {
-    if (!in_it->second.pkts.empty()) {
-      const FlowInfo* info = registry_->find(flow);
-      if (info != nullptr) {
-        ++stats_.in_batches;
-        encode_queue(in_it->second, params_.in_coded, PacketType::kInCoded, info->dc2);
-      } else {
-        disarm(in_it->second);
-      }
-    } else {
-      disarm(in_it->second);
-    }
-    in_qs_.erase(flow);
+  auto it = flows_.find(flow);
+  if (it == flows_.end()) return;
+  Queue& q = it->second.in_stream;
+  const FlowInfo* info = q.pkts.empty() ? nullptr : registry_->find(flow);
+  if (info != nullptr) {
+    ++stats_.in_batches;
+    encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
+  } else {
+    disarm(q);
   }
-  rr_cursor_.erase(flow);
-  auto grp = group_flows_.find(dc2);
-  if (grp != group_flows_.end()) {
-    grp->second.erase(flow);
-    if (grp->second.empty()) group_flows_.erase(grp);
-  }
+  if (it->second.group != nullptr) --it->second.group->live_flows;
+  flows_.erase(it);
 }
 
 void CodingEncoderService::on_dc_crash() {
   ++stats_.crash_wipes;
-  // Everything staged in process memory is gone. disarm() bumps each
-  // queue's generation so timers armed before the crash are no-ops.
-  for (auto& [flow, q] : in_qs_) disarm(q);
-  in_qs_.clear();
-  for (auto& [dc2, queues] : cross_qs_) {
-    for (Queue& q : queues) disarm(q);
+  // Everything staged in process memory is gone, suspended peers included.
+  // disarm() bumps each queue's generation so timers armed before the crash
+  // are no-ops.
+  for (auto& [flow, f] : flows_) disarm(f.in_stream);
+  flows_.clear();
+  for (auto& [dc2, group] : groups_) {
+    for (Queue& q : group.queues) disarm(q);
   }
-  cross_qs_.clear();
-  rr_cursor_.clear();
-  group_flows_.clear();
-  // A restarted process has no memory of suspended peers either.
-  peers_.clear();
+  groups_.clear();
   // next_batch_id_ deliberately survives: it models the id namespace, not
   // state -- reusing ids would alias live batches at the recovery DC.
 }
@@ -251,12 +251,13 @@ void CodingEncoderService::flush_all() {
   // encoder serves one experiment shard or the monolithic run.
   std::vector<FlowId>& flows = flush_scratch_;
   flows.clear();
-  flows.reserve(in_qs_.size());
-  for (const auto& [flow, q] : in_qs_) flows.push_back(flow);
+  flows.reserve(flows_.size());
+  for (const auto& [flow, f] : flows_) {
+    if (!f.in_stream.pkts.empty()) flows.push_back(flow);
+  }
   std::sort(flows.begin(), flows.end());
   for (FlowId flow : flows) {
-    Queue& q = in_qs_[flow];
-    if (q.pkts.empty()) continue;
+    Queue& q = flows_.find(flow)->second.in_stream;
     const FlowInfo* info = registry_->find(flow);
     if (info == nullptr) {
       q.pkts.clear();
@@ -265,8 +266,8 @@ void CodingEncoderService::flush_all() {
     ++stats_.in_batches;
     encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
   }
-  for (auto& [dc2, queues] : cross_qs_) {
-    for (Queue& q : queues) {
+  for (auto& [dc2, group] : groups_) {
+    for (Queue& q : group.queues) {
       if (q.pkts.empty()) continue;
       ++stats_.cross_batches;
       encode_queue(q, params_.cross_coded, PacketType::kCrossCoded, dc2);

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -80,15 +79,15 @@ class CodingEncoderService final : public overlay::DcService {
   void flush_all();
 
   // Session teardown (churn workloads): encodes any residual in-stream
-  // queue for the departing flow, then reclaims all state keyed by it --
-  // the in-stream queue, the round-robin cursor, and its membership in the
+  // queue for the departing flow, then drops its flow record -- the
+  // in-stream queue, the round-robin cursor, and its membership in the
   // dc2 group (shrinking the effective cross-batch size back down as the
   // population drains). Packets of the flow already sitting in cross
   // queues are left to flush on their timers; the coded batch remains
   // decodable because CodedMeta names (flow, seq) pairs explicitly. Must
   // be called BEFORE the flow leaves the registry (the residual flush
   // looks it up). O(1) amortized; keeps encoder memory O(live flows).
-  void flow_departed(FlowId flow, NodeId dc2);
+  void flow_departed(FlowId flow);
 
   const EncoderStats& stats() const { return stats_; }
   const CodingParams& params() const { return params_; }
@@ -105,10 +104,10 @@ class CodingEncoderService final : public overlay::DcService {
     peer_health_ = std::move(oracle);
   }
 
-  // Fault layer: a DC1 crash loses every staged queue (the packets were in
-  // process memory), the round-robin cursors, and the group membership; the
-  // batch-id counter survives conceptually as a new process instance never
-  // reuses ids (monotonic namespace per DC).
+  // Fault layer: a DC1 crash loses every flow and group record (staged
+  // queues, round-robin cursors, group membership and peer suspensions --
+  // all process memory); the batch-id counter survives conceptually as a
+  // new process instance never reuses ids (monotonic namespace per DC).
   void on_dc_crash() override;
 
  private:
@@ -119,8 +118,38 @@ class CodingEncoderService final : public overlay::DcService {
     std::uint64_t generation = 0;  // Guards against stale timer firings.
   };
 
-  void enqueue_in_stream(const PacketPtr& pkt);
-  void enqueue_cross_stream(const PacketPtr& pkt, NodeId dc2);
+  // Lazy (event-free) suspension state of one destination DC; see
+  // peer_sendable(). retry_at is the earliest time the next flush attempt
+  // toward a suspended DC will actually probe it.
+  struct PeerState {
+    bool suspended = false;
+    SimTime retry_at = 0;
+    SimDuration backoff = 0;
+  };
+
+  // Everything DC1 keeps per destination DC.
+  struct Group {
+    // `queues_per_group` cross-stream queues, sized on the first packet.
+    std::vector<Queue> queues;
+    // Flows that have sent a cross-stream packet and not departed. A group
+    // with fewer live flows than k can never fill a k-batch (no two packets
+    // of one flow share a batch), so the effective batch size adapts to the
+    // group population -- the "pick a further subset of flows" step of
+    // Section 4.1.
+    std::size_t live_flows = 0;
+    PeerState peer;
+  };
+
+  // Everything DC1 keeps per flow. A flow's dc2 is fixed at registration,
+  // so its group is bound once, at its first cross-stream packet.
+  struct Flow {
+    Queue in_stream;
+    std::size_t cursor = 0;  // Round-robin queue choice (Algorithm 1 line 7).
+    Group* group = nullptr;  // Null until the flow joins its dc2 group.
+  };
+
+  void enqueue_in_stream(Flow& flow, const PacketPtr& pkt, NodeId dc2);
+  void enqueue_cross_stream(Flow& flow, const PacketPtr& pkt, NodeId dc2);
 
   // Encodes and clears one queue; `coded` many parity packets go to `dc2`.
   // Runs on the zero-copy BatchEncoder path: the per-instance arena and the
@@ -129,8 +158,10 @@ class CodingEncoderService final : public overlay::DcService {
   // themselves.
   void encode_queue(Queue& q, std::size_t coded, PacketType type, NodeId dc2);
 
-  void arm_timer_in(FlowId flow);
-  void arm_timer_cross(NodeId dc2, std::size_t index);
+  // Arm `q`'s queue timer. The firing looks the queue up again by its key,
+  // so a timer outliving its record (departure, crash) is a no-op.
+  void arm_timer_in(Queue& q, FlowId flow);
+  void arm_timer_cross(Queue& q, NodeId dc2, std::size_t index);
   void disarm(Queue& q);
 
   // True when a batch toward dc2 should be shipped now; false drops it
@@ -153,27 +184,11 @@ class CodingEncoderService final : public overlay::DcService {
   // reentrant).
   std::vector<FlowId> flush_scratch_;
 
-  std::unordered_map<FlowId, Queue> in_qs_;
-  // Destination DC -> fixed-size vector of cross-stream queues.
-  std::map<NodeId, std::vector<Queue>> cross_qs_;
-  // Round-robin cursor per flow (Algorithm 1 line 7).
-  std::unordered_map<FlowId, std::size_t> rr_cursor_;
-  // Flows observed per destination-DC group. A group with fewer live flows
-  // than k can never fill a k-batch (no two packets of one flow share a
-  // batch), so the effective batch size adapts to the group population --
-  // the "pick a further subset of flows" step of Section 4.1.
-  std::map<NodeId, std::set<FlowId>> group_flows_;
-
-  // Lazy (event-free) suspension state per destination DC; see
-  // peer_sendable(). retry_at is the earliest time the next flush attempt
-  // toward a suspended DC will actually probe it.
-  struct PeerState {
-    bool suspended = false;
-    SimTime retry_at = 0;
-    SimDuration backoff = 0;
-  };
+  std::unordered_map<FlowId, Flow> flows_;
+  // Ordered by dc2, so flush_all visits groups in one fixed order. Records
+  // live until a crash; a Group* in a Flow stays valid until then.
+  std::map<NodeId, Group> groups_;
   std::function<bool(NodeId)> peer_health_;
-  std::map<NodeId, PeerState> peers_;
 
   EncoderStats stats_;
 };

@@ -5,6 +5,19 @@
 
 namespace jqos::services {
 
+namespace {
+
+// Confirmation window for NACKs that arrive before their coded packets.
+constexpr SimDuration kPendingNackTtl = sec(2);
+// Cap on batches recovered per tail NACK, bounding outage-recovery cost.
+constexpr std::size_t kMaxTailBatches = 64;
+// Tail probes only recover from batches at least this old: younger
+// batches cover packets whose direct copies are likely still in flight,
+// and recovering those is spurious work that races the Internet path.
+constexpr SimDuration kTailMinBatchAge = msec(100);
+
+}  // namespace
+
 RecoveryService::RecoveryService(overlay::DataCenter& dc, const RecoveryParams& params,
                                  FlowRegistryPtr registry)
     : dc_(dc), params_(params), registry_(std::move(registry)) {}
@@ -159,11 +172,11 @@ void RecoveryService::on_nack(const PacketPtr& pkt, bool confirm) {
     std::size_t batches_used = 0;
     std::size_t uncovered_run = 0;
     for (SeqNo s = info.expected;
-         batches_used < params_.max_tail_batches && uncovered_run < 64; ++s) {
+         batches_used < kMaxTailBatches && uncovered_run < 64; ++s) {
       const PacketKey key{pkt->flow, s};
       // Skip batches so fresh their direct copies may still be in flight.
       const BatchState* old_enough = first_batch(key, [&](const BatchState& b) {
-        return batch_fresh(b) && dc_.now() - b.first_seen >= params_.tail_min_batch_age;
+        return batch_fresh(b) && dc_.now() - b.first_seen >= kTailMinBatchAge;
       });
       if (old_enough == nullptr) {
         ++uncovered_run;
@@ -192,7 +205,7 @@ void RecoveryService::on_nack(const PacketPtr& pkt, bool confirm) {
     ++stats_.uncovered_keys;
     PendingNack& pending = pending_[key];
     pending.receiver = receiver;
-    pending.expires_at = dc_.now() + params_.pending_nack_ttl;
+    pending.expires_at = dc_.now() + kPendingNackTtl;
     arm_sweep();
     if (confirm) {
       // Confirmed but still no coverage: keep waiting for coded packets

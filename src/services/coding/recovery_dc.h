@@ -117,14 +117,6 @@ struct RecoveryParams {
   SimDuration coop_deadline = msec(200);
   // How long coded packets stay useful at DC2.
   SimDuration batch_ttl = sec(10);
-  // Confirmation window for NACKs that arrive before their coded packets.
-  SimDuration pending_nack_ttl = sec(2);
-  // Cap on batches recovered per tail NACK, bounding outage-recovery cost.
-  std::size_t max_tail_batches = 64;
-  // Tail probes only recover from batches at least this old: younger
-  // batches cover packets whose direct copies are likely still in flight,
-  // and recovering those is spurious work that races the Internet path.
-  SimDuration tail_min_batch_age = msec(100);
 };
 
 struct RecoveryStatsDc {

@@ -182,10 +182,9 @@ class ChurnShardEngine {
         recovery_ms.add(ms);
       }
       if (o != kPending) return;
-      // Paper's success criterion: recovery beyond give_up_rtts direct-path
-      // RTTs counts as a loss.
-      const exp::PathRuntime& rt = shard_.path(s.path);
-      if (ms <= rt.give_up_rtts * rt.rtt_ms) {
+      // Paper's success criterion: recovery beyond one direct-path RTT
+      // counts as a loss.
+      if (ms <= shard_.path(s.path).rtt_ms) {
         o = kRecovered;
         ++s.recovered;
         s.last_delivery = std::max(s.last_delivery, rec.delivered_at);

@@ -1,6 +1,7 @@
 // Tests for the CR-WAN encoder at DC1 (Algorithm 1): in-stream and
 // cross-stream queueing, the no-same-flow-in-a-batch invariant, round-robin
-// placement, queue timers, and the coding-rate accounting.
+// placement, queue timers, the coding-rate accounting, and the state
+// transitions around them: peer suspension, flow departures and DC crashes.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -57,6 +58,19 @@ struct Fixture {
     p->final_dst = dc1.id();
     p->payload.assign(64, static_cast<std::uint8_t>(seq));
     dc1.handle_packet(p);
+  }
+
+  void depart(FlowId flow) { encoder->flow_departed(flow); }
+
+  // Cross-stream coded packets collected so far, as each batch's k.
+  std::vector<std::size_t> cross_ks() const {
+    std::vector<std::size_t> ks;
+    for (const auto& c : collector->coded) {
+      if (c->type == PacketType::kCrossCoded && c->meta->index == c->meta->k) {
+        ks.push_back(c->meta->k);
+      }
+    }
+    return ks;
   }
 
   std::shared_ptr<CodingEncoderService> encoder;
@@ -241,6 +255,144 @@ TEST(Encoder, FlushAllEmitsEverythingPending) {
   f.encoder->flush_all();
   f.sim.run_until(sec(1));
   EXPECT_GT(f.collector->coded.size(), before);
+}
+
+TEST(Encoder, DeadPeerSuspendsProbesWithCappedBackoffAndReengages) {
+  CodingParams p = small_params();
+  p.in_coded = 0;  // Cross-stream batches only: one flush per offered pair.
+  Fixture f(p);
+  f.register_flows(2);
+  bool alive = false;
+  f.encoder->set_peer_health([&alive](NodeId dc2) {
+    EXPECT_EQ(dc2, 2u);
+    return alive;
+  });
+  // Both flows always land in the same queue, so the second packet of each
+  // pair closes a k = 2 batch at once: one flush attempt per pair.
+  SeqNo seq = 0;
+  const auto pair_at = [&](SimTime t) {
+    f.sim.run_until(t);
+    f.offer(1, seq);
+    f.offer(2, seq);
+    ++seq;
+  };
+  const EncoderStats& st = f.encoder->stats();
+
+  pair_at(0);  // First flush finds the peer dead: suspend, backoff 100 ms.
+  EXPECT_EQ(st.peer_suspends, 1u);
+  EXPECT_EQ(st.peer_probes, 0u);
+  EXPECT_EQ(st.flushes_suppressed, 1u);
+  pair_at(msec(50));  // Inside the backoff: dropped without a probe.
+  pair_at(msec(99));
+  EXPECT_EQ(st.peer_probes, 0u);
+  EXPECT_EQ(st.flushes_suppressed, 3u);
+
+  pair_at(msec(100));  // Backoff over: probe, still dead, backoff 200 ms.
+  EXPECT_EQ(st.peer_probes, 1u);
+  pair_at(msec(299));
+  EXPECT_EQ(st.peer_probes, 1u);
+  pair_at(msec(300));  // Probe; backoff 400 ms.
+  pair_at(msec(700));  // Probe; backoff 800 ms.
+  pair_at(msec(1500));  // Probe; backoff 1.6 s.
+  pair_at(msec(3100));  // Probe; 3.2 s is capped to 2 s.
+  EXPECT_EQ(st.peer_probes, 5u);
+  pair_at(msec(5099));
+  EXPECT_EQ(st.peer_probes, 5u);
+  pair_at(msec(5100));  // Probe; backoff stays at the 2 s cap.
+  pair_at(msec(7099));
+  EXPECT_EQ(st.peer_probes, 6u);
+  EXPECT_EQ(st.flushes_suppressed, 12u);
+  EXPECT_EQ(st.coded_sent, 0u);
+
+  alive = true;
+  pair_at(msec(7100));  // Healthy probe: re-engage and ship this batch.
+  pair_at(msec(7150));  // Engaged: ships without a probe.
+  EXPECT_EQ(st.peer_suspends, 1u);
+  EXPECT_EQ(st.peer_probes, 7u);
+  EXPECT_EQ(st.peer_reengages, 1u);
+  EXPECT_EQ(st.flushes_suppressed, 12u);
+  EXPECT_EQ(st.cross_batches, 14u);
+  EXPECT_EQ(st.coded_sent, 4u);
+  EXPECT_EQ(st.timer_flushes, 0u);
+  f.sim.run_until(sec(8));
+  EXPECT_EQ(f.cross_ks(), (std::vector<std::size_t>{2, 2}));
+}
+
+TEST(Encoder, DeparturesShrinkTheGroupAndFlushResidualsOnce) {
+  Fixture f(small_params());  // k = 4, two queues, in-stream blocks of 5.
+  f.register_flows(4);
+  // Seq 0 of every flow teaches the group its population; the timers flush
+  // what it leaves staged, so every queue is empty at 100 ms.
+  for (FlowId flow = 1; flow <= 4; ++flow) f.offer(flow, 0);
+  f.sim.run_until(msec(100));
+  EXPECT_EQ(f.cross_ks(), (std::vector<std::size_t>{2, 2}));
+  EXPECT_EQ(f.encoder->stats().timer_flushes, 5u);  // One cross, four in-stream.
+
+  // Four live flows: each round of four packets closes one batch at k = 4
+  // (checked at the collector below).
+  for (SeqNo s = 1; s <= 7; ++s) {
+    for (FlowId flow = 1; flow <= 4; ++flow) f.offer(flow, s);
+  }
+  EXPECT_EQ(f.encoder->stats().cross_batches, 9u);
+  EXPECT_EQ(f.encoder->stats().in_batches, 8u);
+
+  // Seqs 6 and 7 of every flow wait in its in-stream queue; a departure
+  // encodes them at once, and its timer never fires.
+  f.depart(3);
+  f.depart(4);
+  EXPECT_EQ(f.encoder->stats().flow_departures, 2u);
+  EXPECT_EQ(f.encoder->stats().in_batches, 10u);
+
+  // Two live flows: batches now close at k = 2.
+  for (SeqNo s = 8; s <= 10; ++s) {
+    for (FlowId flow = 1; flow <= 2; ++flow) f.offer(flow, s);
+  }
+  f.sim.run_until(sec(1));
+  EXPECT_EQ(f.cross_ks(),
+            (std::vector<std::size_t>{2, 2, 4, 4, 4, 4, 4, 4, 4, 2, 2, 2}));
+  EXPECT_EQ(f.encoder->stats().in_batches, 12u);
+  EXPECT_EQ(f.encoder->stats().cross_batches, 12u);
+  EXPECT_EQ(f.encoder->stats().timer_flushes, 5u);
+
+  // Each departed flow's residual left in exactly one in-stream batch.
+  for (FlowId flow : {3u, 4u}) {
+    int residual_batches = 0;
+    for (const auto& c : f.collector->coded) {
+      if (c->type != PacketType::kInCoded || c->meta->covered.front().flow != flow) continue;
+      if (c->meta->covered.front().seq != 6) continue;
+      ++residual_batches;
+      EXPECT_EQ(c->meta->k, 2);
+      EXPECT_EQ(c->meta->covered.back().seq, 7u);
+    }
+    EXPECT_EQ(residual_batches, 1) << "flow " << flow;
+  }
+}
+
+TEST(Encoder, CrashDropsStagedQueuesAndRestartRebuildsTheGroup) {
+  Fixture f(small_params());
+  f.register_flows(3);
+  for (FlowId flow = 1; flow <= 3; ++flow) f.offer(flow, 0);
+  // Flows 1 and 2 closed a k = 2 batch; flow 3's cross packet and all three
+  // in-stream packets are staged behind armed timers.
+  EXPECT_EQ(f.encoder->stats().coded_sent, 2u);
+
+  f.dc1.fault_crash();
+  EXPECT_EQ(f.encoder->stats().crash_wipes, 1u);
+  f.sim.run_until(msec(200));
+  EXPECT_EQ(f.encoder->stats().timer_flushes, 0u);
+  EXPECT_EQ(f.encoder->stats().coded_sent, 2u);
+  EXPECT_EQ(f.collector->coded.size(), 2u);
+
+  // Restarted cold: the group starts from zero flows, so two flows close a
+  // k = 2 batch again (a surviving count of three would hold it for k = 3).
+  f.dc1.fault_restart();
+  f.offer(1, 1);
+  f.offer(2, 1);
+  EXPECT_EQ(f.encoder->stats().cross_batches, 2u);
+  EXPECT_EQ(f.encoder->stats().coded_sent, 4u);
+  f.sim.run_until(sec(1));
+  EXPECT_EQ(f.cross_ks(), (std::vector<std::size_t>{2, 2}));
+  EXPECT_EQ(f.encoder->stats().crash_wipes, 1u);
 }
 
 }  // namespace

@@ -307,8 +307,8 @@ TEST(Link, DeliversWithLatency) {
   Simulator sim;
   Link link(sim, 1, 2, make_fixed_latency(msec(10)), make_no_loss());
   SimTime delivered_at = -1;
-  link.send(make_data_packet(1, 0, 1, 2, sim.now(), 100),
-            [&](const PacketPtr&) { delivered_at = sim.now(); });
+  link.set_deliver([&](const PacketPtr&) { delivered_at = sim.now(); });
+  link.send(make_data_packet(1, 0, 1, 2, sim.now(), 100));
   sim.run();
   EXPECT_EQ(delivered_at, msec(10));
   EXPECT_EQ(link.stats().delivered_packets, 1u);
@@ -318,7 +318,8 @@ TEST(Link, LossCountsAndSuppressesDelivery) {
   Simulator sim;
   Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_bernoulli_loss(1.0, Rng(1)));
   int delivered = 0;
-  link.send(make_data_packet(1, 0, 1, 2, 0, 10), [&](const PacketPtr&) { ++delivered; });
+  link.set_deliver([&](const PacketPtr&) { ++delivered; });
+  link.send(make_data_packet(1, 0, 1, 2, 0, 10));
   sim.run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(link.stats().dropped_packets, 1u);
@@ -330,11 +331,12 @@ TEST(Link, BandwidthSerializesFifo) {
   // 8 kbit/s: a 100-byte packet (800 bits) takes 100 ms to serialize.
   Link link(sim, 1, 2, make_fixed_latency(0), make_no_loss(), 8000.0);
   std::vector<SimTime> arrivals;
+  link.set_deliver([&](const PacketPtr&) { arrivals.push_back(sim.now()); });
   for (int i = 0; i < 3; ++i) {
     auto p = std::make_shared<Packet>();
     p->dst = 2;
     p->payload.assign(100 - packet_header_bytes(), 0);
-    link.send(p, [&](const PacketPtr&) { arrivals.push_back(sim.now()); });
+    link.send(p);
   }
   sim.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -351,10 +353,8 @@ TEST(Link, PreserveOrderPreventsReordering) {
   p.jitter_sigma = 1.2;
   Link link(sim, 1, 2, make_jitter_latency(p, Rng(6)), make_no_loss());
   std::vector<SeqNo> arrivals;
-  for (SeqNo s = 0; s < 200; ++s) {
-    link.send(make_data_packet(1, s, 1, 2, sim.now(), 10),
-              [&arrivals](const PacketPtr& pkt) { arrivals.push_back(pkt->seq); });
-  }
+  link.set_deliver([&arrivals](const PacketPtr& pkt) { arrivals.push_back(pkt->seq); });
+  for (SeqNo s = 0; s < 200; ++s) link.send(make_data_packet(1, s, 1, 2, sim.now(), 10));
   sim.run();
   ASSERT_EQ(arrivals.size(), 200u);
   EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));

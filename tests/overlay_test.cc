@@ -73,7 +73,7 @@ TEST(OverlayNetwork, BuildsFullMeshAndNearestDc) {
   netsim::Network net(sim);
   Rng rng(1);
   auto sites = geo::cloud_sites_as_of(2019);
-  OverlayNetwork overlay(net, sites, OverlayParams{}, rng);
+  OverlayNetwork overlay(net, sites, rng);
   EXPECT_EQ(overlay.dc_count(), sites.size());
   // Every ordered DC pair has a link.
   for (std::size_t i = 0; i < overlay.dc_count(); ++i) {
@@ -92,7 +92,7 @@ TEST(OverlayNetwork, InterDcLatencyTracksGeography) {
   netsim::Network net(sim);
   Rng rng(2);
   auto sites = geo::cloud_sites_as_of(2019);
-  OverlayNetwork overlay(net, sites, OverlayParams{}, rng);
+  OverlayNetwork overlay(net, sites, rng);
   DataCenter* virginia = overlay.dc_by_site("us-east-virginia");
   DataCenter* ireland = overlay.dc_by_site("eu-west-ireland");
   DataCenter* london = overlay.dc_by_site("eu-west-london");
@@ -109,9 +109,10 @@ TEST(OverlayNetwork, AttachHostCreatesBidirectionalLinks) {
   netsim::Network net(sim);
   Rng rng(3);
   auto sites = geo::cloud_sites_as_of(2019);
-  OverlayNetwork overlay(net, sites, OverlayParams{}, rng);
+  OverlayNetwork overlay(net, sites, rng);
   const NodeId host = net.allocate_id();
-  overlay.attach_host(host, overlay.dc(0), msec(7));
+  Rng access = rng.fork("access");
+  overlay.attach_host(host, overlay.dc(0), msec(7), access);
   ASSERT_NE(net.link(host, overlay.dc(0).id()), nullptr);
   ASSERT_NE(net.link(overlay.dc(0).id(), host), nullptr);
   EXPECT_EQ(net.link(host, overlay.dc(0).id())->base_latency(), msec(7));

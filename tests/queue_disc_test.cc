@@ -189,9 +189,8 @@ TEST(LinkQueueDisc, QueueDropsCountedSeparatelyFromLossModel) {
               /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
 
     std::uint64_t delivered = 0;
-    for (int i = 0; i < 32; ++i) {
-      link.send(make_test_packet(1000, false), [&](const PacketPtr&) { ++delivered; });
-    }
+    link.set_deliver([&](const PacketPtr&) { ++delivered; });
+    for (int i = 0; i < 32; ++i) link.send(make_test_packet(1000, false));
     sim.run();
 
     const LinkStats& s = link.stats();
@@ -218,12 +217,13 @@ TEST(LinkQueueDisc, CoDelMarksEctBurstCopyOnWrite) {
 
   std::vector<PacketPtr> sent;
   std::uint64_t delivered_ce = 0;
+  link.set_deliver([&](const PacketPtr& got) {
+    if (got->ecn_ce) ++delivered_ce;
+  });
   for (int i = 0; i < 40; ++i) {
     auto pkt = make_test_packet(1000, true);
     sent.push_back(pkt);
-    link.send(pkt, [&](const PacketPtr& got) {
-      if (got->ecn_ce) ++delivered_ce;
-    });
+    link.send(pkt);
   }
   sim.run();
 
@@ -243,9 +243,8 @@ TEST(LinkQueueDisc, ZeroBandwidthLinkNeverConsultsDiscipline) {
   Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 0.0,
             /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
   std::uint64_t delivered = 0;
-  for (int i = 0; i < 8; ++i) {
-    link.send(make_test_packet(1000, false), [&](const PacketPtr&) { ++delivered; });
-  }
+  link.set_deliver([&](const PacketPtr&) { ++delivered; });
+  for (int i = 0; i < 8; ++i) link.send(make_test_packet(1000, false));
   sim.run();
   EXPECT_EQ(delivered, 8u);
   EXPECT_EQ(link.stats().queue_drops, 0u);

@@ -22,9 +22,17 @@ constexpr std::size_t kMaxPacketBytes = 256u << 10;
 // All freelists share one byte budget. No lock: one thread at a time drives
 // a pool and releases its packets (see the header).
 struct PacketPool::Core {
-  ~Core() {
+  ~Core() { trim(); }
+
+  // Frees what the freelists hold, freelist storage included. Outstanding
+  // packets and blocks still come home to the (now empty) freelists.
+  void trim() {
     for (Packet* p : free_packets) delete p;
     for (void* b : free_blocks) ::operator delete(b);
+    free_packets = {};
+    free_blocks = {};
+    spare_keys = {};
+    pooled_bytes = 0;
   }
 
   Packet* take_packet() {
@@ -214,6 +222,8 @@ CodedMeta& PacketPool::engage_meta(Packet& pkt) {
   m.r = 0;
   return m;
 }
+
+void PacketPool::trim() { core_->trim(); }
 
 std::size_t PacketPool::pooled_bytes() const { return core_->pooled_bytes; }
 std::size_t PacketPool::outstanding() const { return core_->outstanding; }

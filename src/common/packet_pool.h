@@ -23,12 +23,14 @@
 // Threading: only one thread at a time uses a pool -- acquiring from it,
 // releasing its packets, reading its counts -- and the pool takes no lock.
 // Moving a pool or its packets to another thread needs a happens-before
-// edge, such as thread start or join (a worker builds and runs a shard, the
-// caller destroys it).
+// edge, such as thread start or join (a worker builds, runs and trims a
+// shard, the caller destroys it).
 //
 // Retained memory is bounded by total bytes across packets, control blocks,
 // and salvaged key vectors (never by object count -- the PR 7 ratchet
-// lesson); see docs/MEMORY.md for the ownership contract.
+// lesson); see docs/MEMORY.md for the ownership contract. The budget serves
+// reuse while a shard runs: a driver that keeps a finished shard until its
+// merge calls trim(), so a finished shard keeps no pooled storage.
 #pragma once
 
 #include <cstddef>
@@ -60,6 +62,11 @@ class PacketPool {
   // covered vector salvaged capacity from previously recycled coded packets
   // so filling it allocates nothing in steady state.
   CodedMeta& engage_meta(Packet& pkt);
+
+  // Frees every packet, control block and key vector kept for reuse.
+  // Outstanding packets are untouched and still come home to the pool;
+  // reused(), fresh() and outstanding() keep counting.
+  void trim();
 
   // Byte-bounded retained-memory accounting.
   std::size_t pooled_bytes() const;

@@ -130,6 +130,8 @@ const PacketPool& ScenarioShard::pool(std::size_t index) const {
   return pool_;
 }
 
+void ScenarioShard::trim_pool() { pool_.trim(); }
+
 void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
   // Collect the distinct cloud sites the shard's paths touch. The overlay
   // keys its link streams by site NAME (see OverlayNetwork), so building it

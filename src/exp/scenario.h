@@ -248,6 +248,10 @@ class ScenarioShard {
   // bit-identical either way. Index 0 is the only pool; any other index
   // throws std::out_of_range.
   const PacketPool& pool(std::size_t index) const;
+  // Frees the pool's recycled storage (PacketPool::trim). A driver that
+  // keeps this shard after its simulator has drained calls it, so the
+  // finished shard holds no pooled packets while other shards run.
+  void trim_pool();
 
  private:
   void build_overlay(const std::vector<IndexedPath>& paths);

@@ -94,10 +94,12 @@ void ShardedRunner::run(SimDuration duration) {
 
   // Build + run each shard; workers write only their own slot. The event
   // queue backend was resolved once in the constructor, so workers never
-  // touch process-global backend state.
+  // touch process-global backend state. A finished shard is kept for the
+  // merge, so its worker trims its pool before building the next one.
   parallel_for_indexed(plans_.size(), threads_used_, [this, duration](std::size_t i) {
     shards_[i] = std::make_unique<ScenarioShard>(plans_[i], params_, backend_);
     shards_[i]->run(duration);
+    shards_[i]->trim_pool();
   });
 
   // Merge: per-path results under their global indices, per-shard event

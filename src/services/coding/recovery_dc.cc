@@ -31,13 +31,12 @@ std::uint32_t RecoveryService::store_batch(const Packet& pkt) {
   const std::uint32_t slot = s.free_slots.back();
   s.free_slots.pop_back();
   BatchState& batch = s.slab[slot];
-  batch.meta = *pkt.meta;  // Reuses the slot's `covered` capacity.
   batch.first_seen = dc_.now();
   batch.is_cross = pkt.type == PacketType::kCrossCoded;
   ++stats_.batches_stored;
-  s.slot_of[batch.meta.batch_id] = slot;
+  s.slot_of[pkt.meta->batch_id] = slot;
   s.arrivals.push_back(Arrival{batch.first_seen, slot});
-  for (const PacketKey& key : batch.meta.covered) {
+  for (const PacketKey& key : pkt.meta->covered) {
     KeySlots& e = s.key_index[key];
     if (e.n < 2) {
       e.slot[e.n] = slot;
@@ -52,7 +51,8 @@ std::uint32_t RecoveryService::store_batch(const Packet& pkt) {
 void RecoveryService::expire(std::uint32_t slot) {
   Store& s = store_;
   BatchState& batch = s.slab[slot];
-  for (const PacketKey& key : batch.meta.covered) {
+  const CodedMeta& meta = batch.meta();
+  for (const PacketKey& key : meta.covered) {
     KeySlots* e = s.key_index.find(key);
     if (e == nullptr) continue;  // Listed twice: unindexed on its first visit.
     // Drop every occurrence of `slot`, keeping the rest in store order.
@@ -74,8 +74,8 @@ void RecoveryService::expire(std::uint32_t slot) {
     e->n = kept;
     if (kept == 0) s.key_index.erase(key);
   }
-  s.slot_of.erase(batch.meta.batch_id);
-  batch.coded.clear();
+  s.slot_of.erase(meta.batch_id);
+  batch.coded.clear();  // Last: `meta` lives in coded.front().
   s.free_slots.push_back(slot);
   ++stats_.batches_expired;
 }
@@ -255,7 +255,8 @@ bool RecoveryService::serve_in_stream(const PacketKey& key, NodeId receiver) {
 bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
   BatchState* batch = cross_batch_for(key);
   if (batch == nullptr) return false;
-  const std::uint32_t batch_id = batch->meta.batch_id;
+  const CodedMeta& meta = batch->meta();
+  const std::uint32_t batch_id = meta.batch_id;
 
   auto [it, inserted] = ops_.try_emplace(batch_id);
   CoopOp& op = it->second;
@@ -268,7 +269,7 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
 
   // Solicit every *other* receiver in the batch for its data packet. The
   // requester's own packet is the one being recovered, so it is skipped.
-  for (const PacketKey& covered : batch->meta.covered) {
+  for (const PacketKey& covered : meta.covered) {
     if (covered == key) continue;
     const FlowInfo* info = registry_->find(covered.flow);
     if (info == nullptr || info->receiver == kInvalidNode) continue;
@@ -278,8 +279,8 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
     // Carry only the batch id; responses echo it back.
     engage_meta(dc_.pool(), *req);
     req->meta->batch_id = batch_id;
-    req->meta->k = batch->meta.k;
-    req->meta->r = batch->meta.r;
+    req->meta->k = meta.k;
+    req->meta->r = meta.r;
     ++stats_.coop_requests_sent;
     dc_.send(req);
   }
@@ -303,7 +304,7 @@ void RecoveryService::on_coop_response(const PacketPtr& pkt) {
   CoopOp& op = it->second;
   const BatchState* batch = batch_by_id(op.batch_id);
   if (batch == nullptr) return;
-  const CodedMeta& meta = batch->meta;
+  const CodedMeta& meta = batch->meta();
   // Locate the codeword position of the responding packet.
   const PacketKey key = pkt->key();
   for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
@@ -320,7 +321,7 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
   const BatchState* found = batch_by_id(op.batch_id);
   if (found == nullptr) return;
   const BatchState& batch = *found;
-  const std::size_t k = batch.meta.k;
+  const std::size_t k = batch.meta().k;
   if (op.responses.size() + batch.coded.size() < k) return;  // Not yet decodable.
 
   auto& present = present_scratch_;
@@ -329,7 +330,7 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
   for (const auto& [pos, payload] : op.responses) {
     present.emplace_back(pos, std::span<const std::uint8_t>(payload));
   }
-  auto recovered = fec::decode_batch(decode_arena_, batch.meta, present, batch.coded);
+  auto recovered = fec::decode_batch(decode_arena_, batch.meta(), present, batch.coded);
   if (!recovered) return;  // Still insufficient (duplicate positions etc).
 
   ++stats_.coop_success;
@@ -398,7 +399,7 @@ void RecoveryService::on_dc_crash() {
 
 void RecoveryService::sweep_batches() {
   Store& s = store_;
-  auto op_holds = [&](std::uint32_t slot) { return ops_.contains(s.slab[slot].meta.batch_id); };
+  auto op_holds = [&](std::uint32_t slot) { return ops_.contains(s.slab[slot].meta().batch_id); };
   // Held batches are past the TTL already; they wait only for their op.
   std::size_t still_held = 0;
   for (std::uint32_t slot : s.held) {
@@ -419,8 +420,8 @@ void RecoveryService::sweep_batches() {
     }
   }
   s.arrivals.erase(s.arrivals.begin(), end);
-  // Drained: hand the slab and tables back (run_churn keeps finished shards
-  // alive until it merges them).
+  // Drained: hand the slab and tables back, so a DC that idles mid-run
+  // while the rest of its shard runs on holds no store.
   if (s.slot_of.size() == 0) store_ = Store{};
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.expires_at <= dc_.now()) {

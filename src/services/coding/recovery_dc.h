@@ -194,11 +194,14 @@ class RecoveryService final : public overlay::DcService {
   std::uint64_t epoch() const { return epoch_; }
 
  private:
+  // A stored batch's meta is its first coded packet's, which `coded` keeps
+  // alive for the batch's whole life.
   struct BatchState {
-    CodedMeta meta;
     std::vector<PacketPtr> coded;
     SimTime first_seen = 0;
     bool is_cross = false;
+
+    const CodedMeta& meta() const { return *coded.front()->meta; }
   };
 
   // The slab slots of the batches covering one key, in store order: the
@@ -224,7 +227,7 @@ class RecoveryService final : public overlay::DcService {
 
   // The coded batches held for recovery. A batch lives in one slab slot
   // from its first coded packet until a sweep expires it; the slot then
-  // joins free_slots and keeps its vectors' capacity for the next batch.
+  // joins free_slots and keeps its `coded` capacity for the next batch.
   // Slots are internal to the store: ops and timers name batches by id,
   // and no slot or BatchState* outlives the event that looked it up.
   struct Store {
@@ -300,8 +303,8 @@ class RecoveryService final : public overlay::DcService {
     return dc_.now() - b.first_seen <= params_.batch_ttl;
   }
 
-  // Opens a batch for `pkt`'s meta in a free slot and indexes its keys;
-  // returns the slot.
+  // Opens a batch for `pkt`, its first coded packet, in a free slot and
+  // indexes the keys `pkt` covers; returns the slot.
   std::uint32_t store_batch(const Packet& pkt);
   // Unindexes the batch in `slot` and returns the slot to the free list.
   void expire(std::uint32_t slot);

@@ -90,6 +90,8 @@ class ChurnShardEngine {
     shard_.sim().run();
     shard_.flush_encoders();
     shard_.sim().run();
+    // run_churn keeps this engine until its merge: drop the pooled packets.
+    shard_.trim_pool();
     totals.leaked_flows =
         shard_.registered_flows() + static_cast<std::uint64_t>(active_.size());
   }

@@ -171,6 +171,43 @@ TEST(PacketPoolTest, RetentionIsByteBounded) {
   EXPECT_LE(pool.pooled_bytes(), 16u << 20);
 }
 
+TEST(PacketPoolTest, TrimReleasesOnlyPooledStorage) {
+  PacketPool pool;
+  auto held = pool.acquire();
+  held->payload.assign(512, 0x33);
+  {
+    std::vector<std::shared_ptr<Packet>> returned;
+    for (int i = 0; i < 4; ++i) {
+      returned.push_back(pool.acquire());
+      returned.back()->payload.assign(512, 0x44);
+      pool.engage_meta(*returned.back()).covered.push_back(PacketKey{1, 2});
+    }
+  }
+  ASSERT_GT(pool.pooled_bytes(), 0u);
+  const std::uint64_t fresh = pool.fresh();
+  const std::uint64_t reused = pool.reused();
+
+  pool.trim();
+  EXPECT_EQ(pool.pooled_bytes(), 0u);
+  EXPECT_EQ(pool.outstanding(), 1u);
+  EXPECT_EQ(pool.fresh(), fresh);
+  EXPECT_EQ(pool.reused(), reused);
+
+  // Nothing is left to reuse: the next checkout is built fresh, and no
+  // salvaged key vector backs its meta.
+  auto after = pool.acquire();
+  EXPECT_EQ(pool.fresh(), fresh + 1);
+  EXPECT_EQ(pool.reused(), reused);
+  EXPECT_EQ(pool.engage_meta(*after).covered.capacity(), 0u);
+  after.reset();
+
+  // The packet held across the trim still comes home and is pooled again.
+  const std::size_t pooled = pool.pooled_bytes();
+  held.reset();
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_GT(pool.pooled_bytes(), pooled);
+}
+
 TEST(PacketPoolTest, FactoriesProduceIdenticalPacketsPooledOrNot) {
   PacketPool pool;
   const PacketPtr pooled = make_data_packet(9, 55, 1, 2, 777, 300, &pool);

@@ -183,6 +183,21 @@ TEST(Churn, FingerprintBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(fp1, fp_auto);
 }
 
+TEST(Churn, FingerprintBitIdenticalWithMoreShardsThanWorkers) {
+  // Two workers share four shards, so some worker trims the pool of a
+  // finished shard, which run_churn keeps until the merge, and then builds
+  // another.
+  ChurnConfig cfg = small_churn();
+  cfg.num_shards = 4;
+  cfg.num_threads = 1;
+  const ChurnResult serial = run_churn(cfg);
+  ASSERT_EQ(serial.shards_used, 4u);
+  cfg.num_threads = 2;
+  const ChurnResult two_workers = run_churn(cfg);
+  EXPECT_EQ(two_workers.threads_used, 2u);
+  EXPECT_EQ(two_workers.fingerprint(), serial.fingerprint());
+}
+
 TEST(Churn, FingerprintBitIdenticalAcrossEventQueueBackends) {
   std::uint64_t fp_ladder = 0, fp_heap = 0;
   {

@@ -169,7 +169,7 @@ SweepPoint run_point(std::size_t k, std::uint64_t seed) {
   params.cbr.mean_off = sec(10);
   params.cbr.packets_per_second = 25.0;
 
-  exp::WanScenario scenario(std::move(paths), params);
+  exp::ScenarioShard scenario(std::move(paths), params);
   scenario.run(minutes(4));
 
   SweepPoint point;

@@ -50,7 +50,7 @@ Row run_service(const char* name, ServiceType service, std::uint64_t seed, bool 
   params.cbr.packets_per_second = 25.0;
   params.cbr.payload_bytes = 512;
   // The multi-core scenario path: identical merged results to the
-  // monolithic WanScenario for any shard/thread count (see
+  // single-shard ScenarioShard for any shard/thread count (see
   // exp/sharded_runner.h). With one DC pair the paths form a single
   // interaction group, so the runner packs them into one shard; the
   // cross-service parallelism lives in main().

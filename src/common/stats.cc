@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 
 namespace jqos {
 
@@ -116,39 +115,6 @@ std::vector<Samples::CdfPoint> Samples::cdf_points(std::size_t n) const {
     out.push_back(CdfPoint{percentile(frac * 100.0), frac});
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram requires hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  // In-range values can still compute to bins() due to floating rounding at
-  // the upper edge; pin those to the last bin.
-  std::size_t i = static_cast<std::size_t>((x - lo_) / width_);
-  if (i >= counts_.size()) i = counts_.size() - 1;
-  ++counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::cumulative_fraction(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  std::size_t c = underflow_;
-  for (std::size_t b = 0; b <= i && b < counts_.size(); ++b) c += counts_[b];
-  return static_cast<double>(c) / static_cast<double>(total_);
 }
 
 QuantileSketch::QuantileSketch(std::size_t k) : k_(std::max<std::size_t>(k, 8)) {

@@ -1,7 +1,7 @@
 // Statistics utilities used throughout the evaluation harness: streaming
-// moments, sample sets with percentile/CDF/CCDF extraction, fixed-bin
-// histograms (e.g. the PSNR bins of Figure 9(a)), and an O(1)-memory
-// streaming quantile sketch for soak runs too large to store every sample.
+// moments, sample sets with percentile/CDF/CCDF extraction (the CDFs of
+// Figure 9(a) come from Samples), and an O(1)-memory streaming quantile
+// sketch for soak runs too large to store every sample.
 #pragma once
 
 #include <cstddef>
@@ -78,39 +78,6 @@ class Samples {
   std::vector<double> xs_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-// Fixed-width binned histogram over [lo, hi). Out-of-range samples are NOT
-// clamped into the edge bins (that silently corrupted the tail bins of the
-// Figure 9(a) PSNR histograms); they are counted separately as underflow
-// (x < lo) and overflow (x >= hi) and still contribute to total().
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-  // Samples below lo / at-or-above hi, kept out of the bins.
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t in_range() const { return total_ - underflow_ - overflow_; }
-
-  // Cumulative fraction of samples <= bin_hi(i): underflow plus bins
-  // [0, i], over total(). Reaches 1.0 at the last bin only when nothing
-  // overflowed, which is exactly what a CDF over [lo, hi) should say.
-  double cumulative_fraction(std::size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 // Streaming quantile estimation in O(k log(n/k)) memory -- the soak-run

@@ -252,7 +252,7 @@ void Receiver::send_nack(FlowId flow, FlowState& fs, const std::vector<SeqNo>& m
   // Probes always address the coding service: even when the flow's recovery
   // runs elsewhere (or nowhere -- path switching), a live RecoveryService
   // answers an uncovered-key NACK with a kNackCheck, which is evidence.
-  auto nack = make_packet(pool_, PacketType::kNack,
+  auto nack = make_packet(net_.pool(), PacketType::kNack,
                           probe ? ServiceType::kCode : config_.recovery_service,
                           flow, missing.empty() ? fs.next_expected : missing.front(),
                           node_id_, config_.dc2, net_.sim().now());
@@ -285,14 +285,8 @@ void Receiver::deliver(FlowId flow, SeqNo seq, const PacketPtr& pkt, bool recove
   rec.detected_missing_at = detected_at;
   if (recovered) {
     ++stats_.delivered_recovered;
-    if (detected_at > 0 && config_.record_delay_samples) {
-      recovery_delay_ms_.add(to_ms(now - detected_at));
-    }
   } else {
     ++stats_.delivered_direct;
-    if (pkt->sent_at > 0 && config_.record_delay_samples) {
-      direct_delay_ms_.add(to_ms(now - pkt->sent_at));
-    }
   }
   if (on_delivery_) on_delivery_(rec, pkt);
 }
@@ -311,7 +305,7 @@ void Receiver::remember(FlowState& fs, const PacketPtr& pkt) {
     fs.deferred_coop.erase(dit);
     if (net_.sim().now() <= deadline) {
       ++stats_.coop_deferred;
-      auto resp = make_packet(pool_, PacketType::kCoopResponse, ServiceType::kCode,
+      auto resp = make_packet(net_.pool(), PacketType::kCoopResponse, ServiceType::kCode,
                               request->flow, request->seq, node_id_, request->src,
                               net_.sim().now());
       resp->meta = request->meta;
@@ -379,7 +373,7 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
     fs.window[rp.key.seq].state = SeqSlot::State::kArrived;
     --fs.missing;
     ++stats_.self_decoded;
-    auto packet = alloc_packet(pool_);
+    auto packet = alloc_packet(net_.pool());
     packet->type = PacketType::kRecovered;
     packet->flow = rp.key.flow;
     packet->seq = rp.key.seq;
@@ -410,7 +404,7 @@ void Receiver::on_coop_request(const PacketPtr& pkt) {
     ++stats_.coop_misses;  // We lost it too; the coded packets must cover.
     return;
   }
-  auto resp = make_packet(pool_, PacketType::kCoopResponse, ServiceType::kCode,
+  auto resp = make_packet(net_.pool(), PacketType::kCoopResponse, ServiceType::kCode,
                           pkt->flow, pkt->seq, node_id_, pkt->src, net_.sim().now());
   resp->meta = pkt->meta;  // Echo the batch id back.
   resp->payload = held->payload;
@@ -434,7 +428,7 @@ void Receiver::on_nack_check(const PacketPtr& pkt) {
   nack_scratch_.tail = false;
   nack_scratch_.expected = fs.next_expected;
   nack_scratch_.missing.assign(1, pkt->seq);
-  auto confirm = make_packet(pool_, PacketType::kNackConfirm, config_.recovery_service,
+  auto confirm = make_packet(net_.pool(), PacketType::kNackConfirm, config_.recovery_service,
                              pkt->flow, pkt->seq, node_id_, pkt->src, net_.sim().now());
   nack_scratch_.serialize_into(confirm->payload);
   ++stats_.nack_confirms_sent;

@@ -6,7 +6,8 @@
 //    state (gap detection);
 //  * run the two-state Markov timeout to catch tail losses with no
 //    subsequent packet to reveal the gap;
-//  * issue NACKs to the nearby DC (DC2) and account recovery latency;
+//  * issue NACKs to the nearby DC (DC2) and stamp each recovered delivery
+//    with the time its loss was detected;
 //  * buffer recent data packets so it can (a) answer cooperative-recovery
 //    requests for other receivers' losses and (b) locally decode in-stream
 //    coded packets sent by DC2;
@@ -24,7 +25,6 @@
 
 #include "common/packet.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "endpoint/markov_detector.h"
 #include "fec/coded_batch.h"
 #include "netsim/network.h"
@@ -78,11 +78,6 @@ struct ReceiverConfig {
   // [kCoopSlowMin, kCoopSlowMax] (receiver.cc) -- loaded hosts, scheduling
   // jitter, the behaviour the extra cross-coded packets protect against.
   double coop_slow_prob = 0.0;
-  // Record per-packet delay Samples (recovery_delay_ms / direct_delay_ms).
-  // These grow one double per delivered packet -- fine for figure runs,
-  // unbounded for million-session soaks, which turn them off and rely on
-  // O(1)-memory sketches instead (see workload::run_churn).
-  bool record_delay_samples = true;
   std::uint64_t rng_seed = 1;
   // Overlay-death detection; disabled by default (zero events, zero extra
   // RNG draws, bit-identical traces when off).
@@ -154,17 +149,9 @@ class Receiver final : public netsim::Node {
   void handle_packet(const PacketPtr& pkt) override;
 
   const ReceiverStats& stats() const { return stats_; }
-  // Recovery latency samples (detection -> recovered delivery), in ms.
-  const Samples& recovery_delay_ms() const { return recovery_delay_ms_; }
-  // One-way delivery delay samples for direct-path packets, in ms.
-  const Samples& direct_delay_ms() const { return direct_delay_ms_; }
 
   // Estimated RTT feed (e.g. from the scenario builder's path data).
   void set_rtt_estimate(SimDuration rtt);
-
-  // Packet storage pool of this receiver's shard (see docs/MEMORY.md); null
-  // (the default) means heap allocation. Set at build time, before traffic.
-  void set_pool(PacketPool* pool) { pool_ = pool; }
 
   // Overlay up/down transitions (failover layer). The scenario wires this
   // to the sender's set_overlay_down via a modeled control-channel delay.
@@ -287,7 +274,6 @@ class Receiver final : public netsim::Node {
   ReceiverConfig config_;
   DeliverFn on_delivery_;
   Rng rng_;
-  PacketPool* pool_ = nullptr;
   // Failover state (see FailoverParams). The probe timer follows the same
   // generation-guard pattern as the per-flow timers.
   OverlayEventFn on_overlay_;
@@ -302,8 +288,6 @@ class Receiver final : public netsim::Node {
   SimDuration probe_backoff_ = 0;
   std::unordered_map<FlowId, FlowState> flows_;
   ReceiverStats stats_;
-  Samples recovery_delay_ms_;
-  Samples direct_delay_ms_;
   // Reused scratch for in-stream self-decodes (fec::decode_batch arena
   // overload): sized by the largest batch seen, recycled across decodes.
   fec::ShardArena decode_arena_;

@@ -30,7 +30,7 @@ SeqNo Sender::send(FlowId flow, std::size_t payload_bytes) {
   if (it == flows_.end()) throw std::invalid_argument("Sender: unregistered flow");
   // Fill the synthetic payload directly into (pooled) packet storage instead
   // of building a scratch vector per call.
-  auto base = alloc_packet(pool_);
+  auto base = alloc_packet(net_.pool());
   base->payload.assign(payload_bytes, 0);
   return transmit(flow, it->second, std::move(base));
 }
@@ -38,7 +38,7 @@ SeqNo Sender::send(FlowId flow, std::size_t payload_bytes) {
 SeqNo Sender::send_payload(FlowId flow, std::vector<std::uint8_t> payload) {
   auto it = flows_.find(flow);
   if (it == flows_.end()) throw std::invalid_argument("Sender: unregistered flow");
-  auto base = alloc_packet(pool_);
+  auto base = alloc_packet(net_.pool());
   base->payload = std::move(payload);
   return transmit(flow, it->second, std::move(base));
 }
@@ -56,7 +56,7 @@ SeqNo Sender::transmit(FlowId flow, FlowState& fs, std::shared_ptr<Packet> base)
   base->ecn_capable = fs.policy.ecn_capable;
 
   if ((fs.policy.send_direct || overlay_down_) && fs.policy.receiver != kInvalidNode) {
-    auto direct = alloc_packet_copy(pool_, *base);
+    auto direct = alloc_packet_copy(net_.pool(), *base);
     direct->service = ServiceType::kNone;
     direct->dst = fs.policy.receiver;
     direct->final_dst = fs.policy.receiver;
@@ -73,7 +73,7 @@ SeqNo Sender::transmit(FlowId flow, FlowState& fs, std::shared_ptr<Packet> base)
     if (fs.policy.duplicate_filter && !fs.policy.duplicate_filter(*base)) {
       ++stats_.filtered;
     } else {
-      auto cloud = alloc_packet_copy(pool_, *base);
+      auto cloud = alloc_packet_copy(net_.pool(), *base);
       cloud->service = fs.policy.service;
       cloud->dst = fs.policy.dc1;
       cloud->final_dst = fs.policy.cloud_final_dst;

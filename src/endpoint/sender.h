@@ -93,10 +93,6 @@ class Sender final : public netsim::Node {
   SeqNo next_seq(FlowId flow) const;
   netsim::Network& network() { return net_; }
 
-  // Packet storage pool of this sender's shard (see docs/MEMORY.md); null
-  // (the default) means heap allocation. Set at build time, before traffic.
-  void set_pool(PacketPool* pool) { pool_ = pool; }
-
  private:
   struct FlowState {
     SenderPolicy policy;
@@ -107,7 +103,6 @@ class Sender final : public netsim::Node {
 
   netsim::Network& net_;
   NodeId node_id_;
-  PacketPool* pool_ = nullptr;
   std::unordered_map<FlowId, FlowState> flows_;
   std::function<void(const PacketPtr&)> on_receive_;
   bool overlay_down_ = false;

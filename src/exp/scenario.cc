@@ -19,6 +19,18 @@ std::uint64_t path_seed(std::uint64_t scenario_seed, std::size_t global_index) {
   return Rng::derive(scenario_seed, kPathStreamBase + global_index);
 }
 
+// The whole scenario as one shard's paths: path i gets global index i.
+std::vector<IndexedPath> whole_scenario(std::vector<geo::PathSample> paths,
+                                        const netsim::FaultPlan& faults) {
+  if (!faults.empty()) validate_fault_plan(faults, paths);
+  std::vector<IndexedPath> indexed;
+  indexed.reserve(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    indexed.push_back(IndexedPath{i, std::move(paths[i])});
+  }
+  return indexed;
+}
+
 // Jitter of the direct path. Spikes are rare: a delayed packet that gets
 // recovered anyway is reclassified as delivered when the direct copy lands,
 // but spikes still cost NACK/recovery traffic.
@@ -107,9 +119,8 @@ ScenarioShard::ScenarioShard(std::vector<IndexedPath> paths, const WanScenarioPa
                              netsim::EvqBackend backend)
     : params_(params),
       sim_(backend),
-      net_(sim_, params.qdisc, Rng::derive(params.seed, "qdisc")),
+      net_(sim_, {}, 0, PacketPool::env_enabled() ? &pool_ : nullptr),
       injector_(sim_),
-      entity_pool_(PacketPool::env_enabled() ? &pool_ : nullptr),
       rng_(params.seed),
       registry_(std::make_shared<services::FlowRegistry>()),
       sessions_(registry_) {
@@ -119,6 +130,10 @@ ScenarioShard::ScenarioShard(std::vector<IndexedPath> paths, const WanScenarioPa
   // targets living in other shards are skipped (counted skipped_unbound).
   if (!params_.faults.empty()) injector_.arm(params_.faults);
 }
+
+ScenarioShard::ScenarioShard(std::vector<geo::PathSample> paths, const WanScenarioParams& params)
+    : ScenarioShard(whole_scenario(std::move(paths), params.faults), params,
+                    netsim::evq_default_backend()) {}
 
 ScenarioShard::~ScenarioShard() = default;
 
@@ -150,7 +165,6 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
   // claims in-transit packets), then the local services.
   for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
     overlay::DataCenter& dc = overlay_->dc(i);
-    dc.set_pool(entity_pool_);
     auto fwd = std::make_shared<services::ForwardingService>();
     forwarders_.push_back(fwd);
     dc.install(fwd);
@@ -163,15 +177,6 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
         std::make_shared<services::RecoveryService>(dc, params_.recovery, registry_);
     recoverers_.push_back(recovery);
     dc.install(recovery);
-  }
-
-  // Inter-DC links' CE-mark copies draw from the shard pool as well.
-  for (std::size_t i = 0; i < overlay_->dc_count(); ++i) {
-    for (std::size_t j = 0; j < overlay_->dc_count(); ++j) {
-      if (i == j) continue;
-      netsim::Link* l = net_.link(overlay_->dc(i).id(), overlay_->dc(j).id());
-      if (l != nullptr) l->set_pool(entity_pool_);
-    }
   }
 
   if (params_.faults.empty()) return;
@@ -223,7 +228,6 @@ void ScenarioShard::build_path(IndexedPath path) {
 
   // --- endpoints ---
   rt->sender = std::make_unique<endpoint::Sender>(net_);
-  rt->sender->set_pool(entity_pool_);
 
   endpoint::ReceiverConfig rc;
   rc.dc2 = rt->dc2->id();
@@ -240,7 +244,6 @@ void ScenarioShard::build_path(IndexedPath path) {
   // Wide-area testbed hosts are sometimes slow to answer cooperative
   // requests (the straggler problem, Section 4.4).
   rc.coop_slow_prob = params_.coop_slow_prob;
-  rc.record_delay_samples = params_.record_delay_samples;
   rc.rng_seed = Rng::derive(pseed, "receiver-coop");
   rc.failover = params_.failover;
   // Path-switching flows have no direct copies: overlay death shows up as
@@ -283,7 +286,6 @@ void ScenarioShard::build_path(IndexedPath path) {
           ++rt_raw->delivered_direct;
         }
       });
-  rt->receiver->set_pool(entity_pool_);
 
   if (params_.failover.enabled) {
     // Overlay up/down notifications reach the sender over a control channel
@@ -335,7 +337,6 @@ void ScenarioShard::build_path(IndexedPath path) {
       net_.add_link(rt->sender->id(), rt->receiver->id(),
                     netsim::make_jitter_latency(jp, path_rng.fork("direct-lat")),
                     std::move(loss));
-  direct_link.set_pool(entity_pool_);
   if (!params_.faults.empty()) {
     injector_.bind_link("direct:" + std::to_string(rt->global_index), &direct_link);
   }
@@ -346,15 +347,6 @@ void ScenarioShard::build_path(IndexedPath path) {
   Rng access_r = path_rng.fork("access-r");
   overlay_->attach_host(rt->sender->id(), *rt->dc1, msec_f(sample.delta_s_ms), access_s);
   overlay_->attach_host(rt->receiver->id(), *rt->dc2, msec_f(sample.delta_r_ms), access_r);
-
-  // The access links' CE-mark copies draw from the shard pool.
-  const auto pool_links = [this](NodeId host, NodeId dc) {
-    for (netsim::Link* l : {net_.link(host, dc), net_.link(dc, host)}) {
-      if (l != nullptr) l->set_pool(entity_pool_);
-    }
-  };
-  pool_links(rt->sender->id(), rt->dc1->id());
-  pool_links(rt->receiver->id(), rt->dc2->id());
 
   // Forwarding-service routing: packets for this receiver entering DC1 ride
   // the inter-DC path to DC2, which has the access link to the receiver.
@@ -484,18 +476,5 @@ FaultSummary ScenarioShard::fault_summary() const {
   s.injector = injector_.stats();
   return s;
 }
-
-WanScenario::WanScenario(std::vector<geo::PathSample> paths, const WanScenarioParams& params) {
-  if (!params.faults.empty()) validate_fault_plan(params.faults, paths);
-  std::vector<IndexedPath> indexed;
-  indexed.reserve(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    indexed.push_back(IndexedPath{i, std::move(paths[i])});
-  }
-  shard_ = std::make_unique<ScenarioShard>(std::move(indexed), params,
-                                           netsim::evq_default_backend());
-}
-
-WanScenario::~WanScenario() = default;
 
 }  // namespace jqos::exp

@@ -15,8 +15,7 @@
 // a path behaves bit-identically whether its shard holds 1 path or all of
 // them, which is what lets ShardedRunner (sharded_runner.h) split a 45-path
 // sweep across every core and still merge results identical to the
-// single-shard run. WanScenario below is the N=1 facade: the whole scenario
-// in one shard, with the pre-sharding public API intact.
+// single-shard run, which is one ScenarioShard built from plain paths.
 #pragma once
 
 #include <map>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/packet_pool.h"
+#include "common/stats.h"
 #include "endpoint/receiver.h"
 #include "endpoint/sender.h"
 #include "endpoint/session.h"
@@ -78,14 +78,7 @@ struct WanScenarioParams {
   // Probability a receiver answers a cooperative request late (straggler).
   double coop_slow_prob = 0.10;
   bool use_markov = true;
-  // Per-packet delay Samples at the receivers (see ReceiverConfig); churn
-  // soaks disable them to keep memory O(active sessions).
-  bool record_delay_samples = true;
   std::uint64_t seed = 1;
-  // Queue-disc configuration handed to the shard's Network; consulted only
-  // by finite-bandwidth links (the default WAN topology is latency-only, so
-  // the default config leaves every trace bit-identical).
-  netsim::QdiscConfig qdisc;
   // Send on the direct Internet path (false = path switching: every data
   // packet rides the overlay via the forwarding service, Fig. 2(b)).
   bool send_direct = true;
@@ -195,6 +188,11 @@ class ScenarioShard {
  public:
   ScenarioShard(std::vector<IndexedPath> paths, const WanScenarioParams& params,
                 netsim::EvqBackend backend);
+  // The whole scenario in one shard, for callers that want one running
+  // deployment (drivers that want every core use ShardedRunner). Validates a
+  // non-empty fault plan against `paths`, gives path i global index i, and
+  // resolves netsim::evq_default_backend() on the calling thread.
+  ScenarioShard(std::vector<geo::PathSample> paths, const WanScenarioParams& params);
   ~ScenarioShard();
 
   ScenarioShard(const ScenarioShard&) = delete;
@@ -241,12 +239,12 @@ class ScenarioShard {
   netsim::FaultInjector& injector() { return injector_; }
 
   // --- packet pool (docs/MEMORY.md) ---
-  // The shard's one PacketPool, shared by every entity it builds (senders,
-  // receivers, DCs and their services, links) unless JQOS_OBJ_POOL=0 was
-  // set at construction, in which case they get a null pool and the pool
-  // stays unused. Pool state never feeds simulation values, so results are
-  // bit-identical either way. Index 0 is the only pool; any other index
-  // throws std::out_of_range.
+  // The shard's one PacketPool. The shard's Network carries it, and every
+  // sender, receiver and DC (with its services) allocates through the
+  // Network, unless JQOS_OBJ_POOL=0 was set at construction: then the
+  // Network carries a null pool and the pool stays unused. Pool state never
+  // feeds simulation values, so results are bit-identical either way.
+  // Index 0 is the only pool; any other index throws std::out_of_range.
   const PacketPool& pool(std::size_t index) const;
   // Frees the pool's recycled storage (PacketPool::trim). A driver that
   // keeps this shard after its simulator has drained calls it, so the
@@ -262,14 +260,13 @@ class ScenarioShard {
 
   WanScenarioParams params_;
   netsim::Simulator sim_;
+  // Created before the Network that carries it; pooled packets outliving
+  // the shard stay safe regardless of destruction order (the pool core
+  // counts its outstanding storage and frees itself only when the last
+  // packet comes home).
+  PacketPool pool_;
   netsim::Network net_;
   netsim::FaultInjector injector_;
-  // Created before any entity so every build_* step can hand out pool
-  // pointers; pooled packets outliving the shard stay safe regardless of
-  // destruction order (the pool core counts its outstanding storage and
-  // frees itself only when the last packet comes home).
-  PacketPool pool_;
-  PacketPool* const entity_pool_;  // &pool_, or nullptr under JQOS_OBJ_POOL=0.
   Rng rng_;  // Overlay construction only; per-path streams are derived.
   services::FlowRegistryPtr registry_;
   std::unique_ptr<overlay::OverlayNetwork> overlay_;
@@ -279,36 +276,6 @@ class ScenarioShard {
   endpoint::SessionManager sessions_;
   std::vector<std::unique_ptr<PathRuntime>> paths_;
   FlowId next_flow_ = 1;
-};
-
-// The N=1 facade: the whole scenario in one shard, with the original
-// single-Simulator API. Tests and benches that want "a running deployment"
-// use this; figure drivers that want every core use ShardedRunner.
-class WanScenario {
- public:
-  WanScenario(std::vector<geo::PathSample> paths, const WanScenarioParams& params);
-  ~WanScenario();
-
-  WanScenario(const WanScenario&) = delete;
-  WanScenario& operator=(const WanScenario&) = delete;
-
-  void run(SimDuration duration) { shard_->run(duration); }
-
-  std::size_t path_count() const { return shard_->path_count(); }
-  PathRuntime& path(std::size_t i) { return shard_->path(i); }
-  const PathRuntime& path(std::size_t i) const { return shard_->path(i); }
-
-  netsim::Simulator& sim() { return shard_->sim(); }
-  netsim::Network& net() { return shard_->net(); }
-  overlay::OverlayNetwork& overlay() { return shard_->overlay(); }
-
-  // Aggregate encoder/recovery statistics summed across DCs.
-  services::EncoderStats encoder_totals() const { return shard_->encoder_totals(); }
-  services::RecoveryStatsDc recovery_totals() const { return shard_->recovery_totals(); }
-  FaultSummary fault_summary() const { return shard_->fault_summary(); }
-
- private:
-  std::unique_ptr<ScenarioShard> shard_;
 };
 
 }  // namespace jqos::exp

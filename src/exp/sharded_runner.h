@@ -65,7 +65,7 @@ class ShardedRunner {
   void run(SimDuration duration);
 
   // Merged view, valid after run(). Paths appear under their original
-  // indices, exactly as WanScenario would expose them.
+  // indices, exactly as a single ScenarioShard would expose them.
   std::size_t path_count() const { return total_paths_; }
   const PathRuntime& path(std::size_t global_index) const;
 

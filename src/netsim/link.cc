@@ -93,8 +93,10 @@ SimTime Link::admit(const PacketPtr& pkt, bool& mark) {
 
 // Copy-on-mark: PacketPtr is shared and const, so a CE mark clones the
 // packet rather than scribbling on the copy other paths may still carry.
-static PacketPtr with_ce_mark(PacketPool* pool, const PacketPtr& pkt) {
-  auto marked = alloc_packet_copy(pool, *pkt);
+// Only finite-bandwidth links mark, and every link of a pooled scenario
+// shard is latency-only, so the copy comes from the heap.
+static PacketPtr with_ce_mark(const PacketPtr& pkt) {
+  auto marked = alloc_packet_copy(nullptr, *pkt);
   marked->ecn_ce = true;
   return marked;
 }
@@ -105,7 +107,7 @@ void Link::send(PacketPtr pkt) {
   const SimTime arrive = admit(pkt, mark);
   if (arrive < 0) return;
   if (mark) {
-    PacketPtr out = with_ce_mark(pool_, pkt);
+    PacketPtr out = with_ce_mark(pkt);
     sim_.at(arrive, [this, out = std::move(out)] { deliver_(out); });
     return;
   }

@@ -102,12 +102,6 @@ class Link {
   void clear_degraded() { degraded_ = false; }
   bool degraded() const { return degraded_; }
 
-  // Packet storage pool of the shard this link belongs to (see
-  // docs/MEMORY.md). Only the copy-on-CE-mark path allocates here; null
-  // (the default) means heap allocation. Set at build time, before traffic.
-  void set_pool(PacketPool* pool) { pool_ = pool; }
-  PacketPool* pool() const { return pool_; }
-
  private:
   // Fixed-capacity-amortized FIFO of (departure time, wire bytes) pairs.
   // A deque allocates and frees a chunk every ~few-hundred entries of
@@ -167,7 +161,6 @@ class Link {
   std::size_t backlog_bytes_ = 0;
   // Registered delivery sink for send().
   DeliverFn deliver_;
-  PacketPool* pool_ = nullptr;
   LinkStats stats_;
   // Fault-layer state; see set_fault_down()/set_degraded().
   bool fault_down_ = false;

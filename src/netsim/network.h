@@ -33,14 +33,19 @@ class Network {
   // finite-bandwidth link (zero-bandwidth links have no queue and never get
   // a discipline). RED's probabilistic drops draw from an Rng derived from
   // `qdisc_seed` and the (from, to) pair — a stable identity, so traces are
-  // independent of link-creation order.
-  explicit Network(Simulator& sim, QdiscConfig qdisc = {}, std::uint64_t qdisc_seed = 0)
-      : sim_(sim), qdisc_(std::move(qdisc)), qdisc_seed_(qdisc_seed) {}
+  // independent of link-creation order. `pool` is the packet storage pool
+  // of the shard this network belongs to (docs/MEMORY.md); it must outlive
+  // the network. Null (the default) means heap allocation.
+  explicit Network(Simulator& sim, QdiscConfig qdisc = {}, std::uint64_t qdisc_seed = 0,
+                   PacketPool* pool = nullptr)
+      : sim_(sim), qdisc_(std::move(qdisc)), qdisc_seed_(qdisc_seed), pool_(pool) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   Simulator& sim() { return sim_; }
+  // The pool every sender, receiver and DC attached here allocates from.
+  PacketPool* pool() const { return pool_; }
 
   // Allocates a fresh NodeId (ids start at 1; 0 is kInvalidNode).
   NodeId allocate_id() { return next_id_++; }
@@ -93,6 +98,7 @@ class Network {
   Simulator& sim_;
   QdiscConfig qdisc_;
   std::uint64_t qdisc_seed_ = 0;
+  PacketPool* pool_ = nullptr;
   Node* node(NodeId id) const { return id < nodes_.size() ? nodes_[id] : nullptr; }
 
   NodeId next_id_ = 1;

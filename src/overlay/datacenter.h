@@ -66,11 +66,9 @@ class DataCenter final : public netsim::Node, public netsim::FaultableNode {
   netsim::Network& network() { return net_; }
   SimTime now() const { return net_.sim().now(); }
 
-  // Packet storage pool of the shard this DC belongs to (see
-  // docs/MEMORY.md); services reach it via dc.pool(). Null (the default)
-  // means heap allocation. Set at build time, before traffic.
-  void set_pool(PacketPool* pool) { pool_ = pool; }
-  PacketPool* pool() const { return pool_; }
+  // Packet storage pool of the DC's network (see docs/MEMORY.md); services
+  // allocate through it. Null means heap allocation.
+  PacketPool* pool() const { return net_.pool(); }
 
   std::uint64_t ingress_bytes() const { return ingress_bytes_; }
   std::uint64_t egress_bytes() const { return egress_bytes_; }
@@ -81,7 +79,6 @@ class DataCenter final : public netsim::Node, public netsim::FaultableNode {
   netsim::Network& net_;
   NodeId node_id_;
   DcId dc_id_;
-  PacketPool* pool_ = nullptr;
   std::string name_;
   std::vector<std::shared_ptr<DcService>> services_;
   std::uint64_t ingress_bytes_ = 0;

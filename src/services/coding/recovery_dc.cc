@@ -265,7 +265,6 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
 
   ++stats_.coop_ops;
   op.batch_id = batch_id;
-  op.started_at = dc_.now();
 
   // Solicit every *other* receiver in the batch for its data packet. The
   // requester's own packet is the one being recovered, so it is skipped.

@@ -251,7 +251,6 @@ class RecoveryService final : public overlay::DcService {
     // missing key -> receiver that asked for it.
     std::map<PacketKey, NodeId> requesters;
     netsim::EventId deadline_event = 0;
-    SimTime started_at = 0;
   };
 
   struct PendingNack {

@@ -324,12 +324,7 @@ std::uint64_t ChurnResult::fingerprint() const {
   return h;
 }
 
-ChurnResult run_churn(const ChurnConfig& user_config) {
-  // Per-packet delay Samples at the receivers grow without bound over a
-  // soak; the sketches carry the same information in O(1) memory.
-  ChurnConfig config = user_config;
-  config.scenario.record_delay_samples = false;
-
+ChurnResult run_churn(const ChurnConfig& config) {
   // Geography drawn from its own derived stream: a pure function of the
   // scenario seed, shared by every sharding of the same config.
   Rng geo_rng(Rng::derive(config.scenario.seed, "churn-paths"));

@@ -223,35 +223,6 @@ TEST(Stats, CdfPointsMonotone) {
   }
 }
 
-TEST(Stats, HistogramCountsOutOfRangeSeparately) {
-  // Out-of-range samples must not be clamped into the edge bins: that
-  // silently corrupted tail bins (the Figure 9(a) PSNR histograms). They
-  // are tracked as underflow/overflow and still count toward total().
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);  // Underflow, NOT bin 0.
-  h.add(0.5);
-  h.add(9.5);
-  h.add(15.0);  // Overflow, NOT bin 9.
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.in_range(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  // The CDF includes underflow below every bin and tops out short of 1.0
-  // when samples overflowed the range.
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.cumulative_fraction(9), 0.75);
-}
-
-TEST(Stats, HistogramUpperEdgeIsExclusive) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(10.0);  // hi itself is out of range ([lo, hi)).
-  EXPECT_EQ(h.overflow(), 1u);
-  h.add(0.0);  // lo itself is in range.
-  EXPECT_EQ(h.bin_count(0), 1u);
-}
-
 TEST(Stats, PercentileEmptyIsNaN) {
   // An empty set must be distinguishable from a real zero sample.
   Samples s;
@@ -304,11 +275,6 @@ TEST(Stats, MeanCompensatedSummation) {
     online.add(x);
   }
   EXPECT_NEAR(plain.mean(), online.mean(), std::abs(online.mean()) * 1e-12);
-}
-
-TEST(Stats, HistogramRejectsDegenerate) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 // --------------------------- quantile sketch -------------------------------

@@ -3,7 +3,7 @@
 // path switching, faults, failover, session churn, AQM disciplines, and
 // congestion-control kinds -- each run under several configurations that
 // MUST all produce bit-identical fingerprints: both event-queue backends,
-// the single-shard WanScenario facade vs ShardedRunner decompositions, and
+// the whole scenario as one ScenarioShard vs ShardedRunner decompositions, and
 // several shard thread counts. These are the configurations the figures,
 // benches, and examples actually run. The point is breadth: the targeted
 // determinism suites pin specific mechanisms; this one hunts for
@@ -52,8 +52,8 @@ void fnv_d(std::uint64_t& h, double d) {
 
 // Everything observable from one WAN scenario run, order-sensitively hashed:
 // per-packet outcome traces, recovery samples, per-path counters, failover
-// events, service totals, and fault counters. Works on the WanScenario
-// facade and on ShardedRunner's merged view alike; event counts are not
+// events, service totals, and fault counters. Works on a single
+// ScenarioShard and on ShardedRunner's merged view alike; event counts are not
 // part of it (see the header comment).
 template <typename Run>
 std::uint64_t wan_fingerprint(const Run& sc) {
@@ -149,14 +149,14 @@ WanCase draw_wan_case(std::uint64_t master, std::uint64_t index) {
   return c;
 }
 
-struct FacadeRun {
+struct SingleShardRun {
   std::uint64_t fingerprint = 0;
   std::uint64_t events = 0;
 };
 
-FacadeRun run_facade(const WanCase& c, netsim::EvqBackend backend) {
+SingleShardRun run_single_shard(const WanCase& c, netsim::EvqBackend backend) {
   const EvqBackendGuard evq(backend);
-  exp::WanScenario sc(c.paths, c.params);
+  exp::ScenarioShard sc(c.paths, c.params);
   sc.run(c.duration);
   return {wan_fingerprint(sc), sc.sim().events_processed()};
 }
@@ -168,7 +168,7 @@ std::uint64_t run_sharded(const WanCase& c, std::size_t num_shards, unsigned thr
   rp.num_shards = num_shards;
   rp.num_threads = threads;
   exp::ShardedRunner runner(c.paths, c.params, rp);
-  EXPECT_GT(runner.shard_count(), 1u) << "one shard: the facade comparison is vacuous";
+  EXPECT_GT(runner.shard_count(), 1u) << "one shard: the single-shard comparison is vacuous";
   runner.run(c.duration);
   return wan_fingerprint(runner);
 }
@@ -179,10 +179,10 @@ TEST(DeterminismFuzz, WanScenariosInvariantAcrossBackendsShardsThreads) {
   for (int i = 0; i < kCases; ++i) {
     SCOPED_TRACE("wan case " + std::to_string(i));
     const WanCase c = draw_wan_case(kMaster, static_cast<std::uint64_t>(i));
-    const FacadeRun heap = run_facade(c, netsim::EvqBackend::kHeap);
-    const FacadeRun ladder = run_facade(c, netsim::EvqBackend::kLadder);
-    EXPECT_EQ(heap.fingerprint, ladder.fingerprint) << "facade heap vs ladder";
-    EXPECT_EQ(heap.events, ladder.events) << "facade heap vs ladder event count";
+    const SingleShardRun heap = run_single_shard(c, netsim::EvqBackend::kHeap);
+    const SingleShardRun ladder = run_single_shard(c, netsim::EvqBackend::kLadder);
+    EXPECT_EQ(heap.fingerprint, ladder.fingerprint) << "single shard heap vs ladder";
+    EXPECT_EQ(heap.events, ladder.events) << "single shard heap vs ladder event count";
     // The sharded runs alternate backends across cases.
     const netsim::EvqBackend backend =
         i % 2 == 0 ? netsim::EvqBackend::kLadder : netsim::EvqBackend::kHeap;

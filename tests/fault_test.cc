@@ -247,6 +247,14 @@ TEST(FaultPlanValidation, AcceptsInGroupTargetsRejectsEverythingElse) {
   rejects("bogus:thing");    // Unknown namespace.
   rejects("link:" + paths[0].dc1.name);  // Malformed: no '>'.
 
+  // A shard built from plain paths validates its plan the same way.
+  exp::WanScenarioParams params;
+  params.faults = good;
+  EXPECT_NO_THROW(exp::ScenarioShard(paths, params));
+  params.faults = netsim::FaultPlan{};
+  params.faults.node_crash("dc:NO_SUCH_SITE", sec(1), sec(1));
+  EXPECT_THROW(exp::ScenarioShard(paths, params), std::invalid_argument);
+
   // A link between sites of different interaction groups crosses a shard
   // boundary; find a cross pairing that is not itself a group and reject it.
   std::set<std::pair<std::string, std::string>> groups;

@@ -41,7 +41,7 @@ std::vector<geo::PathSample> test_paths(std::size_t n, std::uint64_t seed = 3) {
 }
 
 TEST(Integration, CodingServiceRecoversLosses) {
-  WanScenario scenario(test_paths(12), fast_params(ServiceType::kCode));
+  ScenarioShard scenario(test_paths(12), fast_params(ServiceType::kCode));
   scenario.run(minutes(3));
 
   std::uint64_t delivered = 0, recovered = 0, lost = 0;
@@ -65,7 +65,7 @@ TEST(Integration, CodingServiceRecoversLosses) {
 }
 
 TEST(Integration, CachingServiceRecoversLosses) {
-  WanScenario scenario(test_paths(8), fast_params(ServiceType::kCache));
+  ScenarioShard scenario(test_paths(8), fast_params(ServiceType::kCache));
   scenario.run(minutes(3));
   std::uint64_t recovered = 0, lost = 0;
   for (std::size_t i = 0; i < scenario.path_count(); ++i) {
@@ -79,7 +79,7 @@ TEST(Integration, CachingServiceRecoversLosses) {
 }
 
 TEST(Integration, RecoveryLatencyMostlyUnderHalfRtt) {
-  WanScenario scenario(test_paths(10), fast_params(ServiceType::kCode, 11));
+  ScenarioShard scenario(test_paths(10), fast_params(ServiceType::kCode, 11));
   scenario.run(minutes(3));
   Samples all;
   for (std::size_t i = 0; i < scenario.path_count(); ++i) {
@@ -94,7 +94,7 @@ TEST(Integration, RecoveryLatencyMostlyUnderHalfRtt) {
 TEST(Integration, CodingCheaperThanCachingCheaperThanForwarding) {
   // Inter-DC egress bytes ordering — the economic core of the paper.
   auto inter_dc_bytes = [](ServiceType service) {
-    WanScenario scenario(test_paths(6, 5), fast_params(service, 13));
+    ScenarioShard scenario(test_paths(6, 5), fast_params(service, 13));
     scenario.run(minutes(2));
     std::uint64_t egress = 0;
     auto& overlay = scenario.overlay();
@@ -112,7 +112,7 @@ TEST(Integration, CodingCheaperThanCachingCheaperThanForwarding) {
 
 TEST(Integration, DeterministicForFixedSeed) {
   auto fingerprint = [] {
-    WanScenario scenario(test_paths(5, 9), fast_params(ServiceType::kCode, 21));
+    ScenarioShard scenario(test_paths(5, 9), fast_params(ServiceType::kCode, 21));
     scenario.run(minutes(1));
     std::uint64_t fp = 0;
     for (std::size_t i = 0; i < scenario.path_count(); ++i) {

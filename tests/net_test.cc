@@ -1,4 +1,4 @@
-// Tests for the live runtime: event loop, UDP/TCP wrappers, impairment, and
+// Tests for the live runtime: event loop, UDP wrappers, impairment, and
 // the loopback caching-recovery deployment exchanging real datagrams.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "net/event_loop.h"
 #include "net/impairment.h"
 #include "net/live_node.h"
-#include "net/tcp_socket.h"
 #include "net/udp_socket.h"
 
 namespace jqos::net {
@@ -75,32 +74,6 @@ TEST(UdpSocket, EventLoopReadable) {
   a.send_to(msg, b.local_endpoint());
   pump(loop, 100ms);
   EXPECT_EQ(received, msg);
-}
-
-TEST(TcpSocket, FramedControlChannel) {
-  EventLoop loop;
-  TcpListener listener(0);
-  auto client = TcpConnection::connect_local(listener.port());
-  ASSERT_TRUE(client.has_value());
-  std::optional<TcpConnection> server;
-  for (int i = 0; i < 100 && !server; ++i) {
-    if (auto accepted = listener.accept()) server.emplace(std::move(*accepted));
-  }
-  ASSERT_TRUE(server.has_value());
-
-  std::vector<std::uint8_t> frame1 = {1, 2, 3};
-  std::vector<std::uint8_t> frame2(5000, 0xab);
-  ASSERT_TRUE(client->send_frame(frame1));
-  ASSERT_TRUE(client->send_frame(frame2));
-
-  std::vector<std::vector<std::uint8_t>> got;
-  for (int i = 0; i < 200 && got.size() < 2; ++i) {
-    auto frames = server->read_frames();
-    got.insert(got.end(), frames.begin(), frames.end());
-  }
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], frame1);
-  EXPECT_EQ(got[1], frame2);
 }
 
 TEST(Impairment, DropsAtConfiguredRate) {

@@ -185,7 +185,7 @@ ScenarioFingerprint run_fig9_style(EvqBackend backend, std::uint64_t seed) {
   params.cbr.mean_off = sec(2);
   params.cbr.packets_per_second = 30.0;
 
-  exp::WanScenario scenario(std::move(paths), params);
+  exp::ScenarioShard scenario(std::move(paths), params);
   scenario.run(sec(30));
 
   ScenarioFingerprint fp;

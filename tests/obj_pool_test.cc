@@ -231,7 +231,7 @@ void fnv_d(std::uint64_t& h, double d) {
   fnv(h, u);
 }
 
-std::uint64_t wan_fingerprint(exp::WanScenario& sc) {
+std::uint64_t wan_fingerprint(exp::ScenarioShard& sc) {
   std::uint64_t h = 14695981039346656037ULL;
   for (std::size_t i = 0; i < sc.path_count(); ++i) {
     const exp::PathRuntime& rt = sc.path(i);
@@ -268,7 +268,7 @@ std::uint64_t wan_fp(bool pooled, netsim::EvqBackend backend) {
   p.seed = 0xdecafbadULL;
   p.direct.bernoulli_loss = 0.02;  // Enough loss to exercise NACK/recovery.
   p.cbr.packets_per_second = 60.0;
-  exp::WanScenario sc(paths, p);
+  exp::ScenarioShard sc(paths, p);
   sc.run(sec(2));
   return wan_fingerprint(sc);
 }

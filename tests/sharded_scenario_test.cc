@@ -7,8 +7,8 @@
 //    identical per-path outcomes and identical summed service totals,
 //    because every random stream is derived from stable identities and no
 //    causal interaction crosses a group boundary.
-//  * The WanScenario facade (the whole scenario in ONE shard) is the N=1
-//    reference the merged N-shard result must match bit-for-bit.
+//  * The whole scenario in ONE ScenarioShard is the N=1 reference the
+//    merged N-shard result must match bit-for-bit.
 //  * All of the above holds under either event-queue backend.
 //
 // These properties are what make "run the 45-path sweep on every core" a
@@ -153,10 +153,10 @@ TEST(ShardedScenario, ShardCountNeverChangesMergedResults) {
   }
 }
 
-TEST(ShardedScenario, MatchesWanScenarioFacade) {
-  // The N=1 facade and the fully sharded multi-threaded run agree exactly.
+TEST(ShardedScenario, MatchesSingleShard) {
+  // One shard and the fully sharded multi-threaded run agree exactly.
   const std::uint64_t seed = 2026;
-  WanScenario mono(test_paths(8, 5), fast_params(seed));
+  ScenarioShard mono(test_paths(8, 5), fast_params(seed));
   mono.run(minutes(1));
   Fingerprint mono_fp = fingerprint_of(mono, mono.path_count());
 
@@ -166,7 +166,7 @@ TEST(ShardedScenario, MatchesWanScenarioFacade) {
   sharded.run(minutes(1));
   ASSERT_GT(sharded.shard_count(), 1u) << "paths collapsed into one group; test is vacuous";
   const Fingerprint sharded_fp = fingerprint_of(sharded, sharded.path_count());
-  expect_same(mono_fp, sharded_fp, "facade-vs-sharded");
+  expect_same(mono_fp, sharded_fp, "single-vs-sharded");
 }
 
 TEST(ShardedScenario, InvariantAcrossEventQueueBackends) {

@@ -46,7 +46,8 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
 
   const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
   netsim::Simulator sim;
-  netsim::Network net(sim);
+  PacketPool pool;
+  netsim::Network net(sim, {}, 0, &pool);
   Sink receiver(net);
   Sink dc1(net);
   endpoint::Sender sender(net);
@@ -54,9 +55,6 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
                netsim::make_no_loss());
   net.add_link(sender.id(), dc1.id(), netsim::make_fixed_latency(msec(5)),
                netsim::make_no_loss());
-
-  PacketPool pool;
-  sender.set_pool(&pool);
 
   endpoint::SenderPolicy policy;
   policy.service = ServiceType::kCode;
@@ -93,14 +91,10 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
   }
 
   netsim::Simulator sim;
-  netsim::Network net(sim);
-  endpoint::ReceiverConfig rc;
-  rc.record_delay_samples = false;  // Per-packet Samples grow unboundedly.
-  endpoint::Receiver receiver(net, rc);
-  receiver.expect_flow(1);
-
   PacketPool pool;
-  receiver.set_pool(&pool);
+  netsim::Network net(sim, {}, 0, &pool);
+  endpoint::Receiver receiver(net, endpoint::ReceiverConfig{});
+  receiver.expect_flow(1);
 
   SeqNo seq = 0;
   auto feed = [&](int n) {
@@ -134,14 +128,10 @@ TEST(SteadyStateAlloc, ReceiverLossPathIsAllocationFree) {
   }
 
   netsim::Simulator sim;
-  netsim::Network net(sim);
-  endpoint::ReceiverConfig rc;
-  rc.record_delay_samples = false;  // Per-packet Samples grow unboundedly.
-  endpoint::Receiver receiver(net, rc);
-  receiver.expect_flow(1);
-
   PacketPool pool;
-  receiver.set_pool(&pool);
+  netsim::Network net(sim, {}, 0, &pool);
+  endpoint::Receiver receiver(net, endpoint::ReceiverConfig{});
+  receiver.expect_flow(1);
 
   // The direct path loses one seq in 64; its recovered copy lands ten
   // arrivals later.
@@ -185,16 +175,13 @@ TEST(SteadyStateAlloc, CodedPathIsAllocationFree) {
 
   const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
   netsim::Simulator sim;
-  netsim::Network net(sim);
+  PacketPool pool;
+  netsim::Network net(sim, {}, 0, &pool);
   overlay::DataCenter dc1(net, 1, "dc1");
   overlay::DataCenter dc2(net, 2, "dc2");
   Sink receiver(net);
   net.add_link(dc1.id(), dc2.id(), netsim::make_fixed_latency(msec(20)),
                netsim::make_no_loss());
-
-  PacketPool pool;
-  dc1.set_pool(&pool);
-  dc2.set_pool(&pool);
 
   auto registry = std::make_shared<services::FlowRegistry>();
   dc1.install(std::make_shared<services::CodingEncoderService>(dc1, services::CodingParams{},

@@ -1,5 +1,6 @@
 #include "common/packet_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
@@ -39,6 +40,7 @@ struct PacketPool::Core {
     Packet* p = nullptr;
     if (free_packets.empty()) {
       p = new Packet();
+      p->payload.reserve(payload_reserve);
       ++fresh;
     } else {
       p = free_packets.back();
@@ -136,6 +138,7 @@ struct PacketPool::Core {
   std::vector<void*> free_blocks;
   std::vector<std::vector<PacketKey>> spare_keys;
   std::size_t block_size = 0;
+  std::size_t payload_reserve = 0;  // Payload capacity of every fresh packet.
   std::size_t pooled_bytes = 0;
   std::size_t outstanding = 0;
   std::uint64_t reused = 0;
@@ -221,6 +224,11 @@ CodedMeta& PacketPool::engage_meta(Packet& pkt) {
   m.k = 0;
   m.r = 0;
   return m;
+}
+
+void PacketPool::reserve_payloads(std::size_t bytes) {
+  core_->payload_reserve =
+      std::max(core_->payload_reserve, std::min(bytes, kMaxPacketBytes));
 }
 
 void PacketPool::trim() { core_->trim(); }

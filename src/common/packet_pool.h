@@ -10,6 +10,13 @@
 //    here instead of freeing it.
 //  * The shared_ptr is built with a pooling allocator, so the control block
 //    comes from a freelist of fixed-size blocks rather than operator new.
+//  * A fresh packet is born with the pool's payload reserve as its payload
+//    capacity. The reserve starts at 0; a coding encoder raises it to its
+//    padded shard length before it takes coded packets, and it never falls.
+//    Any packet can later be checked out as a coded packet, so in a coding
+//    shard recycled payloads already fit the shard instead of each growing
+//    (free + larger malloc) on its first coded checkout, which fragments
+//    the heap. A shard that never codes keeps a reserve of 0.
 //
 // Call sites keep the existing PacketPtr type: a pooled packet is
 // indistinguishable from a heap one, and a null pool everywhere means plain
@@ -62,6 +69,11 @@ class PacketPool {
   // covered vector salvaged capacity from previously recycled coded packets
   // so filling it allocates nothing in steady state.
   CodedMeta& engage_meta(Packet& pkt);
+
+  // Raises the payload capacity every later fresh packet reserves to
+  // `bytes`, capped at the per-packet retention cap (256 KB); never lowers
+  // it. Packets already built keep their capacity.
+  void reserve_payloads(std::size_t bytes);
 
   // Frees every packet, control block and key vector kept for reuse.
   // Outstanding packets are untouched and still come home to the pool;

@@ -377,7 +377,7 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
     packet->type = PacketType::kRecovered;
     packet->flow = rp.key.flow;
     packet->seq = rp.key.seq;
-    packet->payload = std::move(rp.payload);
+    packet->payload.assign(rp.payload.begin(), rp.payload.end());  // Keeps the pooled buffer.
     deliver(flow, rp.key.seq, packet, /*recovered=*/true, detected);
     remember(fs, packet);
   }

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "common/packet_pool.h"
+
 namespace jqos::fec {
 namespace {
 
@@ -14,26 +16,28 @@ namespace {
 // O(k^3) field operations. Batches reuse a handful of (k, r) shapes for the
 // lifetime of a run, so cache codecs instead of rebuilding one per batch.
 // ReedSolomon is immutable after construction, making the shared instances
-// safe for concurrent encode/decode; the mutex only guards the map itself.
+// safe for concurrent encode/decode.
+//
+// A missing shape is built under the mutex, so threads that miss it at once
+// build it once between them: the process's allocations then do not depend
+// on thread timing. Each thread's table below absorbs repeat lookups, so
+// the lock is taken about once per shape per thread.
 //
 // decode_batch feeds (k, r) straight from received packet metadata, so the
 // cache is bounded: a peer cycling through distinct shapes flushes the cache
 // rather than growing it without limit. Callers hold shared_ptr, so a flush
 // cannot free a codec that another thread is mid-encode on. The codec is
-// constructed before the map is touched, so a throwing constructor (invalid
-// shape from corrupt metadata) leaves no empty slot behind.
+// built before try_emplace touches the map, so a throwing constructor
+// (invalid shape from corrupt metadata) leaves no empty slot behind.
 std::shared_ptr<const ReedSolomon> shared_codec_slow(std::size_t k, std::size_t r) {
   constexpr std::size_t kMaxCachedShapes = 64;
   static std::mutex mu;
   static std::map<std::pair<std::size_t, std::size_t>, std::shared_ptr<const ReedSolomon>>
       cache;
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find({k, r});
-    if (it != cache.end()) return it->second;
-  }
-  auto codec = std::make_shared<const ReedSolomon>(k, r);  // Built outside the lock.
   const std::lock_guard<std::mutex> lock(mu);
+  auto it = cache.find({k, r});
+  if (it != cache.end()) return it->second;
+  auto codec = std::make_shared<const ReedSolomon>(k, r);
   if (cache.size() >= kMaxCachedShapes) cache.clear();
   return cache.try_emplace({k, r}, std::move(codec)).first->second;
 }
@@ -195,7 +199,9 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   // their payload buffers — the arena-to-packet copy of the legacy path
   // disappears. With a pool each packet is recycled from the owning shard's
   // PacketPool, reusing payload capacity and covered-key capacity from
-  // earlier batches — zero allocator traffic in steady state.
+  // earlier batches — zero allocator traffic in steady state. Every packet
+  // the pool builds from here on, data or not, fits a coded payload.
+  if (pool != nullptr) pool->reserve_payloads(arena_.padded_len());
   out.reserve(out.size() + num_coded);
   parity_ptrs_.clear();
   coded_pkts_.clear();

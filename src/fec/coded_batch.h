@@ -139,7 +139,9 @@ class BatchEncoder {
   //
   // With a non-null `pool`, the coded packets come from the pool (recycled
   // storage, payload/covered capacity reused, zero allocator traffic in
-  // steady state); otherwise each is a fresh heap packet. Either way the
+  // steady state), and the pool's payload reserve is first raised to the
+  // padded shard length, so packets the pool builds later fit a coded
+  // payload; otherwise each is a fresh heap packet. Either way the
   // bytes and metadata are identical — the RS kernels fully overwrite the
   // parity buffers, so recycled payloads need no re-zeroing.
   //

@@ -309,7 +309,7 @@ void RecoveryService::on_coop_response(const PacketPtr& pkt) {
   for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
     if (meta.covered[pos] == key) {
       ++stats_.coop_responses;
-      op.responses.emplace(pos, pkt->payload);
+      op.responses.emplace(pos, pkt);
       break;
     }
   }
@@ -326,8 +326,8 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
   auto& present = present_scratch_;
   present.clear();
   present.reserve(op.responses.size());
-  for (const auto& [pos, payload] : op.responses) {
-    present.emplace_back(pos, std::span<const std::uint8_t>(payload));
+  for (const auto& [pos, resp] : op.responses) {
+    present.emplace_back(pos, std::span<const std::uint8_t>(resp->payload));
   }
   auto recovered = fec::decode_batch(decode_arena_, batch.meta(), present, batch.coded);
   if (!recovered) return;  // Still insufficient (duplicate positions etc).
@@ -339,7 +339,7 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
     auto out = make_packet(dc_.pool(), PacketType::kRecovered, ServiceType::kCode,
                            rp.key.flow, rp.key.seq, dc_.id(), rit->second, dc_.now());
     out->final_dst = rit->second;
-    out->payload = std::move(rp.payload);
+    out->payload.assign(rp.payload.begin(), rp.payload.end());  // Keeps the pooled buffer.
     ++stats_.recovered_sent;
     dc_.send(out);
   }

@@ -246,8 +246,9 @@ class RecoveryService final : public overlay::DcService {
   // One cooperative recovery operation per cross-stream batch.
   struct CoopOp {
     std::uint32_t batch_id = 0;
-    // position in the codeword -> payload obtained from a peer.
-    std::map<std::size_t, std::vector<std::uint8_t>> responses;
+    // position in the codeword -> the peer's response, whose payload the
+    // decode reads in place.
+    std::map<std::size_t, PacketPtr> responses;
     // missing key -> receiver that asked for it.
     std::map<PacketKey, NodeId> requesters;
     netsim::EventId deadline_event = 0;

@@ -329,6 +329,7 @@ ChurnResult run_churn(const ChurnConfig& config) {
   // scenario seed, shared by every sharding of the same config.
   Rng geo_rng(Rng::derive(config.scenario.seed, "churn-paths"));
   auto paths = geo::planetlab_paths(config.num_pairs, geo_rng);
+  if (!config.scenario.faults.empty()) exp::validate_fault_plan(config.scenario.faults, paths);
   auto plans = exp::plan_shards(paths, config.num_shards);
 
   const double per_path_rate =

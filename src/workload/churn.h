@@ -131,7 +131,8 @@ struct ChurnResult {
 // Runs the churn workload. Shards are built and run in parallel (same
 // partition as ShardedRunner: exp::plan_shards) and merged in shard-index
 // order. Deterministic for fixed (config, num_shards) regardless of
-// num_threads.
+// num_threads. Throws std::invalid_argument on a fault plan that
+// exp::validate_fault_plan rejects for the drawn paths.
 ChurnResult run_churn(const ChurnConfig& config);
 
 }  // namespace jqos::workload

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "common/alloc_probe.h"
 #include "common/packet.h"
 #include "common/packet_pool.h"
 #include "endpoint/receiver.h"
 #include "endpoint/sender.h"
+#include "fec/coded_batch.h"
 #include "netsim/latency_model.h"
 #include "netsim/loss_model.h"
 #include "netsim/network.h"
@@ -229,6 +231,62 @@ TEST(SteadyStateAlloc, CodedPathIsAllocationFree) {
                         << " times over " << packets << " packets";
   EXPECT_GT(recovery->stats().batches_expired, expired_before);
   EXPECT_GT(pool.reused(), 0u);
+}
+
+// A coded packet pops whatever the pool returns next, most often a packet a
+// data packet brought home. Once an encoder has taken coded packets from a
+// pool, every packet the pool builds is born big enough for the padded
+// shard, so a coded checkout of a data-born packet grows no payload.
+TEST(PacketPoolTest, CodedCheckoutOfDataBornPacketIsAllocationFree) {
+  if (!alloc_probe::active()) {
+    GTEST_SKIP() << "alloc probe inactive (sanitizer build owns the heap)";
+  }
+
+  constexpr std::size_t kK = 4;
+  constexpr std::size_t kR = 2;
+  constexpr std::uint32_t kBatches = 8;
+  constexpr std::size_t kPayload = 512;  // A 544 B padded shard.
+  PacketPool pool;
+  fec::BatchEncoder encoder;
+  std::vector<PacketPtr> data;
+  std::vector<PacketPtr> coded;
+  data.reserve(kK);
+  coded.reserve(kBatches * kR);
+  auto encode_batch = [&](std::uint32_t batch_id) {
+    for (std::size_t i = 0; i < kK; ++i) {
+      data.push_back(make_data_packet(static_cast<FlowId>(i + 1), batch_id, 1, 2, 0, kPayload,
+                                      &pool));
+    }
+    encoder.encode_into(data, kR, PacketType::kCrossCoded, batch_id, 1, 2, 0, coded, &pool);
+    data.clear();
+  };
+  // Warm-up: sizes the arena and leaves one covered-key vector per coded
+  // packet of the measured batches for the pool to salvage.
+  for (std::uint32_t batch_id = 0; batch_id < kBatches; ++batch_id) encode_batch(batch_id);
+  coded.clear();
+
+  // More data packets than the pool holds: all but the first few are built
+  // fresh, and they come home last. The measured batches keep their coded
+  // packets, so each coded packet pops a different one of them.
+  const std::uint64_t fresh_before_burst = pool.fresh();
+  {
+    std::vector<PacketPtr> burst;
+    for (SeqNo seq = 0; seq < 64; ++seq) {
+      burst.push_back(make_data_packet(9, seq, 1, 2, 0, kPayload, &pool));
+    }
+  }
+  const std::uint64_t fresh = pool.fresh();
+  ASSERT_GT(fresh - fresh_before_burst, kK + kBatches * kR);
+
+  alloc_probe::reset();
+  for (std::uint32_t batch_id = kBatches; batch_id < 2 * kBatches; ++batch_id) {
+    encode_batch(batch_id);
+  }
+  const std::uint64_t allocs = alloc_probe::allocations();
+
+  EXPECT_EQ(allocs, 0u) << kBatches * kR << " coded checkouts of data-born packets hit the "
+                        << "global allocator " << allocs << " times";
+  EXPECT_EQ(pool.fresh(), fresh);
 }
 
 }  // namespace

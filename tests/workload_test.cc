@@ -211,6 +211,14 @@ TEST(Churn, FingerprintBitIdenticalAcrossEventQueueBackends) {
   EXPECT_EQ(fp_ladder, fp_heap);
 }
 
+TEST(Churn, RejectsUnknownFaultTarget) {
+  // Like ShardedRunner and ScenarioShard: a misspelled target must not run
+  // fault-free and only count the fault as unbound.
+  ChurnConfig cfg = small_churn();
+  cfg.scenario.faults.node_crash("dc:NO_SUCH_SITE", sec(1), sec(1));
+  EXPECT_THROW(run_churn(cfg), std::invalid_argument);
+}
+
 TEST(Churn, SketchRankErrorWithinOnePercentAtReportedQuantiles) {
   // The sketch configuration the churn runner uses (k=1024) must hold rank
   // error <= 1% at every quantile bench_churn reports. Feeding 0..n-1 makes

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Line-coverage gate for the simulation core, the cloud overlay, the DC
-services, the end-points, the common layer and the churn workload
-(src/netsim, src/exp, src/overlay, src/services, src/endpoint, src/common,
-src/workload).
+services, the end-points, the common layer, the churn workload and the
+erasure coder (src/netsim, src/exp, src/overlay, src/services, src/endpoint,
+src/common, src/workload, src/fec).
 
 Runs gcov over every .gcda the coverage-preset test run produced, unions the
 per-line execution counts across translation units (a header inlined into
@@ -29,7 +29,7 @@ import sys
 import tempfile
 
 GATED_DIRS = ("src/netsim", "src/exp", "src/overlay", "src/services",
-              "src/endpoint", "src/common", "src/workload")
+              "src/endpoint", "src/common", "src/workload", "src/fec")
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "coverage_baseline.json")
 

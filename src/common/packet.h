@@ -109,9 +109,11 @@ struct Packet {
   }
 };
 
-// Packets are passed by shared const pointer inside the simulator: a single
-// duplication at the sender fans one allocation out to the Internet path and
-// the cloud path, as the prototype's packet duplication does.
+// Packets are passed by shared const pointer inside the simulator, so a
+// packet can be queued, stored and forwarded without copying its payload.
+// The sender's duplication is a copy per path: Sender::transmit fills one
+// base packet and sends a (pooled) copy of it to the Internet path and
+// another to the cloud path.
 using PacketPtr = std::shared_ptr<const Packet>;
 
 // Convenience factories -------------------------------------------------

@@ -359,26 +359,30 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
     if (const Packet* held = fs.window.packet(key.seq)) {
       present_scratch_.emplace_back(pos, std::span<const std::uint8_t>(held->payload));
     } else if (fs.window.state(key.seq) == SeqSlot::State::kMissing) {
-      wanted_scratch_.emplace_back(pos, key);
+      wanted_scratch_.push_back(pos);
     }
   }
   if (wanted_scratch_.empty()) return;  // Nothing we still need from this batch.
 
-  auto recovered = fec::decode_batch(decode_arena_, meta, present_scratch_, bit->second);
-  if (!recovered) return;  // Not enough symbols yet; keep the coded packets.
+  recovered_scratch_.resize(wanted_scratch_.size());
+  if (!fec::decode_batch(decode_arena_, meta, present_scratch_, bit->second, wanted_scratch_,
+                         recovered_scratch_)) {
+    return;  // Not enough symbols yet; keep the coded packets.
+  }
 
-  for (auto& rp : *recovered) {
-    if (fs.window.state(rp.key.seq) != SeqSlot::State::kMissing) continue;
-    const SimTime detected = fs.window[rp.key.seq].detected_at;
-    fs.window[rp.key.seq].state = SeqSlot::State::kArrived;
+  for (std::size_t i = 0; i < wanted_scratch_.size(); ++i) {
+    const PacketKey key = meta.covered[wanted_scratch_[i]];
+    if (fs.window.state(key.seq) != SeqSlot::State::kMissing) continue;
+    const SimTime detected = fs.window[key.seq].detected_at;
+    fs.window[key.seq].state = SeqSlot::State::kArrived;
     --fs.missing;
     ++stats_.self_decoded;
     auto packet = alloc_packet(net_.pool());
     packet->type = PacketType::kRecovered;
-    packet->flow = rp.key.flow;
-    packet->seq = rp.key.seq;
-    packet->payload.assign(rp.payload.begin(), rp.payload.end());  // Keeps the pooled buffer.
-    deliver(flow, rp.key.seq, packet, /*recovered=*/true, detected);
+    packet->flow = key.flow;
+    packet->seq = key.seq;
+    packet->payload.assign(recovered_scratch_[i].begin(), recovered_scratch_[i].end());
+    deliver(flow, key.seq, packet, /*recovered=*/true, detected);
     remember(fs, packet);
   }
   advance_contiguity(fs);

@@ -288,8 +288,8 @@ class Receiver final : public netsim::Node {
   SimDuration probe_backoff_ = 0;
   std::unordered_map<FlowId, FlowState> flows_;
   ReceiverStats stats_;
-  // Reused scratch for in-stream self-decodes (fec::decode_batch arena
-  // overload): sized by the largest batch seen, recycled across decodes.
+  // Reused scratch for in-stream self-decodes (fec::decode_batch): sized by
+  // the largest batch seen, recycled across decodes.
   fec::ShardArena decode_arena_;
   // Per-call scratch recycled across packets (handlers run one at a time on
   // the shard's event loop, never reentrantly). nack_scratch_ keeps the
@@ -299,7 +299,8 @@ class Receiver final : public netsim::Node {
   std::vector<SeqNo> gap_scratch_;    // note_missing: freshly detected holes
   std::vector<SeqNo> stale_scratch_;  // on_timer: holes due for re-NACK
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present_scratch_;
-  std::vector<std::pair<std::size_t, PacketKey>> wanted_scratch_;
+  std::vector<std::size_t> wanted_scratch_;
+  std::vector<std::span<const std::uint8_t>> recovered_scratch_;
 };
 
 }  // namespace jqos::endpoint

@@ -82,7 +82,6 @@ PlanetlabResult run_planetlab(const PlanetlabConfig& config) {
     pr.loss_rate = rt.loss_rate();
     pr.recovery_success = rt.recovery_success();
     pr.episodes = classify_episodes(rt.outcome);
-    pr.recovery_over_rtt = rt.recovery_over_rtt;
     pr.recovery_ms = rt.recovery_ms;
     pr.trace = loss_trace(rt.outcome);
 
@@ -91,9 +90,9 @@ PlanetlabResult run_planetlab(const PlanetlabConfig& config) {
     offered_total += rt.delivered_direct + rt.direct_losses();
 
     result.per_path_recovery.add(pr.recovery_success * 100.0);
-    for (double v : rt.recovery_over_rtt.values()) {
-      result.recovery_over_rtt_all.add(v);
-      result.recovery_over_rtt_by_region[rt.label].add(v);
+    for (double ms : rt.recovery_ms.values()) {
+      result.recovery_over_rtt_all.add(ms / rt.rtt_ms);
+      result.recovery_over_rtt_by_region[rt.label].add(ms / rt.rtt_ms);
     }
     result.paths.push_back(std::move(pr));
   }

@@ -58,7 +58,6 @@ struct PlanetlabPathResult {
   double loss_rate = 0.0;
   double recovery_success = 0.0;  // Fraction of lost packets recovered <= 1 RTT.
   EpisodeMix episodes;
-  Samples recovery_over_rtt;
   Samples recovery_ms;
   std::vector<bool> trace;  // Direct-path loss trace for the FEC what-if.
 };

@@ -222,7 +222,6 @@ void ScenarioShard::build_path(IndexedPath path) {
   rt->label = geo::region_pair_label(sample);
   rt->global_index = path.global_index;
   rt->rtt_ms = 2.0 * sample.y_ms;
-  rt->flow = next_flow_++;
   rt->dc1 = overlay_->dc_by_site(sample.dc1.name);
   rt->dc2 = overlay_->dc_by_site(sample.dc2.name);
 
@@ -270,7 +269,6 @@ void ScenarioShard::build_path(IndexedPath path) {
           if (rec.detected_missing_at > 0) {
             ms = to_ms(rec.delivered_at - rec.detected_missing_at);
             rt_raw->recovery_ms.add(ms);
-            rt_raw->recovery_over_rtt.add(ms / rt_raw->rtt_ms);
           }
           // Paper's success criterion: recovery beyond one direct-path RTT
           // counts as a loss.

@@ -154,7 +154,6 @@ struct PathRuntime {
   // Collected results.
   std::vector<Outcome> outcome;      // Indexed by sequence number.
   Samples recovery_ms;               // Detection -> recovered delivery.
-  Samples recovery_over_rtt;         // Same, as a fraction of path RTT.
   std::uint64_t delivered_direct = 0;
   std::uint64_t recovered = 0;
   std::uint64_t lost = 0;
@@ -275,7 +274,6 @@ class ScenarioShard {
   std::vector<std::shared_ptr<services::RecoveryService>> recoverers_;
   endpoint::SessionManager sessions_;
   std::vector<std::unique_ptr<PathRuntime>> paths_;
-  FlowId next_flow_ = 1;
 };
 
 }  // namespace jqos::exp

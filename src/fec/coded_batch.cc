@@ -28,7 +28,7 @@ namespace {
 // rather than growing it without limit. Callers hold shared_ptr, so a flush
 // cannot free a codec that another thread is mid-encode on. The codec is
 // built before try_emplace touches the map, so a throwing constructor
-// (invalid shape from corrupt metadata) leaves no empty slot behind.
+// leaves no empty slot behind (every caller refuses invalid shapes first).
 std::shared_ptr<const ReedSolomon> shared_codec_slow(std::size_t k, std::size_t r) {
   constexpr std::size_t kMaxCachedShapes = 64;
   static std::mutex mu;
@@ -75,12 +75,12 @@ std::vector<std::uint8_t> frame_shard(std::span<const std::uint8_t> payload,
   return shard;
 }
 
-std::vector<std::uint8_t> unframe_shard(std::span<const std::uint8_t> shard) {
-  if (shard.size() < kLenPrefix) return {};
+// The payload a framed shard holds; empty when the length prefix is corrupt.
+std::span<const std::uint8_t> framed_payload(const std::uint8_t* shard, std::size_t shard_len) {
+  if (shard_len < kLenPrefix) return {};
   const std::size_t len = (static_cast<std::size_t>(shard[0]) << 8) | shard[1];
-  if (len > shard.size() - kLenPrefix) return {};  // Corrupt frame.
-  return std::vector<std::uint8_t>(shard.begin() + kLenPrefix,
-                                   shard.begin() + static_cast<std::ptrdiff_t>(kLenPrefix + len));
+  if (len > shard_len - kLenPrefix) return {};
+  return {shard + kLenPrefix, len};
 }
 
 }  // namespace
@@ -235,47 +235,53 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   for (Packet* pkt : coded_pkts_) pkt->payload.resize(len);
 }
 
-std::optional<std::vector<RecoveredPacket>> decode_batch(
-    const CodedMeta& meta,
-    std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> present_data,
-    std::span<const PacketPtr> coded) {
-  ShardArena arena;
-  return decode_batch(arena, meta, present_data, coded);
-}
-
-std::optional<std::vector<RecoveredPacket>> decode_batch(
+bool decode_batch(
     ShardArena& arena, const CodedMeta& meta,
-    std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> present_data,
-    std::span<const PacketPtr> coded) {
+    std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> present,
+    std::span<const PacketPtr> coded, std::span<const std::size_t> wanted,
+    std::span<std::span<const std::uint8_t>> out) {
+  if (out.size() != wanted.size()) {
+    throw std::invalid_argument("decode_batch: need one out entry per wanted position");
+  }
   const std::size_t k = meta.k;
-  if (k == 0 || meta.covered.size() != k) return std::nullopt;
-  if (present_data.size() + coded.size() < k) return std::nullopt;
+  // Shapes no encoder produces are refused before they reach the codec cache,
+  // whose constructor would throw on them.
+  if (k == 0 || meta.covered.size() != k || k + meta.r > 255) return false;
+  if (present.size() + coded.size() < k) return false;
 
   // Shard length is dictated by the coded payloads (parity shards are
   // exactly shard-length long).
   std::size_t len = 0;
   for (const PacketPtr& c : coded) len = std::max(len, c->payload.size());
-  if (len == 0) return std::nullopt;
+  if (len == 0) return false;
 
-  // Arena plan: framed present shards first, then one output slot per
-  // missing position. Present and missing positions are complementary
-  // subsets of [0, k), so k slots cover both. Coded payloads are read in
-  // place from the stored packets.
+  // Arena plan: framed present shards first, then one output slot per wanted
+  // position. Both are distinct positions of [0, k), so k slots cover them.
+  // Coded payloads are read in place from the stored packets.
   arena.layout(k, len);
 
   std::vector<std::pair<std::size_t, const std::uint8_t*>> inputs;
   inputs.reserve(k);
   std::vector<bool> have(k, false);
   std::size_t framed = 0;
-  for (const auto& [pos, payload] : present_data) {
+  for (const auto& [pos, payload] : present) {
     if (pos >= k || have[pos]) continue;
-    if (payload.size() + kLenPrefix > len) return std::nullopt;  // Inconsistent batch.
+    if (payload.size() + kLenPrefix > len) return false;  // Inconsistent batch.
     arena.frame_shard_into(framed, payload);
     inputs.emplace_back(pos, arena.shard(framed));
     ++framed;
     have[pos] = true;
   }
-  std::vector<bool> have_coded(static_cast<std::size_t>(k) + meta.r, false);
+  std::vector<std::uint8_t*> outs;
+  outs.reserve(wanted.size());
+  for (const std::size_t pos : wanted) {
+    if (pos >= k || have[pos]) {
+      throw std::invalid_argument("decode_batch: wanted positions must be distinct and absent");
+    }
+    have[pos] = true;
+    outs.push_back(arena.shard(framed + outs.size()));
+  }
+  std::vector<bool> have_coded(k + meta.r, false);
   for (const PacketPtr& c : coded) {
     if (inputs.size() >= k) break;
     if (!c->meta || c->meta->batch_id != meta.batch_id) continue;
@@ -285,32 +291,12 @@ std::optional<std::vector<RecoveredPacket>> decode_batch(
     have_coded[c->meta->index] = true;
     inputs.emplace_back(c->meta->index, c->payload.data());
   }
-  if (inputs.size() < k) return std::nullopt;
-
-  // Reconstruct only the missing positions, straight into arena slots.
-  std::vector<std::size_t> targets;
-  std::vector<std::uint8_t*> outs;
-  targets.reserve(k);
-  outs.reserve(k);
-  for (std::size_t pos = 0; pos < k; ++pos) {
-    if (have[pos]) continue;  // Caller already has it.
-    targets.push_back(pos);
-    outs.push_back(arena.shard(framed + targets.size() - 1));
-  }
+  if (inputs.size() < k) return false;
 
   const auto rs = shared_codec(k, meta.r);
-  if (!rs->decode_into(inputs, len, targets, outs.data())) return std::nullopt;
-
-  std::vector<RecoveredPacket> out;
-  out.reserve(targets.size());
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    RecoveredPacket rp;
-    rp.position = targets[t];
-    rp.key = meta.covered[targets[t]];
-    rp.payload = unframe_shard(std::span<const std::uint8_t>(outs[t], len));
-    out.push_back(std::move(rp));
-  }
-  return out;
+  if (!rs->decode_into(inputs, len, wanted, outs.data())) return false;
+  for (std::size_t i = 0; i < wanted.size(); ++i) out[i] = framed_payload(outs[i], len);
+  return true;
 }
 
 }  // namespace jqos::fec

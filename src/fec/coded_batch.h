@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -165,43 +164,33 @@ class BatchEncoder {
                                                       // (k, r) cache.
 };
 
-// Reconstructs the payloads of missing batch members.
+// The one batch decoder: reconstructs the payloads of the batch members at
+// the codeword positions named in `wanted`, and only those.
 //
-// `meta` comes from any coded packet of the batch; `present_data` maps
-// codeword positions (0..k-1) to the original payloads that are available
-// (from peer receivers during cooperative recovery, or from DC2's own cache
-// for in-stream recovery); `coded` holds the coded packets available for
-// this batch. Recovery succeeds iff present_data.size() + coded.size() >= k.
+// `meta` comes from any coded packet of the batch; `present` pairs codeword
+// positions (0..k-1) with the original payloads that are available (from
+// peer receivers during cooperative recovery, or from the receiver's own
+// history for in-stream recovery); `coded` holds the coded packets available
+// for this batch. Returns true iff at least k usable symbols survive --
+// distinct present positions plus distinct coded packets of this batch --
+// even when `wanted` is empty. Otherwise returns false, the "fails
+// silently" case of Section 4.4, as it does for metadata no encoder
+// produces (k == 0, covered.size() != k, k + r > 255).
 //
-// On success returns one entry per missing position: (codeword position,
-// recovered payload). Returns nullopt when not enough symbols survive --
-// the "fails silently" case of Section 4.4.
-struct RecoveredPacket {
-  std::size_t position = 0;  // Codeword position in meta.covered.
-  PacketKey key;
-  std::vector<std::uint8_t> payload;
-};
-
-// Convenience form: uses a transient arena (allocates scratch per call).
-std::optional<std::vector<RecoveredPacket>> decode_batch(
-    const CodedMeta& meta,
-    std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> present_data,
-    std::span<const PacketPtr> coded);
-
-// Arena form, symmetric to BatchEncoder: frames the present payloads and
-// reconstructs the missing shards inside `arena` (grow-only, reusable
-// across calls — the recovery service keeps one per instance), so no
-// shard-sized buffer is allocated or copied beyond the returned
-// RecoveredPacket payloads. Small transient bookkeeping vectors (input
-// lists, the sub-matrix inverse) are still heap-allocated per call —
-// recovery runs per NACK, not per packet, so those are off the hot path.
-// Only the missing codeword positions are reconstructed; positions the
-// caller already holds are never materialized. Not thread-safe with
-// respect to `arena`.
-std::optional<std::vector<RecoveredPacket>> decode_batch(
+// `wanted` must name distinct positions below k that `present` lacks, and
+// `out` must have one entry per wanted position (std::invalid_argument
+// otherwise). The present payloads are framed and the wanted shards rebuilt
+// inside `arena` (grow-only, reusable across calls -- each decoding service
+// keeps one); coded payloads are read in place. On success out[i] views the
+// payload of position wanted[i] inside the arena, valid until the arena is
+// next laid out; a corrupt length prefix gives an empty view. Per call, a few
+// small bookkeeping vectors and the sub-matrix inverse are heap-allocated.
+// Not thread-safe with respect to `arena`.
+bool decode_batch(
     ShardArena& arena, const CodedMeta& meta,
-    std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> present_data,
-    std::span<const PacketPtr> coded);
+    std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> present,
+    std::span<const PacketPtr> coded, std::span<const std::size_t> wanted,
+    std::span<std::span<const std::uint8_t>> out);
 
 // The shard length used for a batch whose largest payload is `max_payload`
 // (payload plus the u16 length prefix).

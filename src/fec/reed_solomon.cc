@@ -1,6 +1,7 @@
 #include "fec/reed_solomon.h"
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 namespace jqos::fec {
@@ -54,51 +55,6 @@ void ReedSolomon::encode_into(const std::uint8_t* data, std::size_t stride,
   for (std::size_t p = 0; p < r_; ++p) {
     gf_rs_row(parity[p], data, stride, enc_.row(k_ + p), k_, shard_len);
   }
-}
-
-std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
-    std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> shards) const {
-  if (shards.size() < k_) return std::nullopt;
-  const std::size_t len = shards.empty() ? 0 : shards[0].second.size();
-  std::vector<std::size_t> rows;
-  rows.reserve(k_);
-  std::vector<std::span<const std::uint8_t>> bufs;
-  bufs.reserve(k_);
-  std::vector<bool> seen(n(), false);
-  for (const auto& [idx, buf] : shards) {
-    if (rows.size() == k_) break;
-    if (idx >= n()) throw std::out_of_range("decode: shard index out of range");
-    if (seen[idx]) throw std::invalid_argument("decode: duplicate shard index");
-    if (buf.size() != len) throw std::invalid_argument("decode: unequal shard lengths");
-    seen[idx] = true;
-    rows.push_back(idx);
-    bufs.push_back(buf);
-  }
-  auto sub_inv = enc_.select_rows(rows).inverted();
-  if (!sub_inv) return std::nullopt;  // Cannot happen for distinct Vandermonde rows.
-
-  std::vector<std::vector<std::uint8_t>> out(k_, std::vector<std::uint8_t>(len, 0));
-  for (std::size_t i = 0; i < k_; ++i) {
-    // Fast path: if a data shard was received intact, copy it through
-    // instead of recomputing it from the inverse.
-    bool direct = false;
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      if (rows[j] == i) {
-        out[i].assign(bufs[j].begin(), bufs[j].end());
-        direct = true;
-        break;
-      }
-    }
-    if (direct || len == 0) continue;
-    // Same accumulate structure as encode_into: first term initializes via
-    // mul_buf (saves one pass over the zero-filled buffer), the rest
-    // accumulate through the dispatched addmul kernel.
-    gf_mul_buf(out[i].data(), bufs[0].data(), sub_inv->at(i, 0), len);
-    for (std::size_t j = 1; j < k_; ++j) {
-      gf_addmul(out[i].data(), bufs[j].data(), sub_inv->at(i, j), len);
-    }
-  }
-  return out;
 }
 
 bool ReedSolomon::decode_into(

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -57,23 +56,17 @@ class ReedSolomon {
   void encode_into(const std::uint8_t* data, std::size_t stride, std::size_t shard_len,
                    std::uint8_t* const* parity) const;
 
-  // Reconstructs all k data shards from any >= k shards. Each entry pairs a
-  // row index (0..k-1 for data shards, k..n-1 for parity) with the shard
-  // bytes; all shards must have equal length and indices must be distinct.
-  // Returns nullopt if fewer than k shards are supplied. Allocates the
-  // returned shards and a k x k inverse; O(k^3 + k^2 * len).
-  std::optional<std::vector<std::vector<std::uint8_t>>> decode(
-      std::span<const std::pair<std::size_t, std::span<const std::uint8_t>>> shards) const;
-
-  // Targeted zero-copy decode: reconstructs only the data shards named in
-  // `targets` (codeword positions 0..k-1), writing target i's shard into
+  // The decoder: reconstructs the data shards named in `targets` (codeword
+  // positions 0..k-1) from any >= k shards, writing target i's shard into
   // out[i], which must point at shard_len writable bytes. `shards` pairs row
-  // indices with shard pointers (each shard_len long, first k distinct
-  // entries are used); out buffers must not alias any input shard. Returns
-  // false when fewer than k distinct shards are supplied. Throws
-  // std::out_of_range / std::invalid_argument on malformed indices, like
-  // decode. Cost: one O(k^3) inversion plus O(k * len) per requested target
-  // that was not received directly; no allocation proportional to len.
+  // indices (0..k-1 for data shards, k..n-1 for parity) with shard pointers,
+  // each shard_len long; the first k entries are used and their indices must
+  // be distinct. out buffers must not alias any input shard. Returns false
+  // when fewer than k shards are supplied. Throws std::out_of_range on a row
+  // index >= n or a target >= k, std::invalid_argument on a duplicate row
+  // index. Cost: one O(k^3) inversion, made only if some target was not
+  // received directly, plus O(k * len) per such target; no allocation
+  // proportional to len.
   bool decode_into(
       std::span<const std::pair<std::size_t, const std::uint8_t*>> shards,
       std::size_t shard_len, std::span<const std::size_t> targets,

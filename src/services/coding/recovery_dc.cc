@@ -260,7 +260,13 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
 
   auto [it, inserted] = ops_.try_emplace(batch_id);
   CoopOp& op = it->second;
-  op.requesters[key] = receiver;
+  if (inserted) {
+    op.responses.resize(meta.covered.size());
+    op.requesters.assign(meta.covered.size(), kInvalidNode);
+  }
+  for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
+    if (meta.covered[pos] == key) op.requesters[pos] = receiver;
+  }
   if (!inserted) return true;  // Join the already-running operation.
 
   ++stats_.coop_ops;
@@ -309,7 +315,10 @@ void RecoveryService::on_coop_response(const PacketPtr& pkt) {
   for (std::size_t pos = 0; pos < meta.covered.size(); ++pos) {
     if (meta.covered[pos] == key) {
       ++stats_.coop_responses;
-      op.responses.emplace(pos, pkt);
+      if (!op.responses[pos]) {  // The first response per position is kept.
+        op.responses[pos] = pkt;
+        ++op.answered;
+      }
       break;
     }
   }
@@ -320,26 +329,35 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
   const BatchState* found = batch_by_id(op.batch_id);
   if (found == nullptr) return;
   const BatchState& batch = *found;
-  const std::size_t k = batch.meta().k;
-  if (op.responses.size() + batch.coded.size() < k) return;  // Not yet decodable.
+  const CodedMeta& meta = batch.meta();
+  if (op.answered + batch.coded.size() < meta.k) return;  // Not yet decodable.
 
+  // Rebuild only what a receiver asked for and no peer answered.
   auto& present = present_scratch_;
+  auto& wanted = wanted_scratch_;
   present.clear();
-  present.reserve(op.responses.size());
-  for (const auto& [pos, resp] : op.responses) {
-    present.emplace_back(pos, std::span<const std::uint8_t>(resp->payload));
+  wanted.clear();
+  for (std::size_t pos = 0; pos < op.responses.size(); ++pos) {
+    if (op.responses[pos]) {
+      present.emplace_back(pos, std::span<const std::uint8_t>(op.responses[pos]->payload));
+    } else if (op.requesters[pos] != kInvalidNode) {
+      wanted.push_back(pos);
+    }
   }
-  auto recovered = fec::decode_batch(decode_arena_, batch.meta(), present, batch.coded);
-  if (!recovered) return;  // Still insufficient (duplicate positions etc).
+  recovered_scratch_.resize(wanted.size());
+  if (!fec::decode_batch(decode_arena_, meta, present, batch.coded, wanted,
+                         recovered_scratch_)) {
+    return;  // Still insufficient (duplicate positions etc).
+  }
 
   ++stats_.coop_success;
-  for (auto& rp : *recovered) {
-    auto rit = op.requesters.find(rp.key);
-    if (rit == op.requesters.end()) continue;  // Nobody asked for this one.
-    auto out = make_packet(dc_.pool(), PacketType::kRecovered, ServiceType::kCode,
-                           rp.key.flow, rp.key.seq, dc_.id(), rit->second, dc_.now());
-    out->final_dst = rit->second;
-    out->payload.assign(rp.payload.begin(), rp.payload.end());  // Keeps the pooled buffer.
+  for (std::size_t i = 0; i < wanted.size(); ++i) {
+    const PacketKey& key = meta.covered[wanted[i]];
+    const NodeId requester = op.requesters[wanted[i]];
+    auto out = make_packet(dc_.pool(), PacketType::kRecovered, ServiceType::kCode, key.flow,
+                           key.seq, dc_.id(), requester, dc_.now());
+    out->final_dst = requester;
+    out->payload.assign(recovered_scratch_[i].begin(), recovered_scratch_[i].end());
     ++stats_.recovered_sent;
     dc_.send(out);
   }

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -243,14 +242,17 @@ class RecoveryService final : public overlay::DcService {
     std::vector<std::uint32_t> held;
   };
 
-  // One cooperative recovery operation per cross-stream batch.
+  // One cooperative recovery operation per cross-stream batch. Both vectors
+  // are indexed by codeword position.
   struct CoopOp {
     std::uint32_t batch_id = 0;
-    // position in the codeword -> the peer's response, whose payload the
-    // decode reads in place.
-    std::map<std::size_t, PacketPtr> responses;
-    // missing key -> receiver that asked for it.
-    std::map<PacketKey, NodeId> requesters;
+    // The first peer response at each position, whose payload the decode
+    // reads in place; null until one arrives.
+    std::vector<PacketPtr> responses;
+    std::size_t answered = 0;  // Non-null entries of `responses`.
+    // The receiver that asked for the packet at each position (the latest
+    // NACK wins), or kInvalidNode.
+    std::vector<NodeId> requesters;
     netsim::EventId deadline_event = 0;
   };
 
@@ -329,9 +331,8 @@ class RecoveryService final : public overlay::DcService {
   // was armed in so stale ones are no-ops.
   std::uint64_t epoch_ = 0;
 
-  // Scratch for the zero-copy decode path (see fec::decode_batch's arena
-  // overload): grows to the largest batch shape once, then every decode
-  // frames and reconstructs in place.
+  // Scratch for fec::decode_batch: grows to the largest batch shape once,
+  // then every decode frames and reconstructs in place.
   fec::ShardArena decode_arena_;
 
   // Per-call scratch recycled across packets (services run on their shard's
@@ -339,6 +340,8 @@ class RecoveryService final : public overlay::DcService {
   NackInfo nack_scratch_;
   std::vector<PacketKey> keys_scratch_;
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present_scratch_;
+  std::vector<std::size_t> wanted_scratch_;
+  std::vector<std::span<const std::uint8_t>> recovered_scratch_;
 
   RecoveryStatsDc stats_;
 };

@@ -1,12 +1,14 @@
 // Differential coverage for the zero-copy coding pipeline (fec::BatchEncoder
-// / ShardArena / the arena decode_batch overload): the legacy
-// allocation-per-shard encode_batch is the behavioral reference, and every
-// test here proves the zero-copy path byte-identical to it — payloads,
-// metadata, and field conventions alike. The arena-reuse tests run the same
-// encoder across growing/shrinking batch shapes so the ASan CI job exercises
-// recycled-arena framing for stale-byte and out-of-bounds bugs.
+// / ShardArena / decode_batch): the legacy allocation-per-shard encode_batch
+// is the behavioral reference, and every encode test here proves the
+// zero-copy path byte-identical to it — payloads, metadata, and field
+// conventions alike; decodes are checked against the original payloads.
+// The arena-reuse tests run the same encoder across growing/shrinking batch
+// shapes so the ASan CI job exercises recycled-arena framing for stale-byte
+// and out-of-bounds bugs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -188,11 +190,13 @@ TEST(ShardArena, ShardsAreAlignedAndStrided) {
 
 // ----------------------------- decode side --------------------------------
 
-TEST(DecodeBatchArena, MatchesTransientOverloadUnderRandomErasures) {
+TEST(DecodeBatchArena, RebuildsWantedPositionsUnderRandomErasures) {
   Rng rng(0xdec0);
   BatchEncoder enc;
   ShardArena decode_arena;
   std::vector<PacketPtr> coded;
+  std::vector<std::size_t> lost_positions;
+  std::vector<std::span<const std::uint8_t>> out;
   for (int iter = 0; iter < 100; ++iter) {
     const std::size_t k = static_cast<std::size_t>(rng.uniform_int(2, 12));
     const std::size_t r = static_cast<std::size_t>(rng.uniform_int(1, 3));
@@ -213,25 +217,32 @@ TEST(DecodeBatchArena, MatchesTransientOverloadUnderRandomErasures) {
       ++dropped;
     }
     std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;
+    lost_positions.clear();
     for (std::size_t i = 0; i < k; ++i) {
-      if (!lost[i]) present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
+      if (lost[i]) {
+        lost_positions.push_back(i);
+      } else {
+        present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
+      }
     }
 
-    auto legacy = decode_batch(meta, present, coded);
-    auto arena_rec = decode_batch(decode_arena, meta, present, coded);
-    ASSERT_TRUE(legacy.has_value());
-    ASSERT_TRUE(arena_rec.has_value());
-    ASSERT_EQ(legacy->size(), arena_rec->size());
-    for (std::size_t i = 0; i < legacy->size(); ++i) {
-      EXPECT_EQ((*legacy)[i].position, (*arena_rec)[i].position);
-      EXPECT_EQ((*legacy)[i].key, (*arena_rec)[i].key);
-      EXPECT_EQ((*legacy)[i].payload, (*arena_rec)[i].payload);
-      EXPECT_EQ((*arena_rec)[i].payload, pkts[(*arena_rec)[i].position]->payload);
+    // Every lost position, then just one of them, through the same arena.
+    out.assign(lost_positions.size(), {});
+    ASSERT_TRUE(decode_batch(decode_arena, meta, present, coded, lost_positions, out));
+    for (std::size_t i = 0; i < lost_positions.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(out[i], pkts[lost_positions[i]]->payload))
+          << "iter " << iter << " position " << lost_positions[i];
     }
+    const std::size_t one = lost_positions[static_cast<std::size_t>(iter) % losses];
+    std::span<const std::uint8_t> single;
+    ASSERT_TRUE(decode_batch(decode_arena, meta, present, coded, std::span(&one, 1),
+                             std::span(&single, 1)));
+    EXPECT_TRUE(std::ranges::equal(single, pkts[one]->payload))
+        << "iter " << iter << " position " << one;
   }
 }
 
-TEST(DecodeBatchArena, FailsExactlyLikeTransientOverload) {
+TEST(DecodeBatchArena, RefusesTwoLossesWithOneCodedSymbol) {
   Rng rng(16);
   BatchEncoder enc;
   ShardArena decode_arena;
@@ -239,14 +250,15 @@ TEST(DecodeBatchArena, FailsExactlyLikeTransientOverload) {
   std::vector<PacketPtr> coded;
   enc.encode_into(pkts, 1, PacketType::kCrossCoded, 9, 1, 2, 0, coded);
   const CodedMeta& meta = *coded[0]->meta;
-  // Two missing, one coded symbol: both overloads must refuse.
+  // Two missing, one coded symbol: refused.
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     if (i == 0 || i == 3) continue;
     present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
   }
-  EXPECT_FALSE(decode_batch(meta, present, coded).has_value());
-  EXPECT_FALSE(decode_batch(decode_arena, meta, present, coded).has_value());
+  const std::vector<std::size_t> wanted = {0, 3};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
+  EXPECT_FALSE(decode_batch(decode_arena, meta, present, coded, wanted, out));
 }
 
 // ------------------------- ReedSolomon zero-copy --------------------------
@@ -374,7 +386,7 @@ TEST(ReedSolomonDecodeInto, TargetedRowsMatchFullDecode) {
     EXPECT_EQ(out[t], data[targets[t]]) << "target " << targets[t];
   }
 
-  // Fewer than k shards: refuse, like decode().
+  // Fewer than k shards: refuse.
   std::vector<std::pair<std::size_t, const std::uint8_t*>> few(shards.begin(),
                                                                shards.begin() + 3);
   EXPECT_FALSE(rs.decode_into(few, len, targets, out_ptrs.data()));

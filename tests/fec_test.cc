@@ -136,6 +136,21 @@ TEST(Matrix, VandermondeSubmatricesInvertible) {
 
 // ---------------------------- Reed-Solomon --------------------------------
 
+// Rebuilds all k data shards through decode_into, the one decoder, with every
+// data position as a target; returns what decode_into returns.
+bool decode_all(const ReedSolomon& rs,
+                const std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>>& input,
+                std::size_t len, std::vector<std::vector<std::uint8_t>>& decoded) {
+  std::vector<std::pair<std::size_t, const std::uint8_t*>> shards;
+  for (const auto& [idx, buf] : input) shards.emplace_back(idx, buf.data());
+  std::vector<std::size_t> targets(rs.k());
+  std::iota(targets.begin(), targets.end(), 0);
+  decoded.assign(rs.k(), std::vector<std::uint8_t>(len));
+  std::vector<std::uint8_t*> out;
+  for (auto& d : decoded) out.push_back(d.data());
+  return rs.decode_into(shards, len, targets, out.data());
+}
+
 struct RsParam {
   std::size_t k;
   std::size_t r;
@@ -174,9 +189,9 @@ TEST_P(ReedSolomonSweep, AnyKofNRecovers) {
     idx.resize(k);
     std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> input;
     for (std::size_t i : idx) input.emplace_back(i, std::span<const std::uint8_t>(all[i]));
-    auto decoded = rs.decode(input);
-    ASSERT_TRUE(decoded.has_value());
-    for (std::size_t i = 0; i < k; ++i) EXPECT_EQ((*decoded)[i], data[i]);
+    std::vector<std::vector<std::uint8_t>> decoded;
+    ASSERT_TRUE(decode_all(rs, input, len, decoded));
+    for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(decoded[i], data[i]);
   }
 }
 
@@ -200,7 +215,8 @@ TEST(ReedSolomon, FewerThanKShardsFails) {
   std::vector<std::uint8_t> shard(16, 1);
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> input = {
       {0, shard}, {1, shard}, {2, shard}};
-  EXPECT_FALSE(rs.decode(input).has_value());
+  std::vector<std::vector<std::uint8_t>> decoded;
+  EXPECT_FALSE(decode_all(rs, input, shard.size(), decoded));
 }
 
 TEST(ReedSolomon, RejectsInvalidConstruction) {
@@ -213,10 +229,11 @@ TEST(ReedSolomon, RejectsMalformedDecodeInput) {
   std::vector<std::uint8_t> shard(8, 1);
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> dup = {{0, shard},
                                                                             {0, shard}};
-  EXPECT_THROW(rs.decode(dup), std::invalid_argument);
+  std::vector<std::vector<std::uint8_t>> decoded;
+  EXPECT_THROW(decode_all(rs, dup, shard.size(), decoded), std::invalid_argument);
   std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> oob = {{0, shard},
                                                                             {9, shard}};
-  EXPECT_THROW(rs.decode(oob), std::out_of_range);
+  EXPECT_THROW(decode_all(rs, oob, shard.size(), decoded), std::out_of_range);
 }
 
 TEST(ReedSolomon, EncodeIntoMatchesEncode) {
@@ -240,6 +257,10 @@ TEST(ReedSolomon, EncodeIntoMatchesEncode) {
 }
 
 // ----------------------------- coded batch --------------------------------
+
+using Present = std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>>;
+
+std::vector<std::uint8_t> bytes(std::span<const std::uint8_t> s) { return {s.begin(), s.end()}; }
 
 std::vector<PacketPtr> make_batch(std::size_t k, std::size_t base_size, Rng& rng) {
   std::vector<PacketPtr> pkts;
@@ -278,17 +299,18 @@ TEST(CodedBatch, RecoverSingleMissing) {
   const CodedMeta& meta = *coded[0]->meta;
 
   // Position 3 is missing; all other data packets present.
-  std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;
+  Present present;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     if (i == 3) continue;
     present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
   }
-  auto rec = decode_batch(meta, present, std::vector<PacketPtr>{coded[0]});
-  ASSERT_TRUE(rec.has_value());
-  ASSERT_EQ(rec->size(), 1u);
-  EXPECT_EQ((*rec)[0].position, 3u);
-  EXPECT_EQ((*rec)[0].key, pkts[3]->key());
-  EXPECT_EQ((*rec)[0].payload, pkts[3]->payload);
+  ShardArena arena;
+  const std::vector<std::size_t> wanted = {3};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
+  ASSERT_TRUE(
+      decode_batch(arena, meta, present, std::vector<PacketPtr>{coded[0]}, wanted, out));
+  EXPECT_EQ(meta.covered[3], pkts[3]->key());
+  EXPECT_EQ(bytes(out[0]), pkts[3]->payload);
 }
 
 TEST(CodedBatch, RecoverTwoMissingNeedsBothCodedPackets) {
@@ -297,20 +319,21 @@ TEST(CodedBatch, RecoverTwoMissingNeedsBothCodedPackets) {
   auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 2, 1, 2, 0);
   const CodedMeta& meta = *coded[0]->meta;
 
-  std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;
+  Present present;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     if (i == 1 || i == 4) continue;
     present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
   }
+  ShardArena arena;
+  const std::vector<std::size_t> wanted = {1, 4};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
   // One coded packet is not enough for two losses.
   EXPECT_FALSE(
-      decode_batch(meta, present, std::vector<PacketPtr>{coded[0]}).has_value());
+      decode_batch(arena, meta, present, std::vector<PacketPtr>{coded[0]}, wanted, out));
   // Both coded packets recover both losses, exactly.
-  auto rec = decode_batch(meta, present, coded);
-  ASSERT_TRUE(rec.has_value());
-  ASSERT_EQ(rec->size(), 2u);
-  EXPECT_EQ((*rec)[0].payload, pkts[1]->payload);
-  EXPECT_EQ((*rec)[1].payload, pkts[4]->payload);
+  ASSERT_TRUE(decode_batch(arena, meta, present, coded, wanted, out));
+  EXPECT_EQ(bytes(out[0]), pkts[1]->payload);
+  EXPECT_EQ(bytes(out[1]), pkts[4]->payload);
 }
 
 TEST(CodedBatch, StragglerTolerance) {
@@ -319,26 +342,31 @@ TEST(CodedBatch, StragglerTolerance) {
   Rng rng(7);
   auto pkts = make_batch(6, 20, rng);
   auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 3, 1, 2, 0);
-  std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;
+  Present present;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     if (i == 0 || i == 5) continue;  // 0 lost; 5 is a straggler.
     present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
   }
-  auto rec = decode_batch(*coded[0]->meta, present, coded);
-  ASSERT_TRUE(rec.has_value());
-  // Both absent positions are reconstructed; the requester cares about 0.
-  ASSERT_EQ(rec->size(), 2u);
-  EXPECT_EQ((*rec)[0].key, pkts[0]->key());
-  EXPECT_EQ((*rec)[0].payload, pkts[0]->payload);
+  const CodedMeta& meta = *coded[0]->meta;
+  ShardArena arena;
+  // Both absent positions can be rebuilt; the requester cares about 0.
+  const std::vector<std::size_t> wanted = {0, 5};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
+  ASSERT_TRUE(decode_batch(arena, meta, present, coded, wanted, out));
+  EXPECT_EQ(meta.covered[0], pkts[0]->key());
+  EXPECT_EQ(bytes(out[0]), pkts[0]->payload);
+  EXPECT_EQ(bytes(out[1]), pkts[5]->payload);
 }
 
 TEST(CodedBatch, SinglePacketBatchActsAsDuplication) {
   Rng rng(8);
   auto pkts = make_batch(1, 25, rng);
   auto coded = encode_batch(pkts, 1, PacketType::kInCoded, 9, 1, 2, 0);
-  auto rec = decode_batch(*coded[0]->meta, {}, coded);
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ((*rec)[0].payload, pkts[0]->payload);
+  ShardArena arena;
+  const std::vector<std::size_t> wanted = {0};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
+  ASSERT_TRUE(decode_batch(arena, *coded[0]->meta, {}, coded, wanted, out));
+  EXPECT_EQ(bytes(out[0]), pkts[0]->payload);
 }
 
 TEST(CodedBatch, DuplicateCodedPacketsIgnored) {
@@ -346,11 +374,14 @@ TEST(CodedBatch, DuplicateCodedPacketsIgnored) {
   auto pkts = make_batch(4, 30, rng);
   auto coded = encode_batch(pkts, 1, PacketType::kCrossCoded, 10, 1, 2, 0);
   std::vector<PacketPtr> dup = {coded[0], coded[0], coded[0]};
-  std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;
+  Present present;
   present.emplace_back(0, std::span<const std::uint8_t>(pkts[0]->payload));
   present.emplace_back(1, std::span<const std::uint8_t>(pkts[1]->payload));
+  ShardArena arena;
+  const std::vector<std::size_t> wanted = {2, 3};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
   // Two missing, one distinct coded symbol: must fail, not crash.
-  EXPECT_FALSE(decode_batch(*coded[0]->meta, present, dup).has_value());
+  EXPECT_FALSE(decode_batch(arena, *coded[0]->meta, present, dup, wanted, out));
 }
 
 TEST(CodedBatch, RejectsOversizedBatch) {
@@ -358,6 +389,85 @@ TEST(CodedBatch, RejectsOversizedBatch) {
   auto pkts = make_batch(254, 4, rng);
   EXPECT_THROW(encode_batch(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0),
                std::invalid_argument);
+}
+
+// A coded packet of a one-member batch (k = 1). Its parity row is [1], so
+// its payload is exactly the framed shard decode_batch rebuilds.
+PacketPtr one_member_coded(std::vector<std::uint8_t> shard, std::uint8_t r = 1) {
+  auto c = std::make_shared<Packet>();
+  CodedMeta meta;
+  meta.batch_id = 7;
+  meta.k = 1;
+  meta.r = r;
+  meta.index = 1;
+  meta.covered = {PacketKey{1, 5}};
+  c->meta = std::move(meta);
+  c->payload = std::move(shard);
+  return c;
+}
+
+TEST(DecodeBatch, CorruptLengthPrefixGivesEmptyPayload) {
+  ShardArena arena;
+  const std::vector<std::size_t> wanted = {0};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
+  const std::vector<PacketPtr> good = {one_member_coded({0, 2, 7, 9})};
+  ASSERT_TRUE(decode_batch(arena, *good[0]->meta, {}, good, wanted, out));
+  EXPECT_EQ(bytes(out[0]), (std::vector<std::uint8_t>{7, 9}));
+  // The prefix claims 65,535 bytes of a 4-byte shard.
+  const std::vector<PacketPtr> corrupt = {one_member_coded({0xff, 0xff, 7, 9})};
+  ASSERT_TRUE(decode_batch(arena, *corrupt[0]->meta, {}, corrupt, wanted, out));
+  EXPECT_TRUE(out[0].empty());
+}
+
+TEST(DecodeBatch, RefusesShapesNoEncoderProduces) {
+  ShardArena arena;
+  const std::vector<std::size_t> wanted = {0};
+  std::vector<std::span<const std::uint8_t>> out(wanted.size());
+  // k + r = 256 does not fit GF(256); the codec cache would throw on it.
+  const std::vector<PacketPtr> wide = {one_member_coded({0, 1, 7}, 255)};
+  EXPECT_FALSE(decode_batch(arena, *wide[0]->meta, {}, wide, wanted, out));
+  CodedMeta no_members = *wide[0]->meta;
+  no_members.k = 0;
+  no_members.r = 1;
+  EXPECT_FALSE(decode_batch(arena, no_members, {}, wide, {}, {}));
+  CodedMeta short_cover = *wide[0]->meta;
+  short_cover.k = 2;
+  short_cover.r = 1;
+  EXPECT_FALSE(decode_batch(arena, short_cover, {}, wide, wanted, out));
+}
+
+TEST(DecodeBatch, EmptyWantedReportsWhetherKSymbolsSurvive) {
+  Rng rng(11);
+  auto pkts = make_batch(4, 30, rng);
+  auto coded = encode_batch(pkts, 1, PacketType::kCrossCoded, 12, 1, 2, 0);
+  Present present;
+  for (std::size_t i = 0; i < 3; ++i) {
+    present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
+  }
+  ShardArena arena;
+  EXPECT_TRUE(decode_batch(arena, *coded[0]->meta, present, coded, {}, {}));
+  present.pop_back();  // Two absent, one coded symbol.
+  EXPECT_FALSE(decode_batch(arena, *coded[0]->meta, present, coded, {}, {}));
+}
+
+TEST(DecodeBatch, RejectsWantedPositionsItCannotRebuild) {
+  Rng rng(12);
+  auto pkts = make_batch(4, 30, rng);
+  auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 13, 1, 2, 0);
+  const CodedMeta& meta = *coded[0]->meta;
+  Present present;
+  present.emplace_back(0, std::span<const std::uint8_t>(pkts[0]->payload));
+  present.emplace_back(1, std::span<const std::uint8_t>(pkts[1]->payload));
+  ShardArena arena;
+  std::vector<std::span<const std::uint8_t>> one(1), two(2);
+  const std::vector<std::size_t> held = {0}, beyond_k = {4}, twice = {3, 3}, pair = {2, 3};
+  EXPECT_THROW(decode_batch(arena, meta, present, coded, held, one), std::invalid_argument);
+  EXPECT_THROW(decode_batch(arena, meta, present, coded, beyond_k, one), std::invalid_argument);
+  EXPECT_THROW(decode_batch(arena, meta, present, coded, twice, two), std::invalid_argument);
+  EXPECT_THROW(decode_batch(arena, meta, present, coded, pair, one), std::invalid_argument);
+  ASSERT_TRUE(decode_batch(arena, meta, present, coded, pair, two));
+  EXPECT_EQ(bytes(two[0]), pkts[2]->payload);
+  EXPECT_EQ(bytes(two[1]), pkts[3]->payload);
 }
 
 }  // namespace

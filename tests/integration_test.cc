@@ -83,7 +83,8 @@ TEST(Integration, RecoveryLatencyMostlyUnderHalfRtt) {
   scenario.run(minutes(3));
   Samples all;
   for (std::size_t i = 0; i < scenario.path_count(); ++i) {
-    for (double v : scenario.path(i).recovery_over_rtt.values()) all.add(v);
+    const PathRuntime& rt = scenario.path(i);
+    for (double ms : rt.recovery_ms.values()) all.add(ms / rt.rtt_ms);
   }
   ASSERT_GT(all.count(), 30u);
   // Figure 8(d): recoveries complete well under the direct-path RTT; the

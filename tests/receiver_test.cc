@@ -284,6 +284,29 @@ TEST(Receiver, SelfDecodesInStreamCodedPacket) {
   EXPECT_TRUE(seq2_delivered);
 }
 
+TEST(Receiver, CodedShapeBeyondGf256IsRefused) {
+  Fixture f;
+  for (SeqNo s = 0; s < 7; ++s) {
+    if (s != 5) f.arrive(s);  // Seq 5 becomes a detected hole.
+  }
+  // A well-formed in-stream coded packet covering seq 5 whose shape,
+  // k + r = 256, no encoder makes and no codec can decode.
+  auto coded = std::make_shared<Packet>();
+  coded->type = PacketType::kInCoded;
+  CodedMeta meta;
+  meta.batch_id = 1;
+  meta.k = 1;
+  meta.r = 255;
+  meta.index = 1;
+  meta.covered = {PacketKey{1, 5}};
+  coded->meta = std::move(meta);
+  coded->payload.assign(34, 0);
+  EXPECT_NO_THROW(f.receiver->handle_packet(coded));
+  f.sim.run_until(msec(50));
+  EXPECT_EQ(f.receiver->stats().self_decoded, 0u);
+  for (const auto& r : f.records) EXPECT_NE(r.seq, 5u);
+}
+
 TEST(Receiver, TailLossDetectedByShortTimer) {
   ReceiverConfig config;
   config.rtt_estimate = msec(100);

@@ -1,5 +1,6 @@
 // Tests for the DC2 recovery engine: in-stream serving, cooperative
-// recovery (success, stragglers, deadline failure), NACK-before-coded
+// recovery (success, stragglers, deadline failure, a second requester
+// joining a running op, a shape no codec decodes), NACK-before-coded
 // checking, tail NACKs, batch TTL sweeping, and keys covered by more than
 // two batches.
 #include <gtest/gtest.h>
@@ -151,6 +152,62 @@ TEST(Recovery, CooperativeRecoverySingleLoss) {
   EXPECT_EQ(f.recovery->stats().coop_success, 1u);
   // 5 peers were solicited (everyone but the requester).
   EXPECT_EQ(f.recovery->stats().coop_requests_sent, 5u);
+}
+
+TEST(Recovery, TwoRequestersJoinOneCooperativeOp) {
+  Fixture f;
+  auto coded = f.make_cross_batch(6, 0, /*r=*/3);
+  f.deliver_coded(coded);
+  const auto want_first = f.peers[0]->data[0];
+  const auto want_second = f.peers[3]->data[0];
+  f.peers[0]->data.clear();
+  f.peers[3]->data.clear();
+  f.peers[5]->straggler = true;
+  f.send_nack(1, {0}, f.peers[0]->id());
+  f.send_nack(4, {0}, f.peers[3]->id());  // Joins the op the first NACK started.
+  f.sim.run_until(sec(1));
+
+  EXPECT_EQ(f.recovery->stats().coop_ops, 1u);
+  EXPECT_EQ(f.recovery->stats().coop_success, 1u);
+  const auto first = f.peers[0]->recovered();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0]->flow, 1u);
+  EXPECT_EQ(first[0]->payload, want_first);
+  const auto second = f.peers[3]->recovered();
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0]->flow, 4u);
+  EXPECT_EQ(second[0]->payload, want_second);
+  // Nobody asked for the straggler's position, so nothing is sent for it.
+  EXPECT_TRUE(f.peers[5]->recovered().empty());
+  EXPECT_EQ(f.recovery->stats().recovered_sent, 2u);
+}
+
+TEST(Recovery, CodedShapeBeyondGf256IsRefused) {
+  RecoveryParams params;
+  params.coop_deadline = msec(100);
+  Fixture f(params);
+  auto peer = std::make_unique<Peer>(f.net, f.dc2);
+  f.registry->register_flow(1, FlowInfo{f.dc2.id(), peer->id()});
+  // A well-formed cross-coded packet covering (1, 5) whose shape,
+  // k + r = 256, no encoder makes and no codec can decode.
+  auto coded = std::make_shared<Packet>();
+  coded->type = PacketType::kCrossCoded;
+  coded->service = ServiceType::kCode;
+  CodedMeta meta;
+  meta.batch_id = 100;
+  meta.k = 1;
+  meta.r = 255;
+  meta.index = 1;
+  meta.covered = {PacketKey{1, 5}};
+  coded->meta = std::move(meta);
+  coded->payload.assign(34, 0);
+  EXPECT_NO_THROW(f.dc2.handle_packet(coded));
+  EXPECT_NO_THROW(f.send_nack(1, {5}, peer->id()));
+  f.sim.run_until(sec(1));
+  EXPECT_TRUE(peer->received.empty());
+  EXPECT_EQ(f.recovery->stats().coop_ops, 1u);
+  EXPECT_EQ(f.recovery->stats().coop_success, 0u);
+  EXPECT_EQ(f.recovery->stats().coop_deadline_failures, 1u);
 }
 
 TEST(Recovery, ToleratesStragglersUpToCodedBudget) {

@@ -1,12 +1,15 @@
 // Seeded-RNG fuzz of the Reed-Solomon erasure path: encode -> random erasure
 // pattern -> decode, with k, r, survivor count, and packet size all
 // randomized, under a randomly chosen GF(256) kernel backend per iteration.
+// The decoder is the production one, ReedSolomon::decode_into, asked for
+// every data position.
 //
 // Invariants pinned per round-trip:
 //   - whenever >= k shards survive (any mix of data and parity, in any
-//     order), decode returns exactly the original payloads, byte for byte;
-//   - whenever fewer than k shards survive, decode returns nullopt — it must
-//     fail loudly, never fabricate plausible-looking garbage.
+//     order), decode_into rebuilds exactly the original payloads, byte for
+//     byte;
+//   - whenever fewer than k shards survive, decode_into returns false — it
+//     must fail loudly, never fabricate plausible-looking garbage.
 //
 // The seed is fixed so a failure reproduces exactly; the iteration index of
 // a failing case is part of the assertion message.
@@ -14,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -67,26 +71,30 @@ TEST(RsFuzz, RandomizedEncodeEraseDecodeRoundTrips) {
     const std::size_t survivors = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(n)));
 
-    std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> shards;
+    std::vector<std::pair<std::size_t, const std::uint8_t*>> shards;
     shards.reserve(survivors);
     for (std::size_t i = 0; i < survivors; ++i) {
       const std::size_t idx = order[i];
-      shards.emplace_back(idx, idx < k ? std::span<const std::uint8_t>(data[idx])
-                                       : std::span<const std::uint8_t>(parity[idx - k]));
+      shards.emplace_back(idx, idx < k ? data[idx].data() : parity[idx - k].data());
     }
 
-    const auto decoded = rs.decode(shards);
+    std::vector<std::size_t> targets(k);
+    std::iota(targets.begin(), targets.end(), 0);
+    std::vector<std::vector<std::uint8_t>> decoded(k, std::vector<std::uint8_t>(len));
+    std::vector<std::uint8_t*> out;
+    for (auto& d : decoded) out.push_back(d.data());
+    const bool ok = rs.decode_into(shards, len, targets, out.data());
     if (survivors >= k) {
-      ASSERT_TRUE(decoded.has_value())
+      ASSERT_TRUE(ok)
           << "iter=" << iter << " k=" << k << " r=" << r << " survivors=" << survivors;
-      ASSERT_EQ(decoded->size(), k);
+      ASSERT_EQ(decoded.size(), k);
       for (std::size_t i = 0; i < k; ++i) {
-        ASSERT_EQ((*decoded)[i], data[i])
+        ASSERT_EQ(decoded[i], data[i])
             << "iter=" << iter << " k=" << k << " r=" << r << " len=" << len
             << " backend=" << gf_backend_name() << " shard=" << i;
       }
     } else {
-      ASSERT_FALSE(decoded.has_value())
+      ASSERT_FALSE(ok)
           << "iter=" << iter << ": decode must fail with " << survivors << " < k=" << k
           << " survivors, not fabricate data";
     }

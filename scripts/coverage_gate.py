@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the simulation core, the cloud overlay, the DC
-services, the end-points, the common layer, the churn workload and the
-erasure coder (src/netsim, src/exp, src/overlay, src/services, src/endpoint,
-src/common, src/workload, src/fec).
+"""Line-coverage gate for every layer under src/: the simulation core, the
+cloud overlay, the DC services, the end-points, the common layer, the churn
+workload, the erasure coder, the transport models, the applications, the
+geography model and the live network runtime (src/netsim, src/exp,
+src/overlay, src/services, src/endpoint, src/common, src/workload, src/fec,
+src/transport, src/app, src/geo, src/net).
 
 Runs gcov over every .gcda the coverage-preset test run produced, unions the
 per-line execution counts across translation units (a header inlined into
@@ -29,7 +31,8 @@ import sys
 import tempfile
 
 GATED_DIRS = ("src/netsim", "src/exp", "src/overlay", "src/services",
-              "src/endpoint", "src/common", "src/workload", "src/fec")
+              "src/endpoint", "src/common", "src/workload", "src/fec",
+              "src/transport", "src/app", "src/geo", "src/net")
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "coverage_baseline.json")
 

@@ -77,12 +77,14 @@ Receiver::Receiver(netsim::Network& net, const ReceiverConfig& config, DeliverFn
       // breaking the sharded runner's composition-invariance. Callers that
       // want uncorrelated receivers pass distinct seeds (the scenario layer
       // derives one per path via Rng::derive).
-      rng_(config.rng_seed) {
+      rng_(config.rng_seed),
+      probe_timer_(net.sim()) {
   net_.attach(*this);
 }
 
 void Receiver::expect_flow(FlowId flow) {
-  auto [it, inserted] = flows_.try_emplace(flow, MarkovDetector(config_.markov, config_.rtt_estimate));
+  auto [it, inserted] = flows_.try_emplace(
+      flow, MarkovDetector(config_.markov, config_.rtt_estimate), net_.sim());
   if (inserted && config_.dc2 != kInvalidNode) {
     // "Initially, the receiver starts off with the long timeout value"
     // (Section 3.4): the flow is expected, so even the very first packet
@@ -91,19 +93,7 @@ void Receiver::expect_flow(FlowId flow) {
   }
 }
 
-void Receiver::forget_flow(FlowId flow) {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) return;
-  FlowState& fs = it->second;
-  if (fs.timer_armed) {
-    net_.sim().cancel(fs.timer);
-    fs.timer_armed = false;
-  }
-  // Bump the generation so an already-dispatched timer closure that raced
-  // the cancel finds a stale generation even if the flow id is reused.
-  ++fs.timer_gen;
-  flows_.erase(it);
-}
+void Receiver::forget_flow(FlowId flow) { flows_.erase(flow); }
 
 void Receiver::set_rtt_estimate(SimDuration rtt) {
   config_.rtt_estimate = rtt;
@@ -203,7 +193,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   // recovered packets say nothing about the direct path, but they do keep
   // the flow (and its timer) alive so outage recovery continues.
   fs.last_activity = now;
-  if (config_.failover.enabled && !overlay_up_ && !probe_armed_) {
+  if (config_.failover.enabled && !overlay_up_ && !probe_timer_.armed()) {
     // Traffic-driven probe restart: the probe chain stops when all flows go
     // idle (so the event queue can drain); fresh arrivals revive it.
     arm_probe();
@@ -213,7 +203,7 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
     const SimDuration timeout =
         config_.use_markov ? fs.detector.on_arrival(now) : config_.single_timeout;
     arm_timer(pkt->flow, fs, timeout);
-  } else if (!fs.timer_armed) {
+  } else if (!fs.timer.armed()) {
     arm_timer(pkt->flow, fs,
               config_.use_markov ? fs.detector.current_timeout() : config_.single_timeout);
   }
@@ -330,7 +320,15 @@ void Receiver::remember(FlowState& fs, const PacketPtr& pkt) {
 
 void Receiver::on_in_coded(const PacketPtr& pkt) {
   if (!pkt->meta || pkt->meta->covered.empty()) return;
-  const FlowId flow = pkt->meta->covered.front().flow;
+  const std::vector<PacketKey>& covered = pkt->meta->covered;
+  const FlowId flow = covered.front().flow;
+  // An in-stream batch covers one flow. Self-decode matches keys by seq
+  // alone, so a batch spanning flows would fill this flow's holes with
+  // another flow's bytes: refuse it.
+  if (!std::all_of(covered.begin(), covered.end(),
+                   [flow](const PacketKey& key) { return key.flow == flow; })) {
+    return;
+  }
   auto it = flows_.find(flow);
   if (it == flows_.end()) return;
   FlowState& fs = it->second;
@@ -473,22 +471,11 @@ void Receiver::give_up_stale(FlowId flow, FlowState& fs) {
 }
 
 void Receiver::arm_timer(FlowId flow, FlowState& fs, SimDuration timeout) {
-  if (fs.timer_armed) {
-    net_.sim().cancel(fs.timer);
-    fs.timer_armed = false;
-  }
-  const std::uint64_t gen = ++fs.timer_gen;
-  fs.timer_armed = true;
-  fs.timer = net_.sim().after(timeout, [this, flow, gen] { on_timer(flow, gen); });
+  fs.timer.after(timeout, [this, flow] { on_timer(flow); });
 }
 
-void Receiver::on_timer(FlowId flow, std::uint64_t gen) {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) return;
-  FlowState& fs = it->second;
-  if (!fs.timer_armed || fs.timer_gen != gen) return;
-  fs.timer_armed = false;
-
+void Receiver::on_timer(FlowId flow) {
+  FlowState& fs = flows_.at(flow);  // The timer dies with its flow.
   const SimTime now = net_.sim().now();
   if (config_.failover.enabled && config_.failover.overlay_carries_data && overlay_up_ &&
       last_overlay_signal_ >= 0 &&
@@ -573,11 +560,7 @@ void Receiver::declare_overlay_up() {
   if (overlay_up_) return;
   overlay_up_ = true;
   ++stats_.reengages;
-  if (probe_armed_) {
-    net_.sim().cancel(probe_timer_);
-    probe_armed_ = false;
-  }
-  ++probe_gen_;  // Invalidate any closure that raced the cancel.
+  probe_timer_.cancel();
   probe_backoff_ = 0;
   if (on_overlay_) on_overlay_(true, net_.sim().now());
 }
@@ -585,15 +568,10 @@ void Receiver::declare_overlay_up() {
 void Receiver::arm_probe() {
   probe_backoff_ =
       probe_backoff_ == 0 ? kProbeBase : std::min(probe_backoff_ * 2, kProbeCap);
-  const std::uint64_t gen = ++probe_gen_;
-  probe_armed_ = true;
-  probe_timer_ = net_.sim().after(probe_backoff_, [this, gen] { on_probe(gen); });
+  probe_timer_.after(probe_backoff_, [this] { on_probe(); });
 }
 
-void Receiver::on_probe(std::uint64_t gen) {
-  if (!probe_armed_ || probe_gen_ != gen) return;
-  probe_armed_ = false;
-  if (overlay_up_) return;
+void Receiver::on_probe() {
   send_probe();
   // Re-arm only while some flow is live: once the workload drains the probe
   // chain must stop, or Simulator::run() would never see an empty queue.

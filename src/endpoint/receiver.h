@@ -226,9 +226,7 @@ class Receiver final : public netsim::Node {
     std::unordered_map<std::uint32_t, std::vector<PacketPtr>> in_coded;
     std::deque<std::uint32_t> in_coded_order;
     MarkovDetector detector;
-    netsim::EventId timer = 0;
-    bool timer_armed = false;
-    std::uint64_t timer_gen = 0;
+    netsim::Timer timer;
     SimTime last_arrival = -1;   // Last direct-path arrival (Markov input).
     SimTime last_activity = -1;  // Any delivery, incl. recoveries: keeps the
                                  // timer alive through outages so tail
@@ -238,21 +236,21 @@ class Receiver final : public netsim::Node {
     // sent (burst boundary), so they are dropped silently on give-up.
     SeqNo evidence_horizon = 0;
 
-    explicit FlowState(const MarkovDetector& d) : detector(d) {}
+    FlowState(const MarkovDetector& d, netsim::Simulator& sim) : detector(d), timer(sim) {}
   };
 
   void on_data(const PacketPtr& pkt, bool recovered);
   void on_in_coded(const PacketPtr& pkt);
   void on_coop_request(const PacketPtr& pkt);
   void on_nack_check(const PacketPtr& pkt);
-  void on_timer(FlowId flow, std::uint64_t gen);
+  void on_timer(FlowId flow);
 
   // Failover machinery; all no-ops unless config_.failover.enabled.
   void note_overlay_evidence();
   void declare_overlay_down();
   void declare_overlay_up();
   void arm_probe();
-  void on_probe(std::uint64_t gen);
+  void on_probe();
   void send_probe();
   bool any_active_flow() const;
 
@@ -274,17 +272,14 @@ class Receiver final : public netsim::Node {
   ReceiverConfig config_;
   DeliverFn on_delivery_;
   Rng rng_;
-  // Failover state (see FailoverParams). The probe timer follows the same
-  // generation-guard pattern as the per-flow timers.
+  // Failover state (see FailoverParams).
   OverlayEventFn on_overlay_;
   bool overlay_up_ = true;
   // Latest overlay life sign: DC2-originated control traffic, or (for
   // path-switching receivers, while up) any data arrival. -1 = never.
   SimTime last_overlay_signal_ = -1;
   int unanswered_nacks_ = 0;
-  bool probe_armed_ = false;
-  netsim::EventId probe_timer_ = 0;
-  std::uint64_t probe_gen_ = 0;
+  netsim::Timer probe_timer_;
   SimDuration probe_backoff_ = 0;
   std::unordered_map<FlowId, FlowState> flows_;
   ReceiverStats stats_;

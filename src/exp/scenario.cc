@@ -173,8 +173,8 @@ void ScenarioShard::build_overlay(const std::vector<IndexedPath>& paths) {
         std::make_shared<services::CodingEncoderService>(dc, params_.coding, registry_);
     encoders_.push_back(encoder);
     dc.install(encoder);
-    auto recovery =
-        std::make_shared<services::RecoveryService>(dc, params_.recovery, registry_);
+    auto recovery = std::make_shared<services::RecoveryService>(
+        dc, services::RecoveryParams{}, registry_);
     recoverers_.push_back(recovery);
     dc.install(recovery);
   }

@@ -72,7 +72,6 @@ struct DirectPathParams {
 struct WanScenarioParams {
   ServiceType service = ServiceType::kCode;
   services::CodingParams coding;
-  services::RecoveryParams recovery;
   DirectPathParams direct;
   transport::CbrParams cbr;
   // Probability a receiver answers a cooperative request late (straggler).

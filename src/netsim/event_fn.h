@@ -7,7 +7,8 @@
 //
 //   - 32 bytes of inline storage: every hot-path closure in the tree fits
 //     (link delivery captures this + PacketPtr = 24 B, timers capture
-//     this + a generation = 16-24 B), so pushing an event never allocates.
+//     this + a key or record pointer = 16-24 B), so pushing an event never
+//     allocates.
 //     Larger or not-nothrow-movable callables fall back to one heap
 //     allocation — correct for arbitrary callables, hit only on cold paths.
 //   - a trivial fast path: closures that are trivially copyable and
@@ -17,7 +18,7 @@
 //     closures owning real state (e.g. a PacketPtr) carry an ops table.
 //
 // sizeof(EventFn) == 48 so the event slab's Slot (EventFn + sequence +
-// generation + freelist link) is exactly one 64-byte cache line.
+// freelist link) fits one 64-byte cache line.
 #pragma once
 
 #include <cassert>

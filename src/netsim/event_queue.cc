@@ -42,8 +42,6 @@ constexpr std::size_t kPoolCap = std::size_t{1} << 17;
 constexpr std::size_t kPoolMinEntries = std::size_t{1} << 12;
 constexpr std::size_t kPoolSlabFactor = 8;
 
-constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 24;  // Entry::slot width.
-
 // Process-wide default-backend override. Sharded runs construct one
 // Simulator per worker thread, so the override is an atomic: setting it
 // concurrently with shard construction is data-race-free (each constructor
@@ -110,7 +108,6 @@ void EventQueue::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn.reset();
   s.seq = 0;
-  ++s.gen;
   s.next_free = free_head_;
   free_head_ = slot;
   --live_;
@@ -134,19 +131,15 @@ EventId EventQueue::push(SimTime at, EventFn&& fn) {
   } else {
     ladder_push(e);
   }
-  return (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
+  return (slots_[slot].seq << kSlotBits) | slot;
 }
 
 void EventQueue::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (s.seq == 0 || s.gen != gen) return;  // Fired, cancelled, or stale id.
+  if (!pending(id)) return;  // Fired, cancelled, or unknown id.
   // The ordering entry stays parked wherever it is; it is skipped (and its
   // memory reclaimed) when its bucket is next touched.
   ++version_;
-  free_slot(slot);
+  free_slot(static_cast<std::uint32_t>(id & (kMaxSlots - 1)));
 }
 
 void EventQueue::heap_prune() {

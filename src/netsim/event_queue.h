@@ -31,8 +31,11 @@
 // Event callbacks live in a slab of freelist-reused slots with inline
 // small-buffer storage (see event_fn.h): pushing an event allocates no
 // memory in steady state, and resident memory is O(live events), not
-// O(events ever pushed). EventIds encode (slot, generation) so cancel is
-// O(1) and cancelling a fired, cancelled, or unknown id stays a no-op.
+// O(events ever pushed). An EventId encodes (sequence, slot). The sequence
+// is unique within a run, so an id names one event for the whole run and
+// never a later occupant of its slot: pending and cancel are O(1) checks of
+// the slot's current sequence, and cancelling a fired, cancelled, or
+// unknown id stays a no-op.
 //
 // Backend selection: EventQueue() uses evq_default_backend() -- the
 // process-wide programmatic override if set, else the ladder. Pin a backend
@@ -91,6 +94,14 @@ class EventQueue {
   // Lazily cancels a pending event and frees its slot. Cancelling an
   // already-fired, already-cancelled, or unknown id is a no-op.
   void cancel(EventId id);
+
+  // True while the event `id` names has neither fired nor been cancelled.
+  // Sequences start at 1, so id 0 names no event.
+  bool pending(EventId id) const {
+    const std::uint64_t seq = id >> kSlotBits;
+    const std::size_t slot = id & (kMaxSlots - 1);
+    return seq != 0 && slot < slots_.size() && slots_[slot].seq == seq;
+  }
 
   bool empty() const { return live_ == 0; }
   std::size_t size() const { return live_; }
@@ -197,10 +208,13 @@ class EventQueue {
   std::size_t bottom_entries() const { return bottom_.size() - bottom_pos_; }
 
  private:
+  // An Entry and an EventId both hold a 40-bit sequence and a 24-bit slot.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+
   struct alignas(64) Slot {
     EventFn fn;
     std::uint64_t seq = 0;       // Sequence of the current occupant; 0 when free.
-    std::uint32_t gen = 0;       // Bumped on each free; embedded in EventId.
     std::uint32_t next_free = 0; // Intrusive freelist link (valid when free).
   };
   static_assert(sizeof(Slot) == 64, "one cache line per event slot");
@@ -208,8 +222,8 @@ class EventQueue {
   // 16 bytes of ordering state per queued event; callbacks stay in the slab.
   struct Entry {
     SimTime at;
-    std::uint64_t seq : 40;  // Monotonic insertion order; 2^40 events/run.
-    std::uint64_t slot : 24;
+    std::uint64_t seq : 64 - kSlotBits;  // Monotonic insertion order; 2^40 events/run.
+    std::uint64_t slot : kSlotBits;
   };
   static_assert(sizeof(Entry) == 16);
 

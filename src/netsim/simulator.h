@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "netsim/event_queue.h"
 
@@ -36,6 +37,9 @@ class Simulator {
 
   // O(1); cancelling a fired, cancelled, or unknown id is a no-op.
   void cancel(EventId id) { queue_.cancel(id); }
+
+  // O(1); true until the event `id` names fires or is cancelled.
+  bool pending(EventId id) const { return queue_.pending(id); }
 
   // Runs events until the queue is empty.
   void run();
@@ -58,6 +62,39 @@ class Simulator {
   EventQueue queue_;
   SimTime now_ = kSimStart;
   std::uint64_t processed_ = 0;
+};
+
+// One pending event of a Simulator, the way every entity holds a timer.
+// Arming cancels the event the Timer held, and cancel() or destruction
+// cancels it too, so a record's timers die with the record and a firing
+// callback never finds its owner gone. The callback is scheduled as given,
+// unwrapped, so it keeps its own callable type and EventFn's inline storage.
+// A Timer must not outlive its Simulator.
+class Timer {
+ public:
+  explicit Timer(Simulator& sim) : sim_(&sim) {}
+  // The moved-to Timer holds the pending event; the moved-from one holds none.
+  Timer(Timer&& other) noexcept : sim_(other.sim_), id_(std::exchange(other.id_, 0)) {}
+  Timer& operator=(Timer&&) = delete;
+  ~Timer() { cancel(); }
+
+  void after(SimDuration d, EventFn fn) {
+    cancel();
+    id_ = sim_->after(d, std::move(fn));
+  }
+  void at(SimTime t, EventFn fn) {
+    cancel();
+    id_ = sim_->at(t, std::move(fn));
+  }
+  void cancel() {
+    if (id_ != 0) sim_->cancel(std::exchange(id_, 0));
+  }
+  // False once the event fired (inside its own callback too) or was cancelled.
+  bool armed() const { return sim_->pending(id_); }
+
+ private:
+  Simulator* sim_;
+  EventId id_ = 0;
 };
 
 }  // namespace jqos::netsim

@@ -3,6 +3,10 @@
 namespace jqos::services {
 
 void CacheStore::put(const PacketPtr& pkt, SimTime now, SimDuration ttl) {
+  if (now >= next_sweep_) {
+    sweep(now);
+    next_sweep_ = now + ttl;
+  }
   ++stats_.puts;
   const PacketKey key = pkt->key();
   auto it = entries_.find(key);

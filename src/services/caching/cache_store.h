@@ -19,7 +19,7 @@ struct CacheStats {
   std::uint64_t puts = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t expirations = 0;
+  std::uint64_t expirations = 0;  // Expired entries found by get or swept.
   std::uint64_t capacity_evictions = 0;
 };
 
@@ -28,7 +28,9 @@ class CacheStore {
   // max_bytes bounds the sum of stored payload sizes; 0 means unbounded.
   explicit CacheStore(std::uint64_t max_bytes = 0) : max_bytes_(max_bytes) {}
 
-  // Stores (or refreshes) a packet under its key until now + ttl.
+  // Stores (or refreshes) a packet under its key until now + ttl. At most
+  // once per ttl of `now` it first sweeps, so an entry no get() asks for
+  // again is still freed: the store holds about two ttls' worth of puts.
   void put(const PacketPtr& pkt, SimTime now, SimDuration ttl);
 
   // Retrieves a live entry; expired entries count as misses and are
@@ -36,7 +38,7 @@ class CacheStore {
   PacketPtr get(const PacketKey& key, SimTime now);
 
   // Drops every entry whose deadline has passed; returns the number
-  // reclaimed. Called opportunistically by the owning service.
+  // reclaimed.
   std::size_t sweep(SimTime now);
 
   // Drops everything (DC crash: the cache restarts cold). Cumulative stats
@@ -62,6 +64,7 @@ class CacheStore {
 
   std::uint64_t max_bytes_;
   std::uint64_t bytes_ = 0;
+  SimTime next_sweep_ = 0;  // put() sweeps once `now` reaches it.
   std::unordered_map<PacketKey, Entry> entries_;
   // Most-recently-used at the front.
   std::list<PacketKey> lru_;

@@ -34,7 +34,7 @@ bool CodingEncoderService::handle(overlay::DataCenter& dc, const PacketPtr& pkt)
     return true;
   }
   ++stats_.data_packets;
-  Flow& flow = flows_[pkt->flow];
+  Flow& flow = flows_.try_emplace(pkt->flow, dc_.network().sim()).first->second;
 
   // (1) In-stream coding (Algorithm 1 lines 1-5).
   if (params_.in_coded > 0 && params_.in_block > 0) enqueue_in_stream(flow, pkt, info->dc2);
@@ -51,7 +51,7 @@ void CodingEncoderService::enqueue_in_stream(Flow& flow, const PacketPtr& pkt, N
   if (q.pkts.size() >= params_.in_block) {
     ++stats_.in_batches;
     encode_queue(q, params_.in_coded, PacketType::kInCoded, dc2);
-  } else if (!q.timer_armed) {
+  } else if (!q.timer.armed()) {
     arm_timer_in(q, pkt->flow);
   }
 }
@@ -62,7 +62,11 @@ void CodingEncoderService::enqueue_cross_stream(Flow& flow, const PacketPtr& pkt
     ++flow.group->live_flows;
   }
   auto& queues = flow.group->queues;
-  if (queues.empty()) queues.resize(std::max<std::size_t>(1, params_.queues_per_group));
+  if (queues.empty()) {
+    const std::size_t n = std::max<std::size_t>(1, params_.queues_per_group);
+    queues.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) queues.emplace_back(dc_.network().sim());
+  }
   // Batches can hold at most one packet per flow, so a group with fewer
   // flows than k closes batches at the group size (>= 2; single-flow groups
   // fall back to the queue timer).
@@ -90,7 +94,7 @@ void CodingEncoderService::enqueue_cross_stream(Flow& flow, const PacketPtr& pkt
       } else {
         ++stats_.single_packet_evictions;
         q.pkts.clear();
-        disarm(q);
+        q.timer.cancel();
       }
       break;
     }
@@ -101,7 +105,7 @@ void CodingEncoderService::enqueue_cross_stream(Flow& flow, const PacketPtr& pkt
   if (q.pkts.size() >= effective_k) {
     ++stats_.cross_batches;
     encode_queue(q, params_.cross_coded, PacketType::kCrossCoded, dc2);  // Lines 21-23.
-  } else if (!q.timer_armed) {
+  } else if (!q.timer.armed()) {
     arm_timer_cross(q, dc2, idx);
   }
 }
@@ -137,7 +141,7 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
                                         NodeId dc2) {
   if (q.pkts.empty() || dc2 == kInvalidNode) {
     q.pkts.clear();
-    disarm(q);
+    q.timer.cancel();
     return;
   }
   if (!peer_sendable(dc2)) {
@@ -145,7 +149,7 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
     // only the coded protection is lost while DC2 is out.
     ++stats_.flushes_suppressed;
     q.pkts.clear();
-    disarm(q);
+    q.timer.cancel();
     return;
   }
   const std::uint32_t batch_id = next_batch_id_++;
@@ -162,17 +166,13 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
     dc_.send(cp);
   }
   q.pkts.clear();
-  disarm(q);
+  q.timer.cancel();
 }
 
 void CodingEncoderService::arm_timer_in(Queue& q, FlowId flow) {
-  q.timer_armed = true;
-  const std::uint64_t gen = ++q.generation;
-  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, flow, gen] {
-    auto it = flows_.find(flow);
-    if (it == flows_.end()) return;
-    Queue& queue = it->second.in_stream;
-    if (queue.generation != gen || queue.pkts.empty()) return;
+  q.timer.after(params_.queue_timeout, [this, flow] {
+    Queue& queue = flows_.at(flow).in_stream;
+    if (queue.pkts.empty()) return;  // flush_all dropped it: the flow left the registry.
     const FlowInfo* info = registry_->find(flow);
     if (info == nullptr) {
       queue.pkts.clear();
@@ -180,32 +180,18 @@ void CodingEncoderService::arm_timer_in(Queue& q, FlowId flow) {
     }
     ++stats_.timer_flushes;
     ++stats_.in_batches;
-    queue.timer_armed = false;
     encode_queue(queue, params_.in_coded, PacketType::kInCoded, info->dc2);
   });
 }
 
 void CodingEncoderService::arm_timer_cross(Queue& q, NodeId dc2, std::size_t index) {
-  q.timer_armed = true;
-  const std::uint64_t gen = ++q.generation;
-  q.timer = dc_.network().sim().after(params_.queue_timeout, [this, dc2, index, gen] {
-    auto it = groups_.find(dc2);
-    if (it == groups_.end() || index >= it->second.queues.size()) return;
-    Queue& queue = it->second.queues[index];
-    if (queue.generation != gen || queue.pkts.empty()) return;
+  // Every path that empties a cross-stream queue cancels its timer.
+  q.timer.after(params_.queue_timeout, [this, dc2, index] {
     ++stats_.timer_flushes;
     ++stats_.cross_batches;
-    queue.timer_armed = false;
-    encode_queue(queue, params_.cross_coded, PacketType::kCrossCoded, dc2);
+    encode_queue(groups_.at(dc2).queues[index], params_.cross_coded, PacketType::kCrossCoded,
+                 dc2);
   });
-}
-
-void CodingEncoderService::disarm(Queue& q) {
-  if (q.timer_armed) {
-    dc_.network().sim().cancel(q.timer);
-    q.timer_armed = false;
-  }
-  ++q.generation;  // Invalidate any in-flight timer closure.
 }
 
 bool CodingEncoderService::queue_contains_flow(const Queue& q, FlowId flow) const {
@@ -222,23 +208,16 @@ void CodingEncoderService::flow_departed(FlowId flow) {
   if (info != nullptr) {
     ++stats_.in_batches;
     encode_queue(q, params_.in_coded, PacketType::kInCoded, info->dc2);
-  } else {
-    disarm(q);
   }
   if (it->second.group != nullptr) --it->second.group->live_flows;
-  flows_.erase(it);
+  flows_.erase(it);  // Cancels the in-stream queue's timer.
 }
 
 void CodingEncoderService::on_dc_crash() {
   ++stats_.crash_wipes;
-  // Everything staged in process memory is gone, suspended peers included.
-  // disarm() bumps each queue's generation so timers armed before the crash
-  // are no-ops.
-  for (auto& [flow, f] : flows_) disarm(f.in_stream);
+  // Everything staged in process memory is gone, suspended peers included;
+  // the queues' timers die with them.
   flows_.clear();
-  for (auto& [dc2, group] : groups_) {
-    for (Queue& q : group.queues) disarm(q);
-  }
   groups_.clear();
   // next_batch_id_ deliberately survives: it models the id namespace, not
   // state -- reusing ids would alias live batches at the recovery DC.

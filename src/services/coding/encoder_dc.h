@@ -112,10 +112,9 @@ class CodingEncoderService final : public overlay::DcService {
 
  private:
   struct Queue {
+    explicit Queue(netsim::Simulator& sim) : timer(sim) {}
     std::vector<PacketPtr> pkts;
-    netsim::EventId timer = 0;
-    bool timer_armed = false;
-    std::uint64_t generation = 0;  // Guards against stale timer firings.
+    netsim::Timer timer;  // Flushes a queue that has not filled in time.
   };
 
   // Lazy (event-free) suspension state of one destination DC; see
@@ -129,7 +128,7 @@ class CodingEncoderService final : public overlay::DcService {
 
   // Everything DC1 keeps per destination DC.
   struct Group {
-    // `queues_per_group` cross-stream queues, sized on the first packet.
+    // `queues_per_group` cross-stream queues, built on the first packet.
     std::vector<Queue> queues;
     // Flows that have sent a cross-stream packet and not departed. A group
     // with fewer live flows than k can never fill a k-batch (no two packets
@@ -143,6 +142,7 @@ class CodingEncoderService final : public overlay::DcService {
   // Everything DC1 keeps per flow. A flow's dc2 is fixed at registration,
   // so its group is bound once, at its first cross-stream packet.
   struct Flow {
+    explicit Flow(netsim::Simulator& sim) : in_stream(sim) {}
     Queue in_stream;
     std::size_t cursor = 0;  // Round-robin queue choice (Algorithm 1 line 7).
     Group* group = nullptr;  // Null until the flow joins its dc2 group.
@@ -158,11 +158,10 @@ class CodingEncoderService final : public overlay::DcService {
   // themselves.
   void encode_queue(Queue& q, std::size_t coded, PacketType type, NodeId dc2);
 
-  // Arm `q`'s queue timer. The firing looks the queue up again by its key,
-  // so a timer outliving its record (departure, crash) is a no-op.
+  // Arm `q`'s queue timer. It dies with its queue (departure, crash), so
+  // the firing always finds the queue again by its key.
   void arm_timer_in(Queue& q, FlowId flow);
   void arm_timer_cross(Queue& q, NodeId dc2, std::size_t index);
-  void disarm(Queue& q);
 
   // True when a batch toward dc2 should be shipped now; false drops it
   // (suppressed flush) and advances the suspension/backoff state machine.

@@ -20,7 +20,10 @@ constexpr SimDuration kTailMinBatchAge = msec(100);
 
 RecoveryService::RecoveryService(overlay::DataCenter& dc, const RecoveryParams& params,
                                  FlowRegistryPtr registry)
-    : dc_(dc), params_(params), registry_(std::move(registry)) {}
+    : dc_(dc),
+      params_(params),
+      registry_(std::move(registry)),
+      sweep_timer_(dc.network().sim()) {}
 
 std::uint32_t RecoveryService::store_batch(const Packet& pkt) {
   Store& s = store_;
@@ -258,7 +261,7 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
   const CodedMeta& meta = batch->meta();
   const std::uint32_t batch_id = meta.batch_id;
 
-  auto [it, inserted] = ops_.try_emplace(batch_id);
+  auto [it, inserted] = ops_.try_emplace(batch_id, dc_.network().sim());
   CoopOp& op = it->second;
   if (inserted) {
     op.responses.resize(meta.covered.size());
@@ -290,9 +293,8 @@ bool RecoveryService::start_coop(const PacketKey& key, NodeId receiver) {
     dc_.send(req);
   }
 
-  op.deadline_event = dc_.network().sim().after(
-      params_.coop_deadline,
-      [this, batch_id, epoch = epoch_] { finish_op_failure(batch_id, epoch); });
+  op.deadline.after(params_.coop_deadline,
+                    [this, batch_id, epoch = epoch_] { finish_op_failure(batch_id, epoch); });
   // Small or coded-rich batches may be decodable with zero responses (the
   // stored coded packets alone suffice); finish immediately in that case.
   maybe_finish_op(op);
@@ -361,8 +363,8 @@ void RecoveryService::maybe_finish_op(CoopOp& op) {
     ++stats_.recovered_sent;
     dc_.send(out);
   }
-  dc_.network().sim().cancel(op.deadline_event);
-  const std::uint32_t finished_id = op.batch_id;  // op dies with the erase.
+  // Erasing the op cancels its deadline. The key is copied: op dies with it.
+  const std::uint32_t finished_id = op.batch_id;
   ops_.erase(finished_id);
 }
 
@@ -381,21 +383,19 @@ void RecoveryService::finish_op_failure(std::uint32_t batch_id, std::uint64_t ep
 }
 
 void RecoveryService::arm_sweep() {
-  if (sweep_armed_) return;
-  sweep_armed_ = true;
+  if (sweep_timer_.armed()) return;
   // Fire at the NEXT whole simulated second. Aligning sweeps to an absolute
   // grid (rather than "one second after whatever arrived first") keeps
   // reclamation timing -- and the batches_expired counter -- a pure function
   // of store times, independent of unrelated traffic sharing this DC.
   const SimTime next_tick = (dc_.now() / sec(1) + 1) * sec(1);
-  sweep_event_ = dc_.network().sim().at(next_tick, [this, epoch = epoch_] {
+  sweep_timer_.at(next_tick, [this, epoch = epoch_] {
     if (epoch != epoch_) {
       // Armed before a crash wipe (which also cancels; this guards the race
       // where the sweep fires at the same instant the cancel lands).
       ++stats_.stale_timers;
       return;
     }
-    sweep_armed_ = false;
     sweep_batches();
     if (store_.slot_of.size() != 0 || !pending_.empty()) arm_sweep();
   });
@@ -404,14 +404,10 @@ void RecoveryService::arm_sweep() {
 void RecoveryService::on_dc_crash() {
   ++stats_.crash_wipes;
   ++epoch_;  // Every timer armed before this instant is now stale.
-  for (auto& [id, op] : ops_) dc_.network().sim().cancel(op.deadline_event);
-  ops_.clear();
+  ops_.clear();  // Cancels every op's deadline.
   store_ = Store{};
   pending_.clear();
-  if (sweep_armed_) {
-    dc_.network().sim().cancel(sweep_event_);
-    sweep_armed_ = false;
-  }
+  sweep_timer_.cancel();
 }
 
 void RecoveryService::sweep_batches() {

@@ -174,8 +174,8 @@ class RecoveryService final : public overlay::DcService {
 
   // Fault layer: a crash loses everything a process restart would lose --
   // stored batches, the key index, in-flight cooperative ops (their deadline
-  // timers are cancelled AND epoch-guarded), pending NACKs, and the sweep
-  // timer. The service then rebuilds from newly arriving coded packets;
+  // timers die with them AND are epoch-guarded), pending NACKs, and the
+  // sweep timer. The service then rebuilds from newly arriving coded packets;
   // receivers re-NACK on their own timers.
   void on_dc_crash() override;
 
@@ -245,15 +245,16 @@ class RecoveryService final : public overlay::DcService {
   // One cooperative recovery operation per cross-stream batch. Both vectors
   // are indexed by codeword position.
   struct CoopOp {
+    explicit CoopOp(netsim::Simulator& sim) : deadline(sim) {}
     std::uint32_t batch_id = 0;
+    std::uint32_t answered = 0;  // Non-null entries of `responses`.
     // The first peer response at each position, whose payload the decode
     // reads in place; null until one arrives.
     std::vector<PacketPtr> responses;
-    std::size_t answered = 0;  // Non-null entries of `responses`.
     // The receiver that asked for the packet at each position (the latest
     // NACK wins), or kInvalidNode.
     std::vector<NodeId> requesters;
-    netsim::EventId deadline_event = 0;
+    netsim::Timer deadline;  // Fails the op; erasing the op cancels it.
   };
 
   struct PendingNack {
@@ -280,7 +281,8 @@ class RecoveryService final : public overlay::DcService {
   void maybe_finish_op(CoopOp& op);
   // Deadline callback. `epoch` is the service epoch the timer was armed in;
   // a timer scheduled before a crash wipe finds epoch != epoch_ and is a
-  // counted no-op (the Receiver::forget_flow generation-guard pattern).
+  // counted no-op. The wipe already cancels every deadline with its op, so
+  // this guard is a second check.
   void finish_op_failure(std::uint32_t batch_id, std::uint64_t epoch);
 
   // Reclaims expired batches / pending NACKs. Freshness is enforced lazily
@@ -325,8 +327,7 @@ class RecoveryService final : public overlay::DcService {
   Store store_;
   std::unordered_map<std::uint32_t, CoopOp> ops_;
   std::unordered_map<PacketKey, PendingNack> pending_;
-  bool sweep_armed_ = false;
-  netsim::EventId sweep_event_ = 0;
+  netsim::Timer sweep_timer_;
   // Bumped on every crash wipe; every deadline timer carries the epoch it
   // was armed in so stale ones are no-ops.
   std::uint64_t epoch_ = 0;

@@ -20,6 +20,15 @@ constexpr std::uint8_t kDirect = 1;
 constexpr std::uint8_t kRecovered = 2;
 constexpr std::uint8_t kLost = 3;
 
+// How long a session lingers after its last send before closing its books
+// (must cover the receiver's recovery_give_up window so in-flight
+// recoveries either land or are declared lost first).
+constexpr SimDuration kLinger = msec(1500);
+// A session counts as succeeded when at least this fraction of its packets
+// was delivered (direct or recovered). The fault benches gate on it: a
+// DC2 crash without failover drags path-switched sessions under the bar.
+constexpr double kSuccessDeliveredPct = 90.0;
+
 struct SessionState {
   std::size_t path = 0;
   SimTime opened_at = 0;
@@ -47,11 +56,6 @@ class ChurnShardEngine {
       : cfg_(cfg),
         sizes_(sizes),
         shard_(std::move(plan), cfg.scenario, backend),
-        completion_ms(cfg.sketch_k),
-        delivered_pct(cfg.sketch_k),
-        recovery_ms(cfg.sketch_k),
-        completion_in_fault_ms(cfg.sketch_k),
-        completion_clear_ms(cfg.sketch_k),
         fault_windows_(cfg.scenario.faults.windows()),
         send_gap_(std::max<SimDuration>(1, sec_f(1.0 / cfg.packets_per_second))) {
     // The build-time long-lived flows are the figure scenarios' workload,
@@ -149,7 +153,7 @@ class ChurnShardEngine {
     } else {
       // Books close after the linger window: long enough for the receiver's
       // recovery_give_up to either deliver or declare every hole lost.
-      shard_.sim().after(cfg_.linger, [this, flow] { finalize(flow); });
+      shard_.sim().after(kLinger, [this, flow] { finalize(flow); });
     }
   }
 
@@ -227,7 +231,7 @@ class ChurnShardEngine {
                        static_cast<double>(s.total);
     completion_ms.add(completion);
     delivered_pct.add(pct);
-    if (pct >= cfg_.success_delivered_pct) ++totals.sessions_succeeded;
+    if (pct >= kSuccessDeliveredPct) ++totals.sessions_succeeded;
     if (!fault_windows_.empty()) {
       // A session is "in fault" when its lifetime overlapped any window of
       // the plan, regardless of which entity the fault hit: the split is a
@@ -353,11 +357,6 @@ ChurnResult run_churn(const ChurnConfig& config) {
   // Merge in shard-index order: the result is a pure function of
   // (config, num_shards), independent of which thread ran which shard.
   ChurnResult r;
-  r.completion_ms = QuantileSketch(config.sketch_k);
-  r.delivered_pct = QuantileSketch(config.sketch_k);
-  r.recovery_ms = QuantileSketch(config.sketch_k);
-  r.completion_in_fault_ms = QuantileSketch(config.sketch_k);
-  r.completion_clear_ms = QuantileSketch(config.sketch_k);
   for (const auto& e : engines) {
     r.totals += e->totals;
     r.completion_ms.merge(e->completion_ms);

@@ -49,6 +49,18 @@ TEST(CacheStore, SweepReclaimsExpired) {
   EXPECT_EQ(store.size(), 5u);
 }
 
+TEST(CacheStore, ExpiredEntriesAreReclaimedOnPut) {
+  // Steady puts of keys no get() asks for again: only put() can free them.
+  CacheStore store;
+  constexpr SimDuration kTtl = msec(100);
+  constexpr int kPutsPerTtl = 100;
+  for (int i = 0; i < 10 * kPutsPerTtl; ++i) {
+    store.put(cached_data(1, static_cast<SeqNo>(i)), i * kTtl / kPutsPerTtl, kTtl);
+  }
+  EXPECT_LT(store.size(), 2u * kPutsPerTtl);
+  EXPECT_GT(store.stats().expirations, 0u);
+}
+
 TEST(CacheStore, RefreshExtendsTtlAndUpdatesBytes) {
   CacheStore store;
   store.put(cached_data(1, 1, 64), 0, sec(5));

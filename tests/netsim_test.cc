@@ -1,8 +1,9 @@
-// Tests for the discrete-event simulator: event ordering and cancellation,
-// clock semantics, loss processes (empirical rates and burst structure),
+// Tests for the discrete-event simulator: event ordering, cancellation and
+// timers, clock semantics, loss processes (empirical rates and burst structure),
 // latency models, link behaviour, and the network fabric.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -57,6 +58,36 @@ TEST(EventQueue, CancelOfFiredIdIsNoOpEvenAfterSlotReuse) {
     while (!q.empty()) q.pop().fn();
     EXPECT_EQ(first, 1) << evq_backend_name(b);
     EXPECT_EQ(second, 1) << evq_backend_name(b);
+  }
+}
+
+TEST(EventQueue, PendingTracksOneEvent) {
+  for (EvqBackend b : kBackends) {
+    EventQueue q(b);
+    EXPECT_FALSE(q.pending(0)) << evq_backend_name(b);
+    const EventId fired = q.push(10, [] {});
+    EXPECT_TRUE(q.pending(fired)) << evq_backend_name(b);
+    q.pop().fn();
+    EXPECT_FALSE(q.pending(fired)) << evq_backend_name(b);
+    EXPECT_FALSE(q.pending(0)) << evq_backend_name(b);  // Slot 0 is free.
+
+    // Later pushes reuse the slot; the old ids name none of their events.
+    int ran = 0;
+    const EventId cancelled = q.push(20, [&] { ++ran; });
+    EXPECT_FALSE(q.pending(fired)) << evq_backend_name(b);
+    q.cancel(fired);
+    EXPECT_TRUE(q.pending(cancelled)) << evq_backend_name(b);
+    q.cancel(cancelled);
+    EXPECT_FALSE(q.pending(cancelled)) << evq_backend_name(b);
+    const EventId live = q.push(30, [&] { ++ran; });
+    EXPECT_EQ(q.slab_slots(), 1u) << evq_backend_name(b);
+    q.cancel(fired);
+    q.cancel(cancelled);
+    EXPECT_TRUE(q.pending(live)) << evq_backend_name(b);
+    EXPECT_FALSE(q.pending(0)) << evq_backend_name(b);
+    while (!q.empty()) q.pop().fn();
+    EXPECT_EQ(ran, 1) << evq_backend_name(b);
+    EXPECT_FALSE(q.pending(live)) << evq_backend_name(b);
   }
 }
 
@@ -173,6 +204,72 @@ TEST(Simulator, DeterministicAcrossRuns) {
 }
 
 // ------------------------------ loss models -------------------------------
+
+TEST(Timer, RearmingFiresOnlyTheLastArm) {
+  Simulator sim;
+  Timer timer(sim);
+  std::vector<int> fired;
+  timer.after(10, [&] { fired.push_back(1); });
+  timer.after(30, [&] { fired.push_back(2); });
+  timer.at(20, [&] { fired.push_back(3); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{3}));
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(Timer, CancelAndDestructionFireNothing) {
+  Simulator sim;
+  int fired = 0;
+  Timer cancelled(sim);
+  cancelled.after(10, [&] { ++fired; });
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.armed());
+  {
+    Timer destroyed(sim);
+    destroyed.after(10, [&] { ++fired; });
+    EXPECT_TRUE(destroyed.armed());
+  }
+  EXPECT_TRUE(sim.idle());
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.events_processed(), 0u);
+}
+
+TEST(Timer, NotArmedInsideItsCallbackOrAfterItFires) {
+  Simulator sim;
+  Timer timer(sim);
+  EXPECT_FALSE(timer.armed());
+  int calls = 0;
+  bool armed_inside = true;
+  timer.after(10, [&] {
+    ++calls;
+    armed_inside = timer.armed();
+  });
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(armed_inside);
+  EXPECT_FALSE(timer.armed());
+  // A fired Timer arms again like a fresh one.
+  timer.after(10, [&] { ++calls; });
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(Timer, MovedToTimerKeepsThePendingEvent) {
+  Simulator sim;
+  int fired = 0;
+  auto from = std::make_unique<Timer>(sim);
+  from->after(10, [&] { ++fired; });
+  Timer to(std::move(*from));
+  EXPECT_TRUE(to.armed());
+  EXPECT_FALSE(from->armed());
+  from.reset();  // Destroying the moved-from Timer cancels nothing.
+  EXPECT_TRUE(to.armed());
+  sim.run();
+  EXPECT_EQ(fired, 1);
+}
 
 TEST(LossModel, BernoulliEmpiricalRate) {
   auto m = make_bernoulli_loss(0.05, Rng(1));

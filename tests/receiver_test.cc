@@ -307,6 +307,28 @@ TEST(Receiver, CodedShapeBeyondGf256IsRefused) {
   for (const auto& r : f.records) EXPECT_NE(r.seq, 5u);
 }
 
+TEST(Receiver, InCodedBatchSpanningFlowsIsRefused) {
+  Fixture f;
+  for (SeqNo s = 0; s < 8; ++s) {
+    if (s != 6) f.arrive(s);  // Seq 6 of flow 1 becomes a detected hole.
+  }
+  // A decodable in-stream packet over flow 1's seq 5 and flow 2's seq 6:
+  // decoding it would deliver flow 2's bytes as flow 1's seq 6.
+  std::vector<PacketPtr> data;
+  for (const PacketKey key : {PacketKey{1, 5}, PacketKey{2, 6}}) {
+    auto p = std::make_shared<Packet>();
+    p->flow = key.flow;
+    p->seq = key.seq;
+    p->payload.assign(32, key.flow == 1 ? std::uint8_t{5} : std::uint8_t{0xEE});
+    data.push_back(p);
+  }
+  auto coded = fec::encode_batch(data, 1, PacketType::kInCoded, 901, 99, 0, 0);
+  f.receiver->handle_packet(coded[0]);
+  f.sim.run_until(msec(50));
+  EXPECT_EQ(f.receiver->stats().self_decoded, 0u);
+  for (const auto& r : f.records) EXPECT_NE(r.seq, 6u);
+}
+
 TEST(Receiver, TailLossDetectedByShortTimer) {
   ReceiverConfig config;
   config.rtt_estimate = msec(100);

@@ -20,25 +20,15 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
-std::atomic<std::uint64_t> g_bytes{0};
 
 #ifndef JQOS_ALLOC_PROBE_STUB
 void* counted_alloc(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n ? n : 1);
-}
-
-void counted_free(void* p) {
-  if (p == nullptr) return;
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
 }
 
 void* counted_alloc_aligned(std::size_t n, std::size_t align) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_bytes.fetch_add(n, std::memory_order_relaxed);
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t padded = (n + align - 1) / align * align;
   return std::aligned_alloc(align, padded ? padded : align);
@@ -58,14 +48,8 @@ bool active() {
 }
 
 std::uint64_t allocations() { return g_allocs.load(std::memory_order_relaxed); }
-std::uint64_t frees() { return g_frees.load(std::memory_order_relaxed); }
-std::uint64_t allocated_bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
-void reset() {
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_frees.store(0, std::memory_order_relaxed);
-  g_bytes.store(0, std::memory_order_relaxed);
-}
+void reset() { g_allocs.store(0, std::memory_order_relaxed); }
 
 }  // namespace jqos::alloc_probe
 
@@ -102,21 +86,21 @@ void* operator new[](std::size_t n, std::align_val_t align,
   return counted_alloc_aligned(n, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
+  std::free(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 
 #endif  // JQOS_ALLOC_PROBE_STUB

@@ -228,13 +228,4 @@ bool NackInfo::parse_into(std::span<const std::uint8_t> data, NackInfo& out) {
   return r.ok();
 }
 
-PacketPtr make_control_packet(NodeId src, NodeId dst, SimTime now,
-                              std::vector<std::uint8_t> payload,
-                              PacketPool* pool) {
-  auto p = make_packet(pool, PacketType::kControl, ServiceType::kNone,
-                       /*flow=*/0, /*seq=*/0, src, dst, now);
-  p->payload = std::move(payload);
-  return p;
-}
-
 }  // namespace jqos

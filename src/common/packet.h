@@ -130,10 +130,6 @@ PacketPtr make_data_packet(FlowId flow, SeqNo seq, NodeId src, NodeId dst,
                            SimTime now, std::size_t payload_bytes,
                            PacketPool* pool = nullptr);
 
-PacketPtr make_control_packet(NodeId src, NodeId dst, SimTime now,
-                              std::vector<std::uint8_t> payload,
-                              PacketPool* pool = nullptr);
-
 // The choke points the ad-hoc builders (NACK/response/confirm/copy sites in
 // endpoint and services) go through, so header fields start uniformly
 // initialized and pooling covers every hot allocation:

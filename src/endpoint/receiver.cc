@@ -150,6 +150,10 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   FlowState& fs = it->second;
   const SimTime now = net_.sim().now();
   const SeqNo seq = pkt->seq;
+  if (std::uint64_t{seq} >= std::uint64_t{fs.next_expected} + kMaxSeqGap) {
+    ++stats_.far_ahead_dropped;
+    return;
+  }
 
   const SeqNo horizon = fs.evidence_horizon;
   if (seq >= fs.evidence_horizon) fs.evidence_horizon = seq + 1;

@@ -118,6 +118,7 @@ struct ReceiverStats {
   std::uint64_t reengages = 0;          // Overlay declared back up.
   std::uint64_t probes_sent = 0;        // Backed-off overlay probes.
   std::uint64_t nacks_suppressed = 0;   // NACKs skipped while the overlay was down.
+  std::uint64_t far_ahead_dropped = 0;  // Arrivals kMaxSeqGap or more past the edge.
 };
 
 class Receiver final : public netsim::Node {

@@ -40,6 +40,25 @@ constexpr double kDirectSpikeProb = 0.003;
 
 }  // namespace
 
+double settle_outcome(const endpoint::DeliveryRecord& rec, double rtt_ms, Outcome& outcome) {
+  if (rec.late_direct) {
+    if (outcome == Outcome::kRecovered) outcome = Outcome::kDirect;
+    return -1.0;
+  }
+  const double delay_ms = rec.recovered && rec.detected_missing_at > 0
+                              ? to_ms(rec.delivered_at - rec.detected_missing_at)
+                              : -1.0;
+  if (outcome != Outcome::kPending) return delay_ms;
+  if (rec.lost) {
+    outcome = Outcome::kLost;
+  } else if (rec.recovered) {
+    outcome = delay_ms <= rtt_ms ? Outcome::kRecovered : Outcome::kLost;
+  } else {
+    outcome = Outcome::kDirect;
+  }
+  return delay_ms;
+}
+
 std::uint64_t FaultSummary::total_dc_crashes() const {
   std::uint64_t total = 0;
   for (const auto& [site, n] : dc_crashes) total += n;
@@ -237,7 +256,7 @@ void ScenarioShard::build_path(IndexedPath path) {
   // Track holes longer than the success criterion so late recoveries are
   // observed and classified (the paper's rule -- "any packet that takes
   // longer than one RTT to recover is a lost packet" -- is applied at
-  // accounting time below, not by aborting recovery).
+  // accounting time by settle_outcome, not by aborting recovery).
   rc.recovery_give_up =
       std::max<SimDuration>(msec(600), 3 * msec_f(rt->rtt_ms));
   // Wide-area testbed hosts are sometimes slow to answer cooperative
@@ -252,37 +271,13 @@ void ScenarioShard::build_path(IndexedPath path) {
   rt->receiver = std::make_unique<endpoint::Receiver>(
       net_, rc, [rt_raw](const endpoint::DeliveryRecord& rec, const PacketPtr&) {
         if (rec.seq >= rt_raw->outcome.size()) rt_raw->outcome.resize(rec.seq + 1);
-        if (rec.late_direct) {
-          // The direct copy arrived after all: not a path loss.
-          if (rt_raw->outcome[rec.seq] == Outcome::kRecovered) {
-            rt_raw->outcome[rec.seq] = Outcome::kDirect;
-            --rt_raw->recovered;
-            ++rt_raw->delivered_direct;
-          }
-          return;
-        }
-        if (rec.lost) {
-          rt_raw->outcome[rec.seq] = Outcome::kLost;
-          ++rt_raw->lost;
-        } else if (rec.recovered) {
-          double ms = 0.0;
-          if (rec.detected_missing_at > 0) {
-            ms = to_ms(rec.delivered_at - rec.detected_missing_at);
-            rt_raw->recovery_ms.add(ms);
-          }
-          // Paper's success criterion: recovery beyond one direct-path RTT
-          // counts as a loss.
-          if (ms <= rt_raw->rtt_ms) {
-            rt_raw->outcome[rec.seq] = Outcome::kRecovered;
-            ++rt_raw->recovered;
-          } else {
-            rt_raw->outcome[rec.seq] = Outcome::kLost;
-            ++rt_raw->lost;
-          }
-        } else {
-          rt_raw->outcome[rec.seq] = Outcome::kDirect;
-          ++rt_raw->delivered_direct;
-        }
+        Outcome& outcome = rt_raw->outcome[rec.seq];
+        const Outcome before = outcome;
+        const double delay_ms = settle_outcome(rec, rt_raw->rtt_ms, outcome);
+        if (delay_ms >= 0.0) rt_raw->recovery_ms.add(delay_ms);
+        if (outcome == before) return;
+        if (before != Outcome::kPending) --rt_raw->count(before);
+        ++rt_raw->count(outcome);
       });
 
   if (params_.failover.enabled) {
@@ -421,7 +416,7 @@ void ScenarioShard::run(SimDuration duration) {
   }
   sim_.run_until(sim_.now() + duration);
   // Drain: flush encoder queues and let outstanding recoveries finish.
-  for (auto& enc : encoders_) enc->flush_all();
+  flush_encoders();
   sim_.run_until(sim_.now() + sec(30));
 
   // Ground-truth closing of the books: every sequence number the sender

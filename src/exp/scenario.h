@@ -49,6 +49,22 @@ enum class Outcome : std::uint8_t {
   kLost = 3,       // Lost and never recovered within the give-up window.
 };
 
+// The paper's per-packet accounting (Section 6.2), which the CBR scenario
+// and the churn workload (src/workload) both apply: settles `outcome`, the
+// packet's outcome so far, by one delivery record of the packet.
+//  * A direct arrival makes the packet kDirect.
+//  * A recovery makes it kRecovered if it took at most `rtt_ms` from loss
+//    detection, else kLost: "any packet that takes longer than one RTT to
+//    recover is a lost packet". A loss that was never detected took no
+//    measurable time.
+//  * A give-up makes it kLost.
+//  * A late direct copy turns kRecovered back into kDirect: the recovery
+//    raced a delay spike, so the packet was late, not lost.
+//  * A packet that already has an outcome otherwise keeps it.
+// Returns a recovery's detection-to-delivery delay in ms, or -1 if its loss
+// was never detected or the record is not a recovery.
+double settle_outcome(const endpoint::DeliveryRecord& rec, double rtt_ms, Outcome& outcome);
+
 // Direct-path loss process configuration for one scenario. Defaults are
 // calibrated to the Section 6.2.2 observations: loss rates up to ~0.9%,
 // 40% of paths above 0.1%, and 1-3 s outages on ~45% of paths.
@@ -159,6 +175,11 @@ struct PathRuntime {
   // Overlay up/down transitions, in occurrence order (failover enabled only).
   std::vector<FailoverEvent> failover_events;
 
+  // The counter of packets settled as `o` (kDirect, kRecovered or kLost).
+  std::uint64_t& count(Outcome o) {
+    return o == Outcome::kDirect ? delivered_direct : o == Outcome::kRecovered ? recovered : lost;
+  }
+
   std::uint64_t direct_losses() const { return recovered + lost; }
   double recovery_success() const {
     const std::uint64_t l = direct_losses();
@@ -212,10 +233,10 @@ class ScenarioShard {
   // build-time flow.
   FlowId open_session(std::size_t path_index);
   void close_session(std::size_t path_index, FlowId flow);
-  // Flushes every encoder queue (end-of-run drain for churn workloads).
+  // Flushes every encoder queue: the end-of-run drain of run() and of the
+  // churn workload.
   void flush_encoders();
 
-  endpoint::SessionManager& sessions() { return sessions_; }
   // Registered-flow count; a drained churn run must report 0 (leak check).
   std::size_t registered_flows() const { return registry_->size(); }
 
@@ -234,7 +255,6 @@ class ScenarioShard {
 
   // Fault-layer counters for this shard (links, DCs, endpoints, injector).
   FaultSummary fault_summary() const;
-  netsim::FaultInjector& injector() { return injector_; }
 
   // --- packet pool (docs/MEMORY.md) ---
   // The shard's one PacketPool. The shard's Network carries it, and every

@@ -27,8 +27,11 @@ std::vector<std::vector<std::size_t>> interaction_groups(
   return groups;
 }
 
-}  // namespace
-
+// Groups paths by (DC1, DC2) interaction group in first-appearance order,
+// LPT-packs the groups into at most `num_shards` shards (0 = one shard per
+// group), and keeps paths in ascending global-index order within each
+// shard. A pure function of (paths, num_shards) -- never of thread count --
+// which is what makes merged results thread-count invariant.
 std::vector<std::vector<IndexedPath>> plan_shards(
     const std::vector<geo::PathSample>& paths, std::size_t num_shards) {
   auto groups = interaction_groups(paths);
@@ -70,6 +73,8 @@ std::vector<std::vector<IndexedPath>> plan_shards(
   return plans;
 }
 
+}  // namespace
+
 ShardedRunner::ShardedRunner(std::vector<geo::PathSample> paths,
                              const WanScenarioParams& params,
                              const ShardedRunParams& run_params)
@@ -84,6 +89,11 @@ ShardedRunner::ShardedRunner(std::vector<geo::PathSample> paths,
 ShardedRunner::~ShardedRunner() = default;
 
 void ShardedRunner::run(SimDuration duration) {
+  run([duration](std::size_t, ScenarioShard& shard) { shard.run(duration); });
+}
+
+void ShardedRunner::run(
+    const std::function<void(std::size_t shard, ScenarioShard&)>& workload) {
   shards_.clear();
   shards_.resize(plans_.size());
   // Report the concurrency that can actually materialize: the pool clamps
@@ -96,23 +106,19 @@ void ShardedRunner::run(SimDuration duration) {
   // queue backend was resolved once in the constructor, so workers never
   // touch process-global backend state. A finished shard is kept for the
   // merge, so its worker trims its pool before building the next one.
-  parallel_for_indexed(plans_.size(), threads_used_, [this, duration](std::size_t i) {
+  parallel_for_indexed(plans_.size(), threads_used_, [this, &workload](std::size_t i) {
     shards_[i] = std::make_unique<ScenarioShard>(plans_[i], params_, backend_);
-    shards_[i]->run(duration);
+    workload(i, *shards_[i]);
     shards_[i]->trim_pool();
   });
 
-  // Merge: per-path results under their global indices, per-shard event
-  // counts for throughput reporting.
+  // Merge: per-path results under their global indices.
   merged_.assign(total_paths_, nullptr);
-  shard_events_.clear();
-  shard_events_.reserve(shards_.size());
   for (const auto& shard : shards_) {
     for (std::size_t p = 0; p < shard->path_count(); ++p) {
       const PathRuntime& rt = shard->path(p);
       merged_.at(rt.global_index) = &rt;
     }
-    shard_events_.push_back(shard->sim().events_processed());
   }
 }
 
@@ -141,7 +147,7 @@ FaultSummary ShardedRunner::fault_summary() const {
 
 std::uint64_t ShardedRunner::total_events() const {
   std::uint64_t total = 0;
-  for (std::uint64_t e : shard_events_) total += e;
+  for (const auto& shard : shards_) total += shard->sim().events_processed();
   return total;
 }
 

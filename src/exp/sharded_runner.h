@@ -1,7 +1,9 @@
 // Shard-per-thread scenario execution: partitions a scenario's wide-area
-// paths into independent ScenarioShards, runs them on a std::thread pool,
-// and merges per-path outcomes and service statistics back into the exact
-// structures single-shard callers consume.
+// paths into independent ScenarioShards, runs a workload on each of them on
+// a std::thread pool (the CBR scenario, or a caller's own, such as
+// workload::run_churn's session churn), and merges per-path outcomes and
+// service statistics back into the exact structures single-shard callers
+// consume.
 //
 // Determinism contract (enforced by tests/sharded_scenario_test.cc):
 //
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,15 +44,6 @@ struct ShardedRunParams {
   unsigned num_threads = 0;
 };
 
-// The partition both ShardedRunner and the workload layer's churn runner
-// use: groups paths by (DC1, DC2) interaction group in first-appearance
-// order, LPT-packs the groups into at most `num_shards` shards (0 = one
-// shard per group), and keeps paths in ascending global-index order within
-// each shard. A pure function of (paths, num_shards) -- never of thread
-// count -- which is what makes merged results thread-count invariant.
-std::vector<std::vector<IndexedPath>> plan_shards(
-    const std::vector<geo::PathSample>& paths, std::size_t num_shards);
-
 class ShardedRunner {
  public:
   ShardedRunner(std::vector<geo::PathSample> paths, const WanScenarioParams& params,
@@ -59,9 +53,14 @@ class ShardedRunner {
   ShardedRunner(const ShardedRunner&) = delete;
   ShardedRunner& operator=(const ShardedRunner&) = delete;
 
-  // Builds every shard (on the pool) and runs the workload for `duration`.
-  // Shard construction happens on the worker threads too: it is the
-  // second-largest cost after the event loop and is just as independent.
+  // Builds every shard (on the pool), runs `workload` on it, then trims the
+  // shard's packet pool, since the shard is kept for the merge. `workload`
+  // may run on any worker thread and must touch only its own shard and its
+  // own per-shard slots. Shard construction happens on the worker threads
+  // too: it is the second-largest cost after the event loop and is just as
+  // independent.
+  void run(const std::function<void(std::size_t shard, ScenarioShard&)>& workload);
+  // The CBR workload on every path for `duration` (ScenarioShard::run).
   void run(SimDuration duration);
 
   // Merged view, valid after run(). Paths appear under their original
@@ -82,8 +81,7 @@ class ShardedRunner {
   ScenarioShard& shard(std::size_t i) { return *shards_.at(i); }
   unsigned threads_used() const { return threads_used_; }
 
-  // Per-shard and merged simulator event counts (throughput reporting).
-  const std::vector<std::uint64_t>& shard_events() const { return shard_events_; }
+  // Simulator events summed over the shards (throughput reporting).
   std::uint64_t total_events() const;
 
  private:
@@ -93,7 +91,6 @@ class ShardedRunner {
   std::vector<std::vector<IndexedPath>> plans_;
   std::vector<std::unique_ptr<ScenarioShard>> shards_;
   std::vector<const PathRuntime*> merged_;  // Indexed by global path index.
-  std::vector<std::uint64_t> shard_events_;
   unsigned threads_used_ = 0;
   std::size_t total_paths_ = 0;
 };

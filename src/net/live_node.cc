@@ -120,6 +120,10 @@ void LiveReceiver::on_readable() {
     const Packet& pkt = *parsed;
     const bool recovered = pkt.type == PacketType::kRecovered;
     if (pkt.type != PacketType::kData && !recovered) continue;
+    if (std::uint64_t{pkt.seq} >= std::uint64_t{next_expected_} + kMaxSeqGap) {
+      ++far_ahead_dropped_;
+      continue;
+    }
 
     if (pkt.seq < next_expected_ && pending_pulls_.count(pkt.seq) == 0) {
       continue;  // Duplicate.

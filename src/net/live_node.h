@@ -73,6 +73,9 @@ class LiveReceiver {
   std::uint64_t delivered_direct() const { return delivered_direct_; }
   std::uint64_t delivered_recovered() const { return delivered_recovered_; }
   std::uint64_t pulls_sent() const { return pulls_sent_; }
+  // Datagrams dropped for a seq kMaxSeqGap or more past the next expected
+  // one (one past the highest arrival so far).
+  std::uint64_t far_ahead_dropped() const { return far_ahead_dropped_; }
 
  private:
   void on_readable();
@@ -88,6 +91,7 @@ class LiveReceiver {
   std::uint64_t delivered_direct_ = 0;
   std::uint64_t delivered_recovered_ = 0;
   std::uint64_t pulls_sent_ = 0;
+  std::uint64_t far_ahead_dropped_ = 0;
 };
 
 }  // namespace jqos::net

@@ -60,8 +60,8 @@ struct EncoderStats {
 
 class CodingEncoderService final : public overlay::DcService {
  public:
-  // `batch_id_base` namespaces batch ids so multiple encoder DCs sending to
-  // one recovery DC never collide (the encoder's DcId shifted high).
+  // Batch ids start at the DC's `dc_id() << 20`, which namespaces them so
+  // several encoder DCs sending to one recovery DC never collide.
   CodingEncoderService(overlay::DataCenter& dc, const CodingParams& params,
                        FlowRegistryPtr registry);
 

@@ -280,16 +280,11 @@ void TcpWorkload::server_send_window() {
       paced_retx_.pop_front();  // Repaired by other means while queued.
       continue;
     }
-    const SimTime now = net_.sim().now();
-    if (now < pacing_release_) {
+    if (net_.sim().now() < pacing_release_) {
       server_arm_pacing_timer();
       return;
     }
-    const std::size_t body =
-        std::min(params_.mss, response_bytes_ - static_cast<std::size_t>(s) * params_.mss);
-    const std::size_t wire = std::max<std::size_t>(body, 18);
-    pacing_release_ = std::max(pacing_release_, now) +
-                      static_cast<SimDuration>(static_cast<double>(wire) * 8.0 / pace * 1e6);
+    advance_pacing_release(s, pace);
     paced_retx_.pop_front();
     server_send_segment(s, /*retransmit=*/true);
   }
@@ -299,20 +294,27 @@ void TcpWorkload::server_send_window() {
     if (pace > 0.0) {
       // Paced send: respect the release time computed from the previous
       // segment; if it is in the future, come back on a sim timer.
-      const SimTime now = net_.sim().now();
-      if (now < pacing_release_) {
+      if (net_.sim().now() < pacing_release_) {
         server_arm_pacing_timer();
         break;
       }
-      const std::size_t body = std::min(
-          params_.mss, response_bytes_ - static_cast<std::size_t>(next_to_send_) * params_.mss);
-      const std::size_t wire = std::max<std::size_t>(body, 18);
-      pacing_release_ = std::max(pacing_release_, now) +
-                        static_cast<SimDuration>(static_cast<double>(wire) * 8.0 / pace * 1e6);
+      advance_pacing_release(next_to_send_, pace);
     }
     server_send_segment(next_to_send_, /*retransmit=*/false);
     ++next_to_send_;
   }
+}
+
+std::size_t TcpWorkload::segment_wire_bytes(std::uint32_t seq) const {
+  const std::size_t body =
+      std::min(params_.mss, response_bytes_ - static_cast<std::size_t>(seq) * params_.mss);
+  return std::max<std::size_t>(body, 18);  // A body never undercuts the 18 B header.
+}
+
+void TcpWorkload::advance_pacing_release(std::uint32_t seq, double pace_bps) {
+  const double wire_bits = static_cast<double>(segment_wire_bytes(seq)) * 8.0;
+  pacing_release_ = std::max(pacing_release_, net_.sim().now()) +
+                    static_cast<SimDuration>(wire_bits / pace_bps * 1e6);
 }
 
 void TcpWorkload::server_arm_pacing_timer() {
@@ -332,8 +334,6 @@ void TcpWorkload::server_send_segment(std::uint32_t seq, bool retransmit) {
   seg.flags = TcpSegment::kData;
   seg.seq = seq;
   seg.total_segments = total_segments_;
-  const std::size_t body =
-      std::min(params_.mss, response_bytes_ - static_cast<std::size_t>(seq) * params_.mss);
   ++server_stats_.segments_sent;
   if (retransmit) {
     ++server_stats_.retransmits;
@@ -342,7 +342,7 @@ void TcpWorkload::server_send_segment(std::uint32_t seq, bool retransmit) {
   } else {
     send_times_[seq] = net_.sim().now();
   }
-  const std::size_t wire = std::max<std::size_t>(body, 18);
+  const std::size_t wire = segment_wire_bytes(seq);
   cc_->on_segment_sent(seq, wire, retransmit, net_.sim().now());
   server_.send_payload(flow_, seg.serialize(wire));
 }
@@ -390,17 +390,13 @@ void TcpWorkload::server_on_ack(const TcpSegment& seg) {
   ev.now = net_.sim().now();
   ev.ecn_echo = (seg.flags & TcpSegment::kEce) != 0;
   if (ev.ecn_echo) ++server_stats_.ecn_echoes;
-  const auto effective_xmit = [this](std::uint32_t s) -> SimTime {
-    auto rt = retransmitted_.find(s);
-    if (rt != retransmitted_.end()) return rt->second;
-    auto st = send_times_.find(s);
-    return st == send_times_.end() ? -1 : st->second;
-  };
+  // Reads the send-time maps through pointers, so it sees the erases below.
+  const CcScoreboard sent = scoreboard();
   for (const auto& [lo, hi] : seg.sacks) {
     for (std::uint32_t s = lo; s < hi && s < total_segments_; ++s) {
       if (sacked_.insert(s).second) {
         ++ev.newly_sacked;
-        ev.delivered_xmit_time = std::max(ev.delivered_xmit_time, effective_xmit(s));
+        ev.delivered_xmit_time = std::max(ev.delivered_xmit_time, sent.effective_xmit_time(s));
       }
     }
   }
@@ -414,7 +410,7 @@ void TcpWorkload::server_on_ack(const TcpSegment& seg) {
       ev.rtt_sample = sample;
     }
     for (std::uint32_t s = highest_acked_; s < seg.ack; ++s) {
-      ev.delivered_xmit_time = std::max(ev.delivered_xmit_time, effective_xmit(s));
+      ev.delivered_xmit_time = std::max(ev.delivered_xmit_time, sent.effective_xmit_time(s));
       send_times_.erase(s);
       retransmitted_.erase(s);
       sacked_.erase(s);

@@ -112,6 +112,11 @@ class TcpWorkload {
   void server_rto_fired(std::uint64_t gen);
   void server_update_rtt(SimDuration sample);
   void server_arm_pacing_timer();
+  // Segment `seq`'s size on the wire: its share of the response body, at
+  // least the fixed header.
+  std::size_t segment_wire_bytes(std::uint32_t seq) const;
+  // Moves the paced release time past segment `seq` sent now at `pace_bps`.
+  void advance_pacing_release(std::uint32_t seq, double pace_bps);
   CcScoreboard scoreboard() const;
   void apply_cc_actions(const CcActions& actions);
 

@@ -5,20 +5,13 @@
 #include <cstring>
 #include <memory>
 
-#include "common/parallel.h"
 #include "exp/sharded_runner.h"
 #include "geo/path_dataset.h"
-#include "netsim/event_queue.h"
 
 namespace jqos::workload {
 namespace {
 
-// Per-packet classification codes inside one session, mirroring
-// exp::Outcome semantics (pending/direct/recovered/lost).
-constexpr std::uint8_t kPending = 0;
-constexpr std::uint8_t kDirect = 1;
-constexpr std::uint8_t kRecovered = 2;
-constexpr std::uint8_t kLost = 3;
+using exp::Outcome;
 
 // How long a session lingers after its last send before closing its books
 // (must cover the receiver's recovery_give_up window so in-flight
@@ -34,28 +27,24 @@ struct SessionState {
   SimTime opened_at = 0;
   SimTime last_delivery = 0;  // Latest in-time delivery (direct or recovered).
   std::uint32_t total = 0;    // Packets this session sends.
-  std::uint32_t direct = 0;
-  std::uint32_t recovered = 0;
-  std::uint32_t lost = 0;
-  // Per-packet codes indexed by the flow's sequence number. Recycled: a
+  // Per-packet outcomes indexed by the flow's sequence number. Recycled: a
   // soak opens and closes millions of sessions, and reusing the vector's
   // capacity keeps session open/close off the global allocator (finalize
   // parks it on the engine's spare list before the session is erased).
-  std::vector<std::uint8_t> outcome;
+  std::vector<Outcome> outcome;
 };
 
-// One shard's churn workload: owns the ScenarioShard, drives arrivals,
-// sends, classifies deliveries, and finalizes/tears down sessions. All
-// events live in the shard's own Simulator, so an engine is fully
-// independent of every other engine and may run on any thread.
+// One shard's churn workload: drives arrivals and sends on a shard the
+// ShardedRunner built, classifies deliveries, and finalizes/tears down
+// sessions. All events live in the shard's own Simulator, so an engine is
+// fully independent of every other engine and may run on any thread.
 class ChurnShardEngine {
  public:
-  ChurnShardEngine(std::vector<exp::IndexedPath> plan, const ChurnConfig& cfg,
-                   const FlowSizeDist& sizes, netsim::EvqBackend backend,
-                   double per_path_rate)
+  ChurnShardEngine(exp::ScenarioShard& shard, const ChurnConfig& cfg,
+                   const FlowSizeDist& sizes, double per_path_rate)
       : cfg_(cfg),
         sizes_(sizes),
-        shard_(std::move(plan), cfg.scenario, backend),
+        shard_(shard),
         fault_windows_(cfg.scenario.faults.windows()),
         send_gap_(std::max<SimDuration>(1, sec_f(1.0 / cfg.packets_per_second))) {
     // The build-time long-lived flows are the figure scenarios' workload,
@@ -94,15 +83,13 @@ class ChurnShardEngine {
     shard_.sim().run();
     shard_.flush_encoders();
     shard_.sim().run();
-    // run_churn keeps this engine until its merge: drop the pooled packets.
-    shard_.trim_pool();
     totals.leaked_flows =
         shard_.registered_flows() + static_cast<std::uint64_t>(active_.size());
   }
 
   ChurnConfig cfg_;
   const FlowSizeDist& sizes_;
-  exp::ScenarioShard shard_;
+  exp::ScenarioShard& shard_;
 
   // Results, merged by run_churn in shard-index order.
   ChurnTotals totals;
@@ -138,7 +125,7 @@ class ChurnShardEngine {
       s.outcome = std::move(spare_outcomes_.back());
       spare_outcomes_.pop_back();
     }
-    s.outcome.assign(total, kPending);
+    s.outcome.assign(total, Outcome::kPending);
     ++totals.sessions_opened;
     send_next(flow, 0);
   }
@@ -162,47 +149,12 @@ class ChurnShardEngine {
     if (it == active_.end()) return;  // Record for an already-closed session.
     SessionState& s = it->second;
     if (rec.seq >= s.outcome.size()) return;
-    std::uint8_t& o = s.outcome[rec.seq];
-
-    if (rec.late_direct) {
-      // The direct copy arrived after all: not a path loss (same
-      // reclassification the figure scenarios apply).
-      if (o == kRecovered) {
-        o = kDirect;
-        --s.recovered;
-        ++s.direct;
-      }
-      return;
-    }
-    if (rec.lost) {
-      if (o == kPending) {
-        o = kLost;
-        ++s.lost;
-      }
-      return;
-    }
-    if (rec.recovered) {
-      double ms = 0.0;
-      if (rec.detected_missing_at > 0) {
-        ms = to_ms(rec.delivered_at - rec.detected_missing_at);
-        recovery_ms.add(ms);
-      }
-      if (o != kPending) return;
-      // Paper's success criterion: recovery beyond one direct-path RTT
-      // counts as a loss.
-      if (ms <= shard_.path(s.path).rtt_ms) {
-        o = kRecovered;
-        ++s.recovered;
-        s.last_delivery = std::max(s.last_delivery, rec.delivered_at);
-      } else {
-        o = kLost;
-        ++s.lost;
-      }
-      return;
-    }
-    if (o == kPending) {
-      o = kDirect;
-      ++s.direct;
+    Outcome& outcome = s.outcome[rec.seq];
+    const Outcome before = outcome;
+    const double delay_ms = exp::settle_outcome(rec, shard_.path(s.path).rtt_ms, outcome);
+    if (delay_ms >= 0.0) recovery_ms.add(delay_ms);
+    if (before == Outcome::kPending &&
+        (outcome == Outcome::kDirect || outcome == Outcome::kRecovered)) {
       s.last_delivery = std::max(s.last_delivery, rec.delivered_at);
     }
   }
@@ -211,24 +163,24 @@ class ChurnShardEngine {
     auto it = active_.find(flow);
     if (it == active_.end()) return;
     SessionState& s = it->second;
+    std::uint32_t direct = 0;
+    std::uint32_t recovered = 0;
+    for (Outcome o : s.outcome) {
+      if (o == Outcome::kDirect) ++direct;
+      if (o == Outcome::kRecovered) ++recovered;
+    }
     // Ground truth: every sequence number with no delivery record by the
     // end of the linger window is a loss (tail losses the receiver never
-    // distinguished from a finished stream).
-    for (std::uint8_t& o : s.outcome) {
-      if (o == kPending) {
-        o = kLost;
-        ++s.lost;
-      }
-    }
+    // distinguished from a finished stream), so a pending packet is lost.
     totals.packets_sent += s.total;
-    totals.delivered_direct += s.direct;
-    totals.recovered += s.recovered;
-    totals.lost += s.lost;
+    totals.delivered_direct += direct;
+    totals.recovered += recovered;
+    totals.lost += s.total - direct - recovered;
     ++totals.sessions_completed;
     const double completion =
         s.last_delivery > 0 ? to_ms(s.last_delivery - s.opened_at) : 0.0;
-    const double pct = 100.0 * static_cast<double>(s.direct + s.recovered) /
-                       static_cast<double>(s.total);
+    const double pct =
+        100.0 * static_cast<double>(direct + recovered) / static_cast<double>(s.total);
     completion_ms.add(completion);
     delivered_pct.add(pct);
     if (pct >= kSuccessDeliveredPct) ++totals.sessions_succeeded;
@@ -260,7 +212,7 @@ class ChurnShardEngine {
   // Outcome vectors of finalized sessions, reused by the next sessions to
   // open. It never holds more vectors than the peak number of concurrent
   // sessions.
-  std::vector<std::vector<std::uint8_t>> spare_outcomes_;
+  std::vector<std::vector<Outcome>> spare_outcomes_;
   std::unordered_map<FlowId, SessionState> active_;
   SimTime end_ = 0;
   SimDuration send_gap_;
@@ -332,25 +284,17 @@ ChurnResult run_churn(const ChurnConfig& config) {
   // Geography drawn from its own derived stream: a pure function of the
   // scenario seed, shared by every sharding of the same config.
   Rng geo_rng(Rng::derive(config.scenario.seed, "churn-paths"));
-  auto paths = geo::planetlab_paths(config.num_pairs, geo_rng);
-  if (!config.scenario.faults.empty()) exp::validate_fault_plan(config.scenario.faults, paths);
-  auto plans = exp::plan_shards(paths, config.num_shards);
+  exp::ShardedRunner runner(geo::planetlab_paths(config.num_pairs, geo_rng), config.scenario,
+                            {config.num_shards, config.num_threads});
 
   const double per_path_rate =
       config.arrivals.sessions_per_sec / static_cast<double>(config.num_pairs);
   const FlowSizeDist sizes = config.cdf_file
                                  ? FlowSizeDist::from_file(*config.cdf_file)
                                  : FlowSizeDist::app_mix(config.mix);
-  // Resolve the backend once, on this thread, exactly as ShardedRunner does:
-  // workers never consult process-global backend state.
-  const netsim::EvqBackend backend = netsim::evq_default_backend();
-
-  const unsigned threads = static_cast<unsigned>(std::min<std::size_t>(
-      resolve_sim_threads(config.num_threads), plans.size()));
-  std::vector<std::unique_ptr<ChurnShardEngine>> engines(plans.size());
-  parallel_for_indexed(plans.size(), threads, [&](std::size_t i) {
-    engines[i] = std::make_unique<ChurnShardEngine>(plans[i], config, sizes, backend,
-                                                    per_path_rate);
+  std::vector<std::unique_ptr<ChurnShardEngine>> engines(runner.shard_count());
+  runner.run([&](std::size_t i, exp::ScenarioShard& shard) {
+    engines[i] = std::make_unique<ChurnShardEngine>(shard, config, sizes, per_path_rate);
     engines[i]->run();
   });
 
@@ -364,16 +308,12 @@ ChurnResult run_churn(const ChurnConfig& config) {
     r.recovery_ms.merge(e->recovery_ms);
     r.completion_in_fault_ms.merge(e->completion_in_fault_ms);
     r.completion_clear_ms.merge(e->completion_clear_ms);
-    r.faults += e->shard_.fault_summary();
     for (std::size_t p = 0; p < e->shard_.path_count(); ++p) {
       const exp::PathRuntime& rt = e->shard_.path(p);
       for (const exp::FailoverEvent& ev : rt.failover_events) {
         r.failover_events.push_back(PathFailover{rt.global_index, ev.at, ev.up});
       }
     }
-    r.encoder += e->shard_.encoder_totals();
-    r.recovery += e->shard_.recovery_totals();
-    r.events += e->shard_.sim().events_processed();
   }
   // Sorted by (time, path): a stable order that does not depend on which
   // shard a path landed in.
@@ -381,8 +321,12 @@ ChurnResult run_churn(const ChurnConfig& config) {
             [](const PathFailover& a, const PathFailover& b) {
               return a.at != b.at ? a.at < b.at : a.path < b.path;
             });
-  r.shards_used = plans.size();
-  r.threads_used = threads;
+  r.faults = runner.fault_summary();
+  r.encoder = runner.encoder_totals();
+  r.recovery = runner.recovery_totals();
+  r.events = runner.total_events();
+  r.shards_used = runner.shard_count();
+  r.threads_used = runner.threads_used();
   return r;
 }
 

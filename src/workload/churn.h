@@ -18,7 +18,10 @@
 //    result is bit-identical across thread counts and event-queue backends
 //    (tests/workload_test.cc pins the fingerprint).
 //
-// Delivery quality is summarized with O(1)-memory QuantileSketches (see
+// Every packet is scored by exp::settle_outcome, the rule the figure
+// scenarios apply: a recovery slower than one direct-path RTT is a loss, and
+// a direct copy landing after a recovery was late, not lost. Delivery
+// quality is summarized with O(1)-memory QuantileSketches (see
 // common/stats.h) -- a million sessions' completion times cannot be buffered
 // as raw Samples. Sketches are merged in shard-index order, which makes the
 // sketch contents a pure function of (config, num_shards).
@@ -52,9 +55,9 @@ struct ChurnConfig {
   // Sessions longer than this are truncated (keeps bulk-mix soaks bounded).
   std::uint32_t max_session_packets = 2000;
   exp::WanScenarioParams scenario;
-  // Sharding (same contract as ShardedRunParams): 0 = one shard per
-  // (DC1, DC2) group. Sketch contents depend on num_shards (merge order);
-  // totals do not.
+  // Sharding, passed to the exp::ShardedRunner that runs the shards (see
+  // ShardedRunParams): 0 = one shard per (DC1, DC2) group. Sketch contents
+  // depend on num_shards (merge order); totals do not.
   std::size_t num_shards = 0;
   unsigned num_threads = 0;  // 0 = JQOS_SIM_THREADS / hardware concurrency.
 };
@@ -119,11 +122,12 @@ struct ChurnResult {
   std::uint64_t fingerprint() const;
 };
 
-// Runs the churn workload. Shards are built and run in parallel (same
-// partition as ShardedRunner: exp::plan_shards) and merged in shard-index
-// order. Deterministic for fixed (config, num_shards) regardless of
-// num_threads. Throws std::invalid_argument on a fault plan that
-// exp::validate_fault_plan rejects for the drawn paths.
+// Runs the churn workload as an exp::ShardedRunner workload: the runner
+// partitions the drawn paths, builds and runs the shards in parallel, and
+// trims each finished shard's pool; the results merge in shard-index order.
+// Deterministic for fixed (config, num_shards) regardless of num_threads.
+// Throws std::invalid_argument on a fault plan that exp::validate_fault_plan
+// rejects for the drawn paths.
 ChurnResult run_churn(const ChurnConfig& config);
 
 }  // namespace jqos::workload

@@ -1,10 +1,15 @@
 // Tests for the experiment harness: the Fig. 7 feasibility computation,
-// loss-episode classification, and the FEC what-if replay.
+// the per-packet outcome rule, loss-episode classification, and the FEC
+// what-if replay.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "exp/fec_whatif.h"
 #include "exp/feasibility.h"
 #include "exp/planetlab.h"
+#include "exp/scenario.h"
 
 namespace jqos::exp {
 namespace {
@@ -78,6 +83,51 @@ std::vector<Outcome> outcomes_from_string(const std::string& s) {
     }
   }
   return out;
+}
+
+// ------------------------------ outcome rule -------------------------------
+
+TEST(Outcome, SettleFollowsThePaperRule) {
+  // One row per record kind: what it settles each starting outcome to, in
+  // the order pending, direct, recovered, lost (the codes of
+  // outcomes_from_string), and the delay it returns. The path RTT is 100 ms.
+  constexpr double kRttMs = 100.0;
+  constexpr SimTime kDetected = msec(1000);
+  const auto recovery = [](SimTime detected, SimTime delivered) {
+    return endpoint::DeliveryRecord{
+        .delivered_at = delivered, .recovered = true, .detected_missing_at = detected};
+  };
+  struct Row {
+    const char* kind;
+    endpoint::DeliveryRecord rec;
+    const char* settles;
+    double delay_ms;
+  };
+  const Row rows[] = {
+      {"direct", {.delivered_at = kDetected}, "ddrl", -1.0},
+      {"direct filling a detected hole",
+       {.delivered_at = kDetected + msec(500), .detected_missing_at = kDetected},
+       "ddrl", -1.0},
+      {"recovery in exactly one RTT", recovery(kDetected, kDetected + msec(100)), "rdrl",
+       100.0},
+      {"recovery 1 us over one RTT", recovery(kDetected, kDetected + msec(100) + 1), "ldrl",
+       to_ms(msec(100) + 1)},
+      {"recovery of an undetected loss", recovery(0, kDetected + sec(5)), "rdrl", -1.0},
+      {"give-up",
+       {.delivered_at = kDetected + sec(1), .lost = true, .detected_missing_at = kDetected},
+       "ldrl", -1.0},
+      {"late direct copy", {.delivered_at = kDetected, .late_direct = true}, ".ddl", -1.0},
+  };
+  const std::vector<Outcome> starts = outcomes_from_string(".drl");
+  for (const Row& row : rows) {
+    const std::vector<Outcome> want = outcomes_from_string(row.settles);
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      SCOPED_TRACE(std::string(row.kind) + " from '" + ".drl"[i] + "'");
+      Outcome outcome = starts[i];
+      EXPECT_DOUBLE_EQ(settle_outcome(row.rec, kRttMs, outcome), row.delay_ms);
+      EXPECT_EQ(outcome, want[i]);
+    }
+  }
 }
 
 TEST(Episodes, ClassifiesByBurstLength) {

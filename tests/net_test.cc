@@ -141,5 +141,24 @@ TEST(LiveLoopback, CachingRecoveryOverRealSockets) {
   EXPECT_GT(sender.direct_stats().dropped, 10u);
 }
 
+TEST(LiveLoopback, FarAheadSeqIsDroppedAndCounted) {
+  // One datagram carrying the flow's id and a far-ahead seq would make the
+  // receiver pull every hole below it; it is dropped and counted instead.
+  EventLoop loop;
+  UdpSocket dc;  // Where pulls would go.
+  LiveReceiver receiver(loop, /*flow=*/1, dc.local_endpoint(), {});
+  UdpSocket peer;
+  Packet pkt;
+  pkt.type = PacketType::kData;
+  pkt.flow = 1;
+  pkt.seq = kMaxSeqGap + 5;
+  ASSERT_GT(peer.send_to(pkt.serialize(), receiver.endpoint()), 0);
+  pump(loop, 50ms);
+  EXPECT_EQ(receiver.far_ahead_dropped(), 1u);
+  EXPECT_EQ(receiver.pulls_sent(), 0u);
+  EXPECT_EQ(receiver.delivered_direct(), 0u);
+  EXPECT_FALSE(dc.recv().has_value());
+}
+
 }  // namespace
 }  // namespace jqos::net

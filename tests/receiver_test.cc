@@ -421,6 +421,27 @@ TEST(Receiver, UnknownFlowIgnored) {
   EXPECT_TRUE(f.records.empty());
 }
 
+TEST(Receiver, FarAheadSeqIsDroppedAndCounted) {
+  // One arrival kMaxSeqGap or more past the contiguity edge would open a
+  // hole (and a NACK key) for every seq in between; it is dropped instead.
+  Fixture f;
+  f.arrive(0);
+  f.arrive(kMaxSeqGap + 5);
+  f.sim.run_until(msec(20));
+  EXPECT_TRUE(f.dc.of_type(PacketType::kNack).empty());
+  EXPECT_EQ(f.receiver->stats().losses_detected, 0u);
+  EXPECT_EQ(f.receiver->stats().far_ahead_dropped, 1u);
+  ASSERT_EQ(f.records.size(), 1u);
+
+  // The flow carries on from its edge, and the bound moves with it.
+  f.arrive(1);                   // Edge: 2.
+  f.arrive(2 + kMaxSeqGap);      // At the bound: dropped.
+  f.arrive(2 + kMaxSeqGap - 1);  // Just inside: kMaxSeqGap - 1 holes.
+  EXPECT_EQ(f.receiver->stats().far_ahead_dropped, 2u);
+  EXPECT_EQ(f.receiver->stats().losses_detected, kMaxSeqGap - 1);
+  EXPECT_EQ(f.records.size(), 3u);
+}
+
 TEST(Receiver, RandomScheduleAccountsEverySeqOnce) {
   // Gap detection scans only the holes an arrival reveals, which relies on
   // every seq in [next_expected, evidence_horizon) staying tracked. Mixed

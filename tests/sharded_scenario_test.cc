@@ -16,6 +16,8 @@
 // thread-count knob feeding them (JQOS_SIM_THREADS) must refuse bogus values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -201,6 +203,43 @@ TEST(ShardedScenario, PartitionRespectsInteractionGroups) {
   }
   ShardedRunner runner(std::move(paths), fast_params(1), {});
   EXPECT_EQ(runner.shard_count(), 1u);
+}
+
+TEST(ShardedScenario, WorkloadRunsOncePerShard) {
+  // The workload entry point run_churn uses: each shard is built, handed to
+  // the workload exactly once, and trimmed after it, on any worker.
+  ShardedRunParams rp;
+  rp.num_threads = 3;
+  ShardedRunner runner(test_paths(10), fast_params(4), rp);
+  const std::size_t shards = runner.shard_count();
+  ASSERT_GT(shards, 3u) << "fewer shards than workers; no worker runs two";
+  std::vector<std::atomic<int>> runs(shards);
+  std::vector<std::vector<std::size_t>> indices(shards);
+  std::vector<std::size_t> pooled_after_workload(shards, 0);
+  runner.run([&](std::size_t shard, ScenarioShard& s) {
+    ++runs[shard];
+    for (std::size_t p = 0; p < s.path_count(); ++p) {
+      indices[shard].push_back(s.path(p).global_index);
+    }
+    s.run(sec(10));
+    pooled_after_workload[shard] = s.pool(0).pooled_bytes();
+  });
+
+  std::vector<std::size_t> covered;
+  for (std::size_t i = 0; i < shards; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "shard " << i;
+    covered.insert(covered.end(), indices[i].begin(), indices[i].end());
+    if (PacketPool::env_enabled()) {  // JQOS_OBJ_POOL=0 leaves every pool unused.
+      EXPECT_GT(pooled_after_workload[i], 0u) << "shard " << i << " pooled nothing to trim";
+    }
+    EXPECT_EQ(runner.shard(i).pool(0).pooled_bytes(), 0u) << "shard " << i;
+  }
+  std::sort(covered.begin(), covered.end());
+  ASSERT_EQ(covered.size(), runner.path_count());
+  for (std::size_t i = 0; i < covered.size(); ++i) {
+    EXPECT_EQ(covered[i], i);
+    EXPECT_EQ(runner.path(i).global_index, i);
+  }
 }
 
 // ------------------------------------------------------------------- knobs

@@ -166,7 +166,7 @@ struct MatrixRun {
 MatrixRun run_matrix_case(transport::CcKind cc, netsim::QdiscKind aqm,
                           std::size_t requests, std::uint64_t seed) {
   netsim::Simulator sim;
-  netsim::Network net(sim, {}, seed);  // Seeds RED's mark lottery.
+  netsim::Network net(sim, seed);  // Seeds RED's mark lottery.
   auto registry = std::make_shared<services::FlowRegistry>();
   endpoint::Sender server(net);
   endpoint::ReceiverConfig rc;
@@ -178,7 +178,7 @@ MatrixRun run_matrix_case(transport::CcKind cc, netsim::QdiscKind aqm,
   qd.kind = aqm;
   qd.limit_bytes = 32 * 1024;  // ~23 packets; well below the ~200 KB needed.
   net.add_link(server.id(), client.id(), netsim::make_fixed_latency(msec(100)),
-               netsim::make_no_loss(), 2e6, /*preserve_order=*/true, qd);
+               netsim::make_no_loss(), 2e6, qd);
   net.add_link(client.id(), server.id(), netsim::make_fixed_latency(msec(100)),
                netsim::make_no_loss());
 

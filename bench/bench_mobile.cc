@@ -13,11 +13,10 @@ int main(int argc, char** argv) {
   const bool json = bench::want_json(argc, argv);
   if (!json) std::printf("== Section 6.5: J-QoS on mobile networks ==\n");
 
-  app::MobileParams params;
   Rng rng(2020);
-  const app::MobileFeasibility f = app::evaluate_mobile(params, rng);
+  const app::MobileFeasibility f = app::evaluate_mobile(rng);
 
-  const Samples rtts = app::mobile_rtt_samples(params, rng, 1000);
+  const Samples rtts = app::mobile_rtt_samples(rng, 1000);
   if (json) {
     bench::JsonRow("mobile")
         .add("name", "feasibility")

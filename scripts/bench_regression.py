@@ -13,8 +13,15 @@ one side are reported but do not fail the gate -- benches grow and retire
 rows across PRs, and the gate's job is catching regressions on work that
 still exists.
 
+With --exact the script instead checks that a change is bit-identical: it
+matches rows the same way (keeping every row of a key, in emission order)
+and compares every field except the wall-clock-derived ones listed in
+WALL_CLOCK_FIELDS and wall_clock_field(). Any other difference, and any row
+present on one side only, fails.
+
 Usage:
   bench_regression.py --base DIR --current DIR [--threshold 0.15]
+  bench_regression.py --base DIR --current DIR --exact
   bench_regression.py --self-test
 """
 
@@ -58,22 +65,47 @@ ID_FIELDS = (
 )
 
 
-def load_rows(directory):
-    rows = {}
+# Fields --exact does not compare: they are read off the wall clock or the
+# process's peak RSS, so two runs of one binary already differ in them.
+# Everything else a bench prints comes out of the simulation and must
+# repeat exactly.
+WALL_CLOCK_FIELDS = THROUGHPUT_FIELDS + ("fraction_of_kernel", "peak_rss_mb")
+WALL_CLOCK_PREFIXES = ("wall", "speedup", "rss_")
+WALL_CLOCK_SUFFIXES = ("_per_sec",)
+
+
+def wall_clock_field(row, field):
+    if field in WALL_CLOCK_FIELDS:
+        return True
+    if field.startswith(WALL_CLOCK_PREFIXES) or field.endswith(WALL_CLOCK_SUFFIXES):
+        return True
+    # bench_churn's leak canary: the 4x soak's peak RSS over the 1x soak's.
+    return row.get("name") == "churn_rss_scaling" and field == "ratio"
+
+
+def row_key(row):
+    return tuple((k, row[k]) for k in sorted(row) if isinstance(row[k], str) or k in ID_FIELDS)
+
+
+def read_rows(directory):
+    """Yields every row of every .jsonl file under `directory`, in order."""
     for path in sorted(glob.glob(os.path.join(directory, "*.jsonl"))):
         with open(path) as f:
             for line in f:
                 line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                key_parts = []
-                for k in sorted(row):
-                    v = row[k]
-                    if isinstance(v, str) or k in ID_FIELDS:
-                        key_parts.append((k, v))
-                key = tuple(key_parts)
-                rows[key] = row
+                if line:
+                    yield json.loads(line)
+
+
+def load_rows(directory):
+    return {row_key(row): row for row in read_rows(directory)}
+
+
+def load_row_lists(directory):
+    """Every row of each key, in emission order (benches repeat some keys)."""
+    rows = {}
+    for row in read_rows(directory):
+        rows.setdefault(row_key(row), []).append(row)
     return rows
 
 
@@ -112,6 +144,53 @@ def diff(base_rows, current_rows, threshold):
             unmatched += 1
             print(f"[unmatched] current-only row: {dict(key)}")
     return regressions, checked, unmatched
+
+
+def exact_diff(base_rows, current_rows):
+    """Returns (differences, compared) over two load_row_lists maps: each
+    (key, field, base, current) outside the wall-clock fields that differs.
+    A row present on one side only is one difference with field "<row>"."""
+    diffs = []
+    compared = 0
+    for key in sorted(set(base_rows) | set(current_rows)):
+        base = base_rows.get(key, [])
+        current = current_rows.get(key, [])
+        for i in range(max(len(base), len(current))):
+            if i >= len(base) or i >= len(current):
+                diffs.append((dict(key), "<row>", i < len(base), i < len(current)))
+                continue
+            b, c = base[i], current[i]
+            for field in sorted(set(b) | set(c)):
+                if wall_clock_field(b, field):
+                    continue
+                compared += 1
+                if b.get(field) != c.get(field):
+                    diffs.append((dict(key), field, b.get(field), c.get(field)))
+    return diffs, compared
+
+
+def run_exact(base_dir, current_dir):
+    base_rows = load_row_lists(base_dir)
+    current_rows = load_row_lists(current_dir)
+    if not base_rows:
+        print(f"No base rows under {base_dir}; nothing to compare.")
+        return 1
+    diffs, compared = exact_diff(base_rows, current_rows)
+    print(
+        f"{compared} field(s) compared across "
+        f"{sum(len(v) for v in base_rows.values())} base row(s)."
+    )
+    for key, field, b, c in diffs:
+        if field == "<row>":
+            side = "base" if b else "current"
+            print(f"[DIFF] {key}: row present in {side} only")
+        else:
+            print(f"[DIFF] {key}: {field} {b!r} -> {c!r}")
+    if diffs:
+        print(f"FAIL: {len(diffs)} difference(s) outside the wall-clock fields.")
+        return 1
+    print("OK: every row matches outside the wall-clock fields.")
+    return 0
 
 
 def run_gate(base_dir, current_dir, threshold):
@@ -200,6 +279,30 @@ def self_test():
     regs, _, _ = diff(cost_base, cost_better, 0.15)
     assert not regs, "cost improvements must pass"
 
+    # --exact: a row differing only in a wall-clock field matches; one
+    # differing in a simulation result, or missing on one side, does not.
+    def lists(*items):
+        out = {}
+        for r in items:
+            out.setdefault(row_key(r), []).append(r)
+        return out
+
+    exact_base = lists({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 100},
+                       {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.0})
+    wall_only = lists({"bench": "x", "name": "a", "wall_sec": 2.5, "sim_events": 100},
+                      {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.2})
+    diffs, _ = exact_diff(exact_base, wall_only)
+    assert not diffs, "wall-clock fields must not be compared"
+
+    events_moved = lists({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 99},
+                         {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.0})
+    diffs, _ = exact_diff(exact_base, events_moved)
+    assert [d[1] for d in diffs] == ["sim_events"], "a moved result must fail --exact"
+
+    row_gone = lists({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 100})
+    diffs, _ = exact_diff(exact_base, row_gone)
+    assert [d[1] for d in diffs] == ["<row>"], "a missing row must fail --exact"
+
     _ = base  # silence lint about the illustrative fixture
     print("self-test OK")
     return 0
@@ -210,12 +313,19 @@ def main():
     ap.add_argument("--base", help="directory of base-branch .jsonl rows")
     ap.add_argument("--current", help="directory of this build's .jsonl rows")
     ap.add_argument("--threshold", type=float, default=0.15)
+    ap.add_argument(
+        "--exact",
+        action="store_true",
+        help="fail on any difference outside the wall-clock-derived fields",
+    )
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
         return self_test()
     if not args.base or not args.current:
         ap.error("--base and --current are required (or use --self-test)")
+    if args.exact:
+        return run_exact(args.base, args.current)
     return run_gate(args.base, args.current, args.threshold)
 
 

@@ -16,27 +16,10 @@
 
 namespace jqos::app {
 
-struct MobileParams {
-  // "our survey of major US carriers shows users can typically expect 2-5
-  // Mbps uplink bandwidth".
-  double uplink_min_mbps = 2.0;
-  double uplink_max_mbps = 5.0;
-  // Skype HD call bitrate and the duplicated total.
-  double call_mbps = 1.5;
-  // Battery drain measured over 20-minute calls, with and without
-  // duplication ("in both cases the battery drain was ~20 mAh").
-  double battery_base_mah = 20.0;
-  double battery_dup_extra_mah = 0.6;  // Below measurement noise.
-  // Cellular RTT to cloud providers: median 50-60 ms, p50-p90 spread
-  // 50-100 ms (1,000 pings to Amazon/Microsoft/Google over LTE).
-  double rtt_median_ms = 55.0;
-  double rtt_sigma = 0.35;  // Lognormal spread reproducing the 50-100 band.
-};
-
 struct MobileFeasibility {
   double dup_bitrate_mbps = 0.0;
-  bool dup_fits_typical_uplink = false;   // vs uplink_min
-  bool dup_fits_good_uplink = false;      // vs uplink_max
+  bool dup_fits_typical_uplink = false;   // vs the 2 Mbps uplink floor
+  bool dup_fits_good_uplink = false;      // vs a good 5 Mbps uplink
   double battery_overhead_percent = 0.0;
   double rtt_p50_ms = 0.0;
   double rtt_p90_ms = 0.0;
@@ -47,10 +30,9 @@ struct MobileFeasibility {
 };
 
 // Draws an RTT sample distribution and evaluates every Section 6.5 check.
-MobileFeasibility evaluate_mobile(const MobileParams& params, Rng& rng,
-                                  std::size_t rtt_samples = 1000);
+MobileFeasibility evaluate_mobile(Rng& rng);
 
-// RTT sample set alone (for the bench's distribution table).
-Samples mobile_rtt_samples(const MobileParams& params, Rng& rng, std::size_t n = 1000);
+// `n` cellular RTT samples alone (for the bench's distribution table).
+Samples mobile_rtt_samples(Rng& rng, std::size_t n);
 
 }  // namespace jqos::app

@@ -17,16 +17,11 @@
 
 namespace jqos::app {
 
+// Long freezes bottom out here (the other score levels are in psnr.cc).
+inline constexpr double kFreezeFloorDb = 20.0;
+
 struct PsnrParams {
-  double good_mean_db = 42.0;
   double good_stddev_db = 2.0;
-  double damaged_mean_db = 30.0;  // Frame shown with concealment artifacts.
-  double damaged_stddev_db = 2.5;
-  double freeze_start_db = 27.0;  // First frozen frame.
-  double freeze_floor_db = 20.0;  // Long freezes bottom out here.
-  double freeze_decay_db = 1.0;   // Per additional consecutive frozen frame.
-  double min_db = 18.0;
-  double max_db = 50.0;
   // A packet only helps its frame if delivered within the playout deadline.
   SimDuration playout_deadline = msec(400);
 };

@@ -14,12 +14,10 @@ void VideoSource::start(SimTime until) {
 void VideoSource::send_frame() {
   if (sim_.now() >= until_) return;
   const std::size_t pkts = static_cast<std::size_t>(
-      rng_.uniform_int(static_cast<std::int64_t>(params_.min_packets_per_frame),
-                       static_cast<std::int64_t>(params_.max_packets_per_frame)));
+      rng_.uniform_int(static_cast<std::int64_t>(kMinPacketsPerFrame),
+                       static_cast<std::int64_t>(kMaxPacketsPerFrame)));
   // Packet size follows from bitrate / fps / packets-per-frame (mean).
-  const double mean_ppf =
-      (static_cast<double>(params_.min_packets_per_frame) +
-       static_cast<double>(params_.max_packets_per_frame)) / 2.0;
+  const double mean_ppf = static_cast<double>(kMinPacketsPerFrame + kMaxPacketsPerFrame) / 2.0;
   const std::size_t bytes_per_packet = static_cast<std::size_t>(
       params_.bitrate_bps / params_.fps / mean_ppf / 8.0);
 

@@ -17,10 +17,12 @@
 
 namespace jqos::app {
 
+// Packets per frame, drawn uniformly from [min, max] for each frame.
+inline constexpr std::size_t kMinPacketsPerFrame = 2;
+inline constexpr std::size_t kMaxPacketsPerFrame = 5;
+
 struct VideoParams {
   double fps = 12.0;
-  std::size_t min_packets_per_frame = 2;
-  std::size_t max_packets_per_frame = 5;
   double bitrate_bps = 1.5e6;
   // Lost packets per frame Skype's own FEC can conceal (0 disables).
   std::size_t app_fec_per_frame = 1;

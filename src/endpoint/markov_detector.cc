@@ -3,15 +3,26 @@
 #include <algorithm>
 
 namespace jqos::endpoint {
+namespace {
+
+// The prototype's fixed small timer (Section 5). When adaptive, this is the
+// initial value and the learned value's upper bound (unless a slow stream's
+// learning cutoff is higher).
+constexpr SimDuration kSmallTimeout = msec(25);
+// The long timeout's floor: long = max(rtt, kMinLongTimeout).
+constexpr SimDuration kMinLongTimeout = msec(50);
+// The adaptive small timeout is clamp(kEwmaMultiplier * EWMA(intra-burst
+// inter-arrival), kMinSmallTimeout, upper bound).
+constexpr double kEwmaAlpha = 0.2;
+constexpr double kEwmaMultiplier = 3.0;
+constexpr SimDuration kMinSmallTimeout = msec(2);
+
+}  // namespace
 
 MarkovDetector::MarkovDetector(const MarkovParams& params, SimDuration rtt_estimate)
-    : params_(params), rtt_(rtt_estimate), small_(params.small_timeout) {}
+    : adaptive_(params.adaptive), rtt_(rtt_estimate), small_(kSmallTimeout) {}
 
-SimDuration MarkovDetector::long_timeout() const {
-  const auto scaled =
-      static_cast<SimDuration>(static_cast<double>(rtt_) * params_.long_rtt_multiplier);
-  return std::max(scaled, params_.min_long_timeout);
-}
+SimDuration MarkovDetector::long_timeout() const { return std::max(rtt_, kMinLongTimeout); }
 
 SimDuration MarkovDetector::current_timeout() const {
   return state_ == State::kShort ? small_ : long_timeout();
@@ -20,7 +31,7 @@ SimDuration MarkovDetector::current_timeout() const {
 SimDuration MarkovDetector::on_arrival(SimTime now) {
   if (last_arrival_ >= 0) {
     const SimDuration gap = now - last_arrival_;
-    if (params_.adaptive) {
+    if (adaptive_) {
       // Learn the within-burst inter-arrival from any gap clearly below the
       // session/burst boundary scale (a fraction of the RTT), so low-rate
       // streams (e.g. 40 ms CBR spacing) still train the small timeout.
@@ -30,20 +41,18 @@ SimDuration MarkovDetector::on_arrival(SimTime now) {
           ewma_gap_ = static_cast<double>(gap);
           have_ewma_ = true;
         } else {
-          ewma_gap_ = (1.0 - params_.ewma_alpha) * ewma_gap_ +
-                      params_.ewma_alpha * static_cast<double>(gap);
+          ewma_gap_ = (1.0 - kEwmaAlpha) * ewma_gap_ + kEwmaAlpha * static_cast<double>(gap);
         }
-        // The learned small timeout may exceed the configured default for
-        // slow streams, but must stay well below the long timeout to keep
-        // the two states meaningfully apart.
-        const auto learned = static_cast<SimDuration>(params_.ewma_multiplier * ewma_gap_);
-        const SimDuration upper = std::max(params_.small_timeout, learn_cutoff);
-        small_ = std::clamp(learned, params_.min_small_timeout, upper);
+        // The learned small timeout may exceed kSmallTimeout for slow
+        // streams, but must stay well below the long timeout to keep the
+        // two states meaningfully apart.
+        const auto learned = static_cast<SimDuration>(kEwmaMultiplier * ewma_gap_);
+        const SimDuration upper = std::max(kSmallTimeout, learn_cutoff);
+        small_ = std::clamp(learned, kMinSmallTimeout, upper);
       }
     }
-    const auto burst_gap =
-        static_cast<SimDuration>(params_.burst_factor * static_cast<double>(small_));
-    state_ = gap <= burst_gap ? State::kShort : State::kLong;
+    // Inter-arrivals up to the small timeout count as "within a burst".
+    state_ = gap <= small_ ? State::kShort : State::kLong;
   }
   last_arrival_ = now;
   return current_timeout();
@@ -54,10 +63,6 @@ SimDuration MarkovDetector::on_timeout() {
   // immediately to the long timeout value after sending a NACK."
   state_ = State::kLong;
   return current_timeout();
-}
-
-void MarkovDetector::update_rtt(SimDuration rtt) {
-  if (rtt > 0) rtt_ = rtt;
 }
 
 }  // namespace jqos::endpoint

@@ -17,21 +17,10 @@
 namespace jqos::endpoint {
 
 struct MarkovParams {
-  // The prototype's fixed small timer (Section 5). When `adaptive` is set
-  // this is the initial value and upper bound.
-  SimDuration small_timeout = msec(25);
-  // Long timeout = max(rtt * long_rtt_multiplier, min_long_timeout).
-  double long_rtt_multiplier = 1.0;
-  SimDuration min_long_timeout = msec(50);
-  // Inter-arrivals below `burst_factor * small_timeout` count as "within a
-  // burst" and flip the detector to SHORT.
-  double burst_factor = 1.0;
-  // Learn the small timeout as clamp(ewma_multiplier * EWMA(intra-burst
-  // inter-arrival), min_small_timeout, small_timeout).
+  // Learn the small timeout from intra-burst inter-arrivals (EWMA; the
+  // constants are in markov_detector.cc). Off, the small timeout stays at
+  // the prototype's fixed 25 ms.
   bool adaptive = true;
-  double ewma_alpha = 0.2;
-  double ewma_multiplier = 3.0;
-  SimDuration min_small_timeout = msec(2);
 };
 
 class MarkovDetector {
@@ -49,16 +38,14 @@ class MarkovDetector {
   // timeout to arm next.
   SimDuration on_timeout();
 
-  // Updates the RTT estimate the long timeout derives from.
-  void update_rtt(SimDuration rtt);
-
   State state() const { return state_; }
   SimDuration current_timeout() const;
   SimDuration small_timeout() const { return small_; }
+  // max(RTT estimate, 50 ms).
   SimDuration long_timeout() const;
 
  private:
-  MarkovParams params_;
+  bool adaptive_;
   SimDuration rtt_;
   State state_ = State::kLong;
   SimTime last_arrival_ = -1;

@@ -95,11 +95,6 @@ void Receiver::expect_flow(FlowId flow) {
 
 void Receiver::forget_flow(FlowId flow) { flows_.erase(flow); }
 
-void Receiver::set_rtt_estimate(SimDuration rtt) {
-  config_.rtt_estimate = rtt;
-  for (auto& [flow, fs] : flows_) fs.detector.update_rtt(rtt);
-}
-
 void Receiver::handle_packet(const PacketPtr& pkt) {
   if (config_.failover.enabled) {
     // Any DC2-originated packet is proof of overlay life: recoveries,

@@ -151,9 +151,6 @@ class Receiver final : public netsim::Node {
 
   const ReceiverStats& stats() const { return stats_; }
 
-  // Estimated RTT feed (e.g. from the scenario builder's path data).
-  void set_rtt_estimate(SimDuration rtt);
-
   // Overlay up/down transitions (failover layer). The scenario wires this
   // to the sender's set_overlay_down via a modeled control-channel delay.
   using OverlayEventFn = std::function<void(bool up, SimTime at)>;

@@ -50,10 +50,6 @@ std::vector<ServiceQuote> service_quotes(const PathDelays& d, double coding_rate
   return quotes;
 }
 
-ServiceQuote internet_quote(const PathDelays& d) {
-  return ServiceQuote{ServiceType::kNone, expected_delay_ms(ServiceType::kNone, d), 0.0};
-}
-
 ServiceQuote select_service(const PathDelays& d, double latency_budget_ms,
                             double coding_rate) {
   // Candidates in cost order; Internet alone offers no recovery, so the

@@ -50,12 +50,6 @@ double relative_cost(ServiceType service, double coding_rate);
 // All four quotes (including plain Internet), sorted by relative cost.
 std::vector<ServiceQuote> service_quotes(const PathDelays& d, double coding_rate);
 
-// The plain direct-Internet quote (service kNone, delay y, cost 0): what a
-// session falls back to when the overlay is unreachable. Failover does not
-// re-run selection -- with the cloud out, the Internet path is the only
-// candidate left, and this is its formula quote.
-ServiceQuote internet_quote(const PathDelays& d);
-
 // The cheapest service whose expected delay meets `latency_budget_ms`.
 // Falls back to the lowest-delay service when nothing fits the budget.
 ServiceQuote select_service(const PathDelays& d, double latency_budget_ms,

@@ -1,6 +1,5 @@
 #include "exp/feasibility.h"
 
-#include "common/parallel.h"
 #include "geo/coords.h"
 
 namespace jqos::exp {
@@ -18,7 +17,6 @@ endpoint::PathDelays to_path_delays(const geo::PathSample& sample, double delta_
 FeasibilityResult run_feasibility(const FeasibilityParams& params) {
   Rng rng(params.seed);
   FeasibilityResult out;
-  const unsigned threads = resolve_sim_threads(params.num_threads);
 
   // --- Fig 7(a)/(b): US-East senders, EU receivers ---
   geo::PathDatasetParams pd;
@@ -33,35 +31,20 @@ FeasibilityResult run_feasibility(const FeasibilityParams& params) {
   for (const auto& p : paths) deltas.add(p.delta_r_ms);
   const double delta_median = deltas.median();
 
-  // The delay formulas are pure per-path math: compute into index-addressed
-  // slots on the pool, fold into Samples in path order afterwards so the
-  // result is byte-identical to the sequential loop for any thread count.
-  struct PathPoint {
-    double internet = 0, fwd = 0, cache = 0, code = 0;
-    double cache_rec = 0, code_rec = 0;
-  };
-  std::vector<PathPoint> points(paths.size());
-  parallel_for_indexed(paths.size(), threads, [&](std::size_t i) {
-    const auto& p = paths[i];
+  for (const auto& p : paths) {
     const auto d = to_path_delays(p, delta_median);
-    PathPoint& pt = points[i];
-    pt.internet = endpoint::expected_delay_ms(ServiceType::kNone, d);
-    pt.fwd = endpoint::expected_delay_ms(ServiceType::kForward, d);
-    pt.cache = endpoint::expected_delay_ms(ServiceType::kCache, d);
-    pt.code = endpoint::expected_delay_ms(ServiceType::kCode, d);
+    const double internet = endpoint::expected_delay_ms(ServiceType::kNone, d);
+    const double cache = endpoint::expected_delay_ms(ServiceType::kCache, d);
+    const double code = endpoint::expected_delay_ms(ServiceType::kCode, d);
+    out.internet_ms.add(internet);
+    out.forwarding_ms.add(endpoint::expected_delay_ms(ServiceType::kForward, d));
+    out.caching_ms.add(cache);
+    out.coding_ms.add(code);
     // Recovery delay relative to the direct-path RTT (Fig 7(b)): the extra
     // time beyond normal direct delivery, over RTT = 2y.
     const double rtt = 2.0 * p.y_ms;
-    pt.cache_rec = (pt.cache - pt.internet) / rtt;
-    pt.code_rec = (pt.code - pt.internet) / rtt;
-  });
-  for (const PathPoint& pt : points) {
-    out.internet_ms.add(pt.internet);
-    out.forwarding_ms.add(pt.fwd);
-    out.caching_ms.add(pt.cache);
-    out.coding_ms.add(pt.code);
-    out.caching_recovery_over_rtt.add(pt.cache_rec);
-    out.coding_recovery_over_rtt.add(pt.code_rec);
+    out.caching_recovery_over_rtt.add((cache - internet) / rtt);
+    out.coding_recovery_over_rtt.add((code - internet) / rtt);
   }
 
   // --- Fig 7(c): EU hosts' delta to the nearest DC (2019 catalog) ---
@@ -69,14 +52,11 @@ FeasibilityResult run_feasibility(const FeasibilityParams& params) {
   auto eu_hosts =
       geo::synthesize_hosts(geo::WorldRegion::kEurope, params.num_eu_hosts, host_rng);
   const auto sites_now = geo::cloud_sites_as_of(2019);
-  std::vector<double> eu_delta(eu_hosts.size());
-  parallel_for_indexed(eu_hosts.size(), threads, [&](std::size_t i) {
-    const auto& h = eu_hosts[i];
+  for (const auto& h : eu_hosts) {
     const auto& site = geo::nearest_site(sites_now, h.location);
     const double km = geo::haversine_km(h.location, site.location);
-    eu_delta[i] = geo::propagation_ms(km, geo::kAccessInflation) + h.last_mile_ms;
-  });
-  for (double d : eu_delta) out.delta_eu_ms.add(d);
+    out.delta_eu_ms.add(geo::propagation_ms(km, geo::kAccessInflation) + h.last_mile_ms);
+  }
 
   // --- Fig 7(d): northern-EU hosts under historical DC catalogs ---
   Rng neu_rng = rng.fork("neu-hosts");
@@ -84,17 +64,14 @@ FeasibilityResult run_feasibility(const FeasibilityParams& params) {
                                          params.num_north_eu_hosts, neu_rng);
   for (int year : {2007, 2014, 2019}) {
     const auto sites = geo::cloud_sites_as_of(year);
-    std::vector<double> neu_delta(neu_hosts.size());
-    parallel_for_indexed(neu_hosts.size(), threads, [&](std::size_t i) {
-      const auto& h = neu_hosts[i];
-      const auto& site = geo::nearest_site(sites, h.location);
-      const double km = geo::haversine_km(h.location, site.location);
-      neu_delta[i] = geo::propagation_ms(km, geo::kAccessInflation) + h.last_mile_ms;
-    });
     Samples& bucket = year == 2007   ? out.delta_neu_2007_ms
                       : year == 2014 ? out.delta_neu_2014_ms
                                      : out.delta_neu_now_ms;
-    for (double d : neu_delta) bucket.add(d);
+    for (const auto& h : neu_hosts) {
+      const auto& site = geo::nearest_site(sites, h.location);
+      const double km = geo::haversine_km(h.location, site.location);
+      bucket.add(geo::propagation_ms(km, geo::kAccessInflation) + h.last_mile_ms);
+    }
   }
   return out;
 }

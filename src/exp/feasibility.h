@@ -17,12 +17,6 @@ struct FeasibilityParams {
   std::size_t num_eu_hosts = 1000;
   std::size_t num_north_eu_hosts = 400;
   std::uint64_t seed = 7;
-  // Worker threads for the per-path/per-host delay formulas (dataset
-  // synthesis stays sequential -- it is one RNG stream). Results are
-  // byte-identical for every value: workers fill index-addressed slots
-  // that are folded in order on the calling thread. 0 = JQOS_SIM_THREADS
-  // or hardware_concurrency.
-  unsigned num_threads = 0;
 };
 
 struct FeasibilityResult {

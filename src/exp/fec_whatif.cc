@@ -76,10 +76,9 @@ double percent_increase(double crwan_rate, double fec_rate, double cap_percent) 
 
 std::vector<FecWhatifRow> fec_whatif_sweep(
     const std::vector<std::vector<bool>>& traces,
-    const std::vector<std::pair<std::size_t, std::size_t>>& levels,
-    unsigned num_threads) {
+    const std::vector<std::pair<std::size_t, std::size_t>>& levels) {
   std::vector<FecWhatifRow> rows(traces.size());
-  parallel_for_indexed(traces.size(), resolve_sim_threads(num_threads),
+  parallel_for_indexed(traces.size(), resolve_sim_threads(),
                        [&](std::size_t i) {
                          FecWhatifRow& row = rows[i];
                          row.rates.reserve(levels.size());

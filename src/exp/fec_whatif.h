@@ -46,12 +46,11 @@ struct FecWhatifRow {
 };
 
 // Replays every trace against each (block, fec_per_block) overhead level,
-// fanned out across `num_threads` workers (0 = JQOS_SIM_THREADS or
-// hardware_concurrency). Rows come back in trace order and are
-// byte-identical for any thread count -- traces are independent replays.
+// fanned out across JQOS_SIM_THREADS (or hardware_concurrency) workers.
+// Rows come back in trace order and are byte-identical for any thread
+// count -- traces are independent replays.
 std::vector<FecWhatifRow> fec_whatif_sweep(
     const std::vector<std::vector<bool>>& traces,
-    const std::vector<std::pair<std::size_t, std::size_t>>& levels,
-    unsigned num_threads = 0);
+    const std::vector<std::pair<std::size_t, std::size_t>>& levels);
 
 }  // namespace jqos::exp

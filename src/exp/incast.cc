@@ -47,7 +47,7 @@ IncastScenario::IncastScenario(const IncastParams& params,
                                std::optional<netsim::EvqBackend> backend)
     : params_(params),
       sim_(backend.value_or(netsim::evq_default_backend())),
-      net_(sim_, params.qdisc, Rng::derive(params.seed, "incast-qdisc")) {
+      net_(sim_, Rng::derive(params.seed, "incast-qdisc")) {
   switch_ = std::make_unique<Switch>(net_);
   sink_ = std::make_unique<Sink>(sim_, net_, result_);
   result_.epoch_drain_ms.assign(params_.epochs, 0.0);
@@ -63,7 +63,7 @@ IncastScenario::IncastScenario(const IncastParams& params,
   }
   net_.add_link(switch_->nid, sink_->nid,
                 netsim::make_fixed_latency(params_.bottleneck_latency),
-                netsim::make_no_loss(), params_.bottleneck_bps);
+                netsim::make_no_loss(), params_.bottleneck_bps, params_.qdisc);
 }
 
 IncastScenario::~IncastScenario() = default;

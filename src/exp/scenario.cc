@@ -138,7 +138,7 @@ ScenarioShard::ScenarioShard(std::vector<IndexedPath> paths, const WanScenarioPa
                              netsim::EvqBackend backend)
     : params_(params),
       sim_(backend),
-      net_(sim_, {}, 0, PacketPool::env_enabled() ? &pool_ : nullptr),
+      net_(sim_, 0, PacketPool::env_enabled() ? &pool_ : nullptr),
       injector_(sim_),
       rng_(params.seed),
       registry_(std::make_shared<services::FlowRegistry>()),

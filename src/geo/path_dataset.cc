@@ -2,11 +2,22 @@
 
 #include <array>
 #include <sstream>
-#include <stdexcept>
 
 #include "geo/coords.h"
 
 namespace jqos::geo {
+namespace {
+
+// Which cloud sites exist.
+constexpr int kDcCatalogYear = 2019;
+// The public Internet's inflation varies per path (peering luck); sampled
+// uniformly in [min, max].
+constexpr double kInternetInflationMin = 1.6;
+constexpr double kInternetInflationMax = 2.4;
+// A bad path's extra one-way delay is this times a uniform draw in [0.5, 1.5].
+constexpr double kBadPathExtraMs = 60.0;
+
+}  // namespace
 
 PathSample make_path(const Host& sender, const Host& receiver,
                      const std::vector<CloudSite>& sites, double internet_inflation,
@@ -39,8 +50,7 @@ std::vector<PathSample> synthesize_paths(const PathDatasetParams& params, Rng& r
   const std::size_t pool = std::max<std::size_t>(16, params.num_paths / 8);
   auto senders = synthesize_hosts(params.sender_region, pool, host_rng);
   auto receivers = synthesize_hosts(params.receiver_region, pool, host_rng);
-  const auto sites = cloud_sites_as_of(params.dc_catalog_year);
-  if (sites.empty()) throw std::invalid_argument("no cloud sites for catalog year");
+  const auto sites = cloud_sites_as_of(kDcCatalogYear);
 
   std::vector<PathSample> paths;
   paths.reserve(params.num_paths);
@@ -49,12 +59,10 @@ std::vector<PathSample> synthesize_paths(const PathDatasetParams& params, Rng& r
         senders[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(senders.size()) - 1))];
     const Host& r = receivers[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(receivers.size()) - 1))];
-    const double inflation =
-        rng.uniform(params.internet_inflation_min, params.internet_inflation_max);
-    const double extra =
-        rng.bernoulli(params.bad_path_fraction)
-            ? rng.uniform(0.5, 1.5) * params.bad_path_extra_ms
-            : 0.0;
+    const double inflation = rng.uniform(kInternetInflationMin, kInternetInflationMax);
+    const double extra = rng.bernoulli(params.bad_path_fraction)
+                             ? rng.uniform(0.5, 1.5) * kBadPathExtraMs
+                             : 0.0;
     paths.push_back(make_path(s, r, sites, inflation, extra));
   }
   return paths;
@@ -89,7 +97,7 @@ std::vector<PathSample> planetlab_paths(std::size_t count, Rng& rng) {
     const auto& [sr, rr] = kPairs[i % kPairs.size()];
     auto s = synthesize_hosts(sr, 1, host_rng);
     auto r = synthesize_hosts(rr, 1, host_rng);
-    const double inflation = rng.uniform(1.6, 2.4);
+    const double inflation = rng.uniform(kInternetInflationMin, kInternetInflationMax);
     // PlanetLab nodes live in universities: good access links, so no
     // bad-path inflation, but the wide-area segment still varies.
     paths.push_back(make_path(s[0], r[0], sites, inflation, 0.0));

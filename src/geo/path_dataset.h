@@ -34,19 +34,16 @@ struct PathSample {
   double direct_rtt_ms() const { return 2.0 * y_ms; }
 };
 
-// Configuration for dataset synthesis.
+// Configuration for dataset synthesis (the cloud sites are the 2019
+// catalog's; each path's Internet inflation and bad-path delay are
+// constants in path_dataset.cc).
 struct PathDatasetParams {
   WorldRegion sender_region = WorldRegion::kUsEast;
   WorldRegion receiver_region = WorldRegion::kEurope;
   std::size_t num_paths = 100;
-  int dc_catalog_year = 2019;  // Which cloud sites exist.
-  // The public Internet's inflation varies per path (peering luck); sampled
-  // uniformly in [min, max]. A small fraction of paths is "persistently
-  // bad" (Section 6.1's long tail) and gets `bad_path_extra_ms` added.
-  double internet_inflation_min = 1.6;
-  double internet_inflation_max = 2.4;
+  // A small fraction of paths is "persistently bad" (Section 6.1's long
+  // tail) and gets extra one-way delay.
   double bad_path_fraction = 0.08;
-  double bad_path_extra_ms = 60.0;
 };
 
 // Draws num_paths sender/receiver pairs and fills in all segment delays.

@@ -15,6 +15,11 @@ SimTime live_now() {
 }
 
 constexpr SimDuration kLiveCacheTtl = sec(30);
+// A hole is re-pulled at this interval while the cloud copy may still be in
+// flight, and given up this long after its first pull (40 pulls). The
+// simulated receiver gives up after max(600 ms, 3 RTT).
+constexpr std::chrono::milliseconds kLivePullRetry{25};
+constexpr std::chrono::milliseconds kLivePullGiveUp{1000};
 
 }  // namespace
 
@@ -107,9 +112,15 @@ void LiveReceiver::pull(SeqNo seq) {
   req.sent_at = live_now();
   ++pulls_sent_;
   socket_.send_to(req.serialize(), dc_);
-  // Retry while the hole persists: the cloud copy may still be in flight.
-  loop_.add_timer(std::chrono::milliseconds(25), [this, seq] {
-    if (pending_pulls_.count(seq) != 0) pull(seq);
+  loop_.add_timer(kLivePullRetry, [this, seq] {
+    auto it = pending_pulls_.find(seq);
+    if (it == pending_pulls_.end()) return;
+    if (Clock::now() - it->second >= kLivePullGiveUp) {
+      pending_pulls_.erase(it);
+      ++holes_given_up_;
+      return;
+    }
+    pull(seq);
   });
 }
 
@@ -135,7 +146,7 @@ void LiveReceiver::on_readable() {
     }
     // Gap detection: pull every hole between the expected and arrived seq.
     for (SeqNo s = next_expected_; s < pkt.seq; ++s) {
-      if (pending_pulls_.insert(s).second) pull(s);
+      if (pending_pulls_.try_emplace(s, Clock::now()).second) pull(s);
     }
     next_expected_ = pkt.seq + 1;
     if (recovered) ++delivered_recovered_; else ++delivered_direct_;

@@ -11,9 +11,9 @@
 
 #include <functional>
 #include <map>
-#include <set>
 
 #include "common/packet.h"
+#include "net/event_loop.h"
 #include "net/impairment.h"
 #include "net/udp_socket.h"
 #include "services/caching/cache_store.h"
@@ -60,7 +60,10 @@ class LiveSender {
   SeqNo next_seq_ = 0;
 };
 
-// A receiver with gap detection and pull-based recovery from the DC.
+// A receiver with gap detection and pull-based recovery from the DC. A
+// hole is re-pulled every 25 ms and given up one second after its first
+// pull (constants: live_node.cc); a late copy of a given-up seq is then
+// ignored as a duplicate.
 class LiveReceiver {
  public:
   using DeliverFn = std::function<void(const Packet&, bool recovered)>;
@@ -73,6 +76,8 @@ class LiveReceiver {
   std::uint64_t delivered_direct() const { return delivered_direct_; }
   std::uint64_t delivered_recovered() const { return delivered_recovered_; }
   std::uint64_t pulls_sent() const { return pulls_sent_; }
+  // Holes still missing when their pull time ran out.
+  std::uint64_t holes_given_up() const { return holes_given_up_; }
   // Datagrams dropped for a seq kMaxSeqGap or more past the next expected
   // one (one past the highest arrival so far).
   std::uint64_t far_ahead_dropped() const { return far_ahead_dropped_; }
@@ -87,10 +92,12 @@ class LiveReceiver {
   UdpEndpoint dc_;
   DeliverFn on_delivery_;
   SeqNo next_expected_ = 0;
-  std::set<SeqNo> pending_pulls_;
+  // Open holes, each with the time of its first pull.
+  std::map<SeqNo, Clock::time_point> pending_pulls_;
   std::uint64_t delivered_direct_ = 0;
   std::uint64_t delivered_recovered_ = 0;
   std::uint64_t pulls_sent_ = 0;
+  std::uint64_t holes_given_up_ = 0;
   std::uint64_t far_ahead_dropped_ = 0;
 };
 

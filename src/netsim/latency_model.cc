@@ -5,6 +5,9 @@
 namespace jqos::netsim {
 namespace {
 
+// Pareto shape of the tail spikes; < 2 => heavy tail.
+constexpr double kSpikeAlpha = 1.5;
+
 class FixedLatency final : public LatencyModel {
  public:
   explicit FixedLatency(SimDuration d) : d_(d) {}
@@ -24,7 +27,7 @@ class JitterLatency final : public LatencyModel {
     // Lognormal with median jitter_scale_ms: exp(N(ln(scale), sigma)).
     double jitter_ms = rng_.lognormal(log_scale_, p_.jitter_sigma);
     if (p_.spike_prob > 0.0 && rng_.bernoulli(p_.spike_prob)) {
-      jitter_ms += rng_.pareto(p_.spike_scale_ms, p_.spike_alpha);
+      jitter_ms += rng_.pareto(p_.spike_scale_ms, kSpikeAlpha);
     }
     return p_.base + msec_f(jitter_ms);
   }

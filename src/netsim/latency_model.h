@@ -32,14 +32,14 @@ using LatencyModelPtr = std::unique_ptr<LatencyModel>;
 LatencyModelPtr make_fixed_latency(SimDuration d);
 
 // base + lognormal jitter; with probability `spike_prob` an additional
-// Pareto-distributed spike is added (queueing excursions).
+// Pareto-distributed spike is added (queueing excursions; the Pareto shape
+// is a constant in latency_model.cc).
 struct JitterParams {
   SimDuration base = msec(40);
   double jitter_sigma = 0.45;      // sigma of the lognormal, in log-ms space
   double jitter_scale_ms = 1.0;    // median jitter in ms
   double spike_prob = 0.0;         // probability of a tail spike per packet
   double spike_scale_ms = 20.0;    // Pareto scale (minimum spike)
-  double spike_alpha = 1.5;        // Pareto shape; < 2 => heavy tail
 };
 LatencyModelPtr make_jitter_latency(const JitterParams& params, Rng rng);
 

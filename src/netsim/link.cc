@@ -6,14 +6,13 @@
 namespace jqos::netsim {
 
 Link::Link(Simulator& sim, NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-           double bandwidth_bps, bool preserve_order, QueueDiscPtr qdisc)
+           double bandwidth_bps, QueueDiscPtr qdisc)
     : sim_(sim),
       from_(from),
       to_(to),
       latency_(std::move(latency)),
       loss_(std::move(loss)),
       bandwidth_bps_(bandwidth_bps),
-      preserve_order_(preserve_order),
       qdisc_(std::move(qdisc)) {
   // Finite bandwidth implies a finite buffer: default to tail-drop if the
   // caller did not pick a discipline (Network always does).
@@ -82,10 +81,8 @@ SimTime Link::admit(const PacketPtr& pkt, bool& mark) {
 
   SimTime arrive = depart + latency_->sample(sim_.now());
   if (degraded_) arrive += degraded_latency_;
-  if (preserve_order_) {
-    arrive = std::max(arrive, last_arrival_);
-    last_arrival_ = arrive;
-  }
+  arrive = std::max(arrive, last_arrival_);
+  last_arrival_ = arrive;
   ++stats_.delivered_packets;
   stats_.delivered_bytes += bytes;
   return arrive;

@@ -57,13 +57,12 @@ struct LinkStats {
 class Link {
  public:
   // bandwidth_bps == 0 means unlimited (no serialization delay / queueing;
-  // `qdisc` is then never consulted and may be null). When preserve_order
-  // is set (the default), arrivals are clamped to be non-decreasing,
-  // modelling a single-path route that may jitter but does not reorder --
-  // which is what the receiver's gap-based loss detection assumes of
-  // Internet paths.
+  // `qdisc` is then never consulted and may be null). Arrivals are clamped
+  // to be non-decreasing, modelling a single-path route that may jitter but
+  // does not reorder -- which is what the receiver's gap-based loss
+  // detection assumes of Internet paths.
   Link(Simulator& sim, NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-       double bandwidth_bps = 0.0, bool preserve_order = true, QueueDiscPtr qdisc = nullptr);
+       double bandwidth_bps = 0.0, QueueDiscPtr qdisc = nullptr);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -147,7 +146,6 @@ class Link {
   LatencyModelPtr latency_;
   LossModelPtr loss_;
   double bandwidth_bps_;
-  bool preserve_order_;
   QueueDiscPtr qdisc_;
   // Time at which the transmitter finishes serializing the last queued
   // packet; models FIFO queueing under finite bandwidth.

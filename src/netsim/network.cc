@@ -12,13 +12,7 @@ void Network::attach(Node& node) {
 }
 
 Link& Network::add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-                        double bandwidth_bps, bool preserve_order) {
-  return add_link(from, to, std::move(latency), std::move(loss), bandwidth_bps,
-                  preserve_order, qdisc_);
-}
-
-Link& Network::add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-                        double bandwidth_bps, bool preserve_order, const QdiscConfig& qdisc) {
+                        double bandwidth_bps, const QdiscConfig& qdisc) {
   QueueDiscPtr disc;
   if (bandwidth_bps > 0.0) {
     const std::uint64_t link_id =
@@ -26,7 +20,7 @@ Link& Network::add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossMod
     disc = make_queue_disc(qdisc, Rng::derived(qdisc_seed_, link_id));
   }
   auto link = std::make_unique<Link>(sim_, from, to, std::move(latency), std::move(loss),
-                                     bandwidth_bps, preserve_order, std::move(disc));
+                                     bandwidth_bps, std::move(disc));
   Link& ref = *link;
   // One dispatch closure per link, registered up front: the per-packet send
   // below then schedules a small inline event instead of rebuilding (and

@@ -29,16 +29,14 @@ class Node {
 
 class Network {
  public:
-  // `qdisc` is the default queue-disc configuration applied to every
-  // finite-bandwidth link (zero-bandwidth links have no queue and never get
-  // a discipline). RED's probabilistic drops draw from an Rng derived from
-  // `qdisc_seed` and the (from, to) pair — a stable identity, so traces are
-  // independent of link-creation order. `pool` is the packet storage pool
-  // of the shard this network belongs to (docs/MEMORY.md); it must outlive
-  // the network. Null (the default) means heap allocation.
-  explicit Network(Simulator& sim, QdiscConfig qdisc = {}, std::uint64_t qdisc_seed = 0,
-                   PacketPool* pool = nullptr)
-      : sim_(sim), qdisc_(std::move(qdisc)), qdisc_seed_(qdisc_seed), pool_(pool) {}
+  // RED's probabilistic drops on a finite-bandwidth link draw from an Rng
+  // derived from `qdisc_seed` and the link's (from, to) pair — a stable
+  // identity, so traces are independent of link-creation order. `pool` is
+  // the packet storage pool of the shard this network belongs to
+  // (docs/MEMORY.md); it must outlive the network. Null (the default) means
+  // heap allocation.
+  explicit Network(Simulator& sim, std::uint64_t qdisc_seed = 0, PacketPool* pool = nullptr)
+      : sim_(sim), qdisc_seed_(qdisc_seed), pool_(pool) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -54,15 +52,11 @@ class Network {
   // attached before packets can be delivered to it.
   void attach(Node& node);
 
-  // Installs a directed link. Replaces any existing from->to link.
-  // Finite-bandwidth links get a queue disc built from the network-wide
-  // config (or the per-link override of the second form).
+  // Installs a directed link. Replaces any existing from->to link. A
+  // finite-bandwidth link gets a queue disc built from `qdisc` (tail-drop
+  // by default); a zero-bandwidth link has no queue and never gets one.
   Link& add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-                 double bandwidth_bps = 0.0, bool preserve_order = true);
-  Link& add_link(NodeId from, NodeId to, LatencyModelPtr latency, LossModelPtr loss,
-                 double bandwidth_bps, bool preserve_order, const QdiscConfig& qdisc);
-
-  const QdiscConfig& qdisc_config() const { return qdisc_; }
+                 double bandwidth_bps = 0.0, const QdiscConfig& qdisc = {});
 
   // Sends pkt->dst via the from->dst link. Requires the link to exist;
   // packets to unattached or unreachable nodes are counted and dropped.
@@ -96,7 +90,6 @@ class Network {
 
  private:
   Simulator& sim_;
-  QdiscConfig qdisc_;
   std::uint64_t qdisc_seed_ = 0;
   PacketPool* pool_ = nullptr;
   Node* node(NodeId id) const { return id < nodes_.size() ? nodes_[id] : nullptr; }

@@ -3,6 +3,14 @@
 #include <cmath>
 
 namespace jqos::netsim {
+namespace {
+
+constexpr double kRedMaxP = 0.1;  // RED's mark probability at the max threshold.
+// CoDel's target and interval (RFC 8289 defaults).
+constexpr SimDuration kCodelTarget = msec(5);
+constexpr SimDuration kCodelInterval = msec(100);
+
+}  // namespace
 
 const char* qdisc_kind_name(QdiscKind k) {
   switch (k) {
@@ -34,7 +42,6 @@ RedQueue::RedQueue(const QdiscConfig& cfg, Rng rng)
     : limit_bytes_(cfg.limit_bytes),
       min_th_(cfg.red_min_bytes != 0 ? cfg.red_min_bytes : cfg.limit_bytes / 8),
       max_th_(cfg.red_max_bytes != 0 ? cfg.red_max_bytes : cfg.limit_bytes / 4),
-      max_p_(cfg.red_max_p),
       wq_(cfg.red_wq),
       ecn_(cfg.ecn),
       rng_(rng) {
@@ -45,7 +52,7 @@ QdiscVerdict RedQueue::admit(const QueueSnapshot& q) {
   if (q.backlog_bytes + q.packet_bytes > limit_bytes_) return QdiscVerdict::kDrop;
   avg_ = (1.0 - wq_) * avg_ + wq_ * static_cast<double>(q.backlog_bytes);
 
-  const double pb = red_mark_probability(avg_, min_th_, max_th_, max_p_);
+  const double pb = red_mark_probability(avg_, min_th_, max_th_, kRedMaxP);
   if (pb <= 0.0) {
     count_ = -1;
     return QdiscVerdict::kEnqueue;
@@ -67,15 +74,11 @@ QdiscVerdict RedQueue::admit(const QueueSnapshot& q) {
 
 // ---- CoDelQueue ----------------------------------------------------------
 
-CoDelQueue::CoDelQueue(const QdiscConfig& cfg)
-    : limit_bytes_(cfg.limit_bytes),
-      target_(cfg.codel_target),
-      interval_(cfg.codel_interval),
-      ecn_(cfg.ecn) {}
+CoDelQueue::CoDelQueue(const QdiscConfig& cfg) : limit_bytes_(cfg.limit_bytes), ecn_(cfg.ecn) {}
 
 SimTime CoDelQueue::control_law(SimTime t) const {
   return t + static_cast<SimDuration>(
-                 static_cast<double>(interval_) /
+                 static_cast<double>(kCodelInterval) /
                  std::sqrt(static_cast<double>(count_ == 0 ? 1 : count_)));
 }
 
@@ -91,13 +94,13 @@ QdiscVerdict CoDelQueue::admit(const QueueSnapshot& q) {
   // exactly the queueing delay that dequeue would observe.
   const SimTime now = q.dequeue_at;
   bool ok_to_drop = true;
-  if (q.sojourn() < target_ || q.backlog_bytes < q.packet_bytes) {
+  if (q.sojourn() < kCodelTarget || q.backlog_bytes < q.packet_bytes) {
     // Below target (or the queue is nearly empty): leave the dropping state.
     first_above_ = 0;
     ok_to_drop = false;
   } else if (first_above_ == 0) {
     // Just crossed the target; give the queue one interval to drain.
-    first_above_ = now + interval_;
+    first_above_ = now + kCodelInterval;
     ok_to_drop = false;
   } else if (now < first_above_) {
     ok_to_drop = false;
@@ -119,7 +122,7 @@ QdiscVerdict CoDelQueue::admit(const QueueSnapshot& q) {
   if (ok_to_drop) {
     dropping_ = true;
     // Re-entering shortly after leaving resumes at a higher drop rate.
-    count_ = (count_ > 2 && now - drop_next_ < 16 * interval_) ? count_ - 2 : 1;
+    count_ = (count_ > 2 && now - drop_next_ < 16 * kCodelInterval) ? count_ - 2 : 1;
     drop_next_ = control_law(now);
     return mark_or_drop(q);
   }

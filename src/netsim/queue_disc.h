@@ -49,15 +49,12 @@ struct QdiscConfig {
   bool ecn = true;
 
   // RED knobs. Zero thresholds derive from limit_bytes (min = limit/8,
-  // max = limit/4) so a bare {kind = kRed} is usable.
+  // max = limit/4) so a bare {kind = kRed} is usable. RED's mark
+  // probability at the max threshold, and CoDel's target and interval, are
+  // constants in queue_disc.cc.
   std::size_t red_min_bytes = 0;
   std::size_t red_max_bytes = 0;
-  double red_max_p = 0.1;  // Mark probability at the max threshold.
-  double red_wq = 0.002;   // EWMA weight per arrival.
-
-  // CoDel knobs (RFC 8289 defaults).
-  SimDuration codel_target = msec(5);
-  SimDuration codel_interval = msec(100);
+  double red_wq = 0.002;  // EWMA weight per arrival.
 };
 
 enum class QdiscVerdict : std::uint8_t { kEnqueue = 0, kMark = 1, kDrop = 2 };
@@ -108,7 +105,6 @@ class RedQueue final : public QueueDisc {
   std::size_t limit_bytes_;
   std::size_t min_th_;
   std::size_t max_th_;
-  double max_p_;
   double wq_;
   bool ecn_;
   Rng rng_;
@@ -135,8 +131,6 @@ class CoDelQueue final : public QueueDisc {
   SimTime control_law(SimTime t) const;
 
   std::size_t limit_bytes_;
-  SimDuration target_;
-  SimDuration interval_;
   bool ecn_;
   SimTime first_above_ = 0;  // 0 = sojourn currently below target.
   SimTime drop_next_ = 0;    // Next scheduled drop while in dropping state.

@@ -128,8 +128,18 @@ bool RecoveryService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
 
 void RecoveryService::on_coded(const PacketPtr& pkt) {
   if (!pkt->meta) return;
-  const std::uint32_t batch_id = pkt->meta->batch_id;
+  const CodedMeta& meta = *pkt->meta;
+  const std::uint32_t batch_id = meta.batch_id;
   const std::uint32_t* found = store_.slot_of.find(batch_id);
+  if (found != nullptr) {
+    // Decoding takes k, r and the covered keys from the batch's first
+    // packet, so a later packet that disagrees with them is refused.
+    const CodedMeta& batch = store_.slab[*found].meta();
+    if (meta.k != batch.k || meta.r != batch.r || meta.covered != batch.covered) {
+      ++stats_.inconsistent_coded;
+      return;
+    }
+  }
   const std::uint32_t slot = found != nullptr ? *found : store_batch(*pkt);
   store_.slab[slot].coded.push_back(pkt);
   arm_sweep();
@@ -138,7 +148,7 @@ void RecoveryService::on_coded(const PacketPtr& pkt) {
   // predates this coverage, so re-verify with the receiver first: at burst
   // or session boundaries the "missing" packet may be the stream resuming,
   // and recovering it would race the direct copy (Section 3.4's guard).
-  for (const PacketKey& key : pkt->meta->covered) {
+  for (const PacketKey& key : meta.covered) {
     auto it = pending_.find(key);
     if (it != pending_.end() && it->second.expires_at > dc_.now()) {
       ++stats_.recheck_probes;

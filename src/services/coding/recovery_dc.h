@@ -137,6 +137,9 @@ struct RecoveryStatsDc {
   std::uint64_t recheck_probes = 0;  // Coverage arrived for a pending NACK.
   std::uint64_t crash_wipes = 0;     // DC crashes that wiped recovery state.
   std::uint64_t stale_timers = 0;    // Pre-crash timers neutered by the epoch guard.
+  // Coded packets refused because their k, r or covered keys disagree with
+  // the stored batch of the same id.
+  std::uint64_t inconsistent_coded = 0;
 
   // The one merge definition every totals path (per-shard and cross-shard)
   // uses; a new field added here is summed everywhere or nowhere.
@@ -159,6 +162,7 @@ struct RecoveryStatsDc {
     recheck_probes += o.recheck_probes;
     crash_wipes += o.crash_wipes;
     stale_timers += o.stale_timers;
+    inconsistent_coded += o.inconsistent_coded;
     return *this;
   }
 };

@@ -34,10 +34,8 @@ class BbrLiteCc final : public CongestionController {
  public:
   const char* name() const override { return "bbr"; }
 
-  void on_transfer_start(const TcpParams& params, std::uint32_t total_segments,
-                         SimTime now) override {
+  void on_transfer_start(std::uint32_t total_segments, SimTime now) override {
     (void)total_segments, (void)now;
-    params_ = params;
     mode_ = Mode::kStartup;
     pacing_gain_ = kStartupGain;
     bw_samples_.clear();
@@ -85,12 +83,12 @@ class BbrLiteCc final : public CongestionController {
   double pacing_rate_bps() const override {
     const double bw = btl_bw();  // Segments per microsecond.
     if (bw <= 0.0) return 0.0;   // Unpaced until the first rate sample.
-    return bw * pacing_gain_ * static_cast<double>(params_.mss) * 8.0 * 1e6;
+    return bw * pacing_gain_ * static_cast<double>(kTcpMss) * 8.0 * 1e6;
   }
 
   double cwnd_segments() const override {
     const double bdp = bdp_segments();
-    if (bdp <= 0.0) return static_cast<double>(params_.init_cwnd);
+    if (bdp <= 0.0) return static_cast<double>(kTcpInitCwnd);
     return std::max(static_cast<double>(kMinCwnd), kCwndGain * bdp);
   }
 
@@ -202,7 +200,6 @@ class BbrLiteCc final : public CongestionController {
     }
   }
 
-  TcpParams params_;
   Mode mode_ = Mode::kStartup;
   double pacing_gain_ = kStartupGain;
   std::deque<std::pair<std::uint64_t, double>> bw_samples_;  // (round, segs/us).

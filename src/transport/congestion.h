@@ -40,16 +40,17 @@ const char* cc_kind_name(CcKind k);
 class CongestionController;
 using CcPtr = std::unique_ptr<CongestionController>;
 
-struct TcpParams {
-  std::size_t mss = 1400;
-  std::size_t init_cwnd = 10;        // Segments.
-  std::size_t init_ssthresh = 64;    // Segments.
-  SimDuration initial_rto = sec(1);  // RFC 6298 pre-measurement RTO.
-  SimDuration min_rto = msec(200);
-  SimDuration max_rto = sec(16);
-  int dupack_threshold = 3;
-  int max_handshake_retries = 7;
+// TCP constants shared by the mechanism (tcp_model.cc) and the controllers.
+inline constexpr std::size_t kTcpMss = 1400;
+inline constexpr std::size_t kTcpInitCwnd = 10;        // Segments.
+inline constexpr std::size_t kTcpInitSsthresh = 64;    // Segments.
+inline constexpr SimDuration kTcpInitialRto = sec(1);  // RFC 6298 pre-measurement RTO.
+inline constexpr SimDuration kTcpMinRto = msec(200);
+inline constexpr SimDuration kTcpMaxRto = sec(16);
+inline constexpr int kTcpDupackThreshold = 3;
+inline constexpr int kTcpMaxHandshakeRetries = 7;
 
+struct TcpParams {
   CcKind cc = CcKind::kReno;  // The controller each connection runs.
 
   // Negotiate ECN: data segments carry ECT, the client echoes CE marks as
@@ -107,8 +108,7 @@ class CongestionController {
   virtual const char* name() const = 0;
 
   // A fresh transfer begins (per-connection reset).
-  virtual void on_transfer_start(const TcpParams& params, std::uint32_t total_segments,
-                                 SimTime now) = 0;
+  virtual void on_transfer_start(std::uint32_t total_segments, SimTime now) = 0;
 
   // An ack advancing the cumulative point. The mechanism always rearms the
   // RTO and opens the window after this, matching classic behavior.

@@ -16,12 +16,10 @@ class RackCc final : public CongestionController {
  public:
   const char* name() const override { return "rack"; }
 
-  void on_transfer_start(const TcpParams& params, std::uint32_t total_segments,
-                         SimTime now) override {
+  void on_transfer_start(std::uint32_t total_segments, SimTime now) override {
     (void)total_segments, (void)now;
-    params_ = params;
-    cwnd_ = static_cast<double>(params.init_cwnd);
-    ssthresh_ = static_cast<double>(params.init_ssthresh);
+    cwnd_ = static_cast<double>(kTcpInitCwnd);
+    ssthresh_ = static_cast<double>(kTcpInitSsthresh);
     rack_xmit_time_ = -1;
     recovery_until_ = 0;
     cwr_until_ = 0;
@@ -95,7 +93,6 @@ class RackCc final : public CongestionController {
     return true;
   }
 
-  TcpParams params_;
   double cwnd_ = 10.0;
   double ssthresh_ = 64.0;
   SimTime rack_xmit_time_ = -1;     // Latest delivered segment's xmit time.

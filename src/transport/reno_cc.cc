@@ -14,12 +14,10 @@ class RenoCc final : public CongestionController {
  public:
   const char* name() const override { return "reno"; }
 
-  void on_transfer_start(const TcpParams& params, std::uint32_t total_segments,
-                         SimTime now) override {
+  void on_transfer_start(std::uint32_t total_segments, SimTime now) override {
     (void)total_segments, (void)now;
-    params_ = params;
-    cwnd_ = static_cast<double>(params.init_cwnd);
-    ssthresh_ = static_cast<double>(params.init_ssthresh);
+    cwnd_ = static_cast<double>(kTcpInitCwnd);
+    ssthresh_ = static_cast<double>(kTcpInitSsthresh);
     dup_acks_ = 0;
     cwr_until_ = 0;
   }
@@ -38,7 +36,7 @@ class RenoCc final : public CongestionController {
   void on_sack(const CcEvent& ev, const CcScoreboard& sb, CcActions& out) override {
     if (ev.ecn_echo) maybe_ecn_backoff(sb);
     ++dup_acks_;
-    if (dup_acks_ < params_.dupack_threshold) return;
+    if (dup_acks_ < kTcpDupackThreshold) return;
     dup_acks_ = 0;
     out.entered_recovery = true;
     ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
@@ -73,7 +71,6 @@ class RenoCc final : public CongestionController {
     return true;
   }
 
-  TcpParams params_;
   double cwnd_ = 10.0;
   double ssthresh_ = 64.0;
   int dup_acks_ = 0;

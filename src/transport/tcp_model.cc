@@ -95,11 +95,11 @@ void TcpWorkload::start_next_transfer() {
   server_conn_open_ = false;
   server_sending_ = false;
   total_segments_ =
-      static_cast<std::uint32_t>((response_bytes_ + params_.mss - 1) / params_.mss);
+      static_cast<std::uint32_t>((response_bytes_ + kTcpMss - 1) / kTcpMss);
   next_to_send_ = 0;
   highest_acked_ = 0;
   sacked_.clear();
-  rto_ = params_.initial_rto;
+  rto_ = kTcpInitialRto;
   rtt_measured_ = false;
   srtt_ = 0.0;
   rttvar_ = 0.0;
@@ -107,7 +107,7 @@ void TcpWorkload::start_next_transfer() {
   send_times_.clear();
   retransmitted_.clear();
   pacing_release_ = 0;
-  cc_->on_transfer_start(params_, total_segments_, net_.sim().now());
+  cc_->on_transfer_start(total_segments_, net_.sim().now());
 
   transfer_started_ = net_.sim().now();
   client_send_syn();
@@ -133,13 +133,13 @@ void TcpWorkload::client_send_syn() {
   client_stamp_and_send(syn.serialize(40));
 
   const std::uint64_t gen = ++client_timer_gen_;
-  const SimDuration backoff = params_.initial_rto << std::min(client_retries_, 6);
+  const SimDuration backoff = kTcpInitialRto << std::min(client_retries_, 6);
   net_.sim().after(backoff, [this, gen] { client_handshake_timer_fired(gen); });
 }
 
 void TcpWorkload::client_handshake_timer_fired(std::uint64_t gen) {
   if (gen != client_timer_gen_ || transfer_done_ || syn_acked_) return;
-  if (++client_retries_ > params_.max_handshake_retries) {
+  if (++client_retries_ > kTcpMaxHandshakeRetries) {
     // Connection abandoned; count the elapsed time as the completion time
     // (the user gave up -- an extreme tail event).
     transfer_complete();
@@ -244,10 +244,10 @@ void TcpWorkload::server_send_synack() {
 
   // Retransmit until the request arrives, with exponential backoff.
   const std::uint64_t gen = ++server_timer_gen_;
-  const SimDuration backoff = params_.initial_rto << std::min(synack_retries_, 6);
+  const SimDuration backoff = kTcpInitialRto << std::min(synack_retries_, 6);
   net_.sim().after(backoff, [this, gen] {
     if (gen != server_timer_gen_ || transfer_done_ || server_sending_) return;
-    if (++synack_retries_ > params_.max_handshake_retries) return;
+    if (++synack_retries_ > kTcpMaxHandshakeRetries) return;
     ++server_stats_.synack_retransmits;
     server_send_synack();
   });
@@ -307,7 +307,7 @@ void TcpWorkload::server_send_window() {
 
 std::size_t TcpWorkload::segment_wire_bytes(std::uint32_t seq) const {
   const std::size_t body =
-      std::min(params_.mss, response_bytes_ - static_cast<std::size_t>(seq) * params_.mss);
+      std::min(kTcpMss, response_bytes_ - static_cast<std::size_t>(seq) * kTcpMss);
   return std::max<std::size_t>(body, 18);  // A body never undercuts the 18 B header.
 }
 
@@ -358,7 +358,7 @@ void TcpWorkload::server_update_rtt(SimDuration sample) {
     srtt_ = 0.875 * srtt_ + 0.125 * s;
   }
   const auto rto = static_cast<SimDuration>(srtt_ + 4.0 * rttvar_);
-  rto_ = std::clamp(rto, params_.min_rto, params_.max_rto);
+  rto_ = std::clamp(rto, kTcpMinRto, kTcpMaxRto);
 }
 
 void TcpWorkload::apply_cc_actions(const CcActions& actions) {
@@ -452,7 +452,7 @@ void TcpWorkload::server_rto_fired(std::uint64_t gen) {
   if (highest_acked_ >= total_segments_) return;
   ++server_stats_.timeouts;
   cc_->on_rto(net_.sim().now());
-  rto_ = std::min<SimDuration>(rto_ * 2, params_.max_rto);
+  rto_ = std::min<SimDuration>(rto_ * 2, kTcpMaxRto);
   server_send_segment(highest_acked_, /*retransmit=*/true);
   server_arm_rto();
 }

@@ -4,6 +4,12 @@
 #include <stdexcept>
 
 namespace jqos::workload {
+namespace {
+
+// Lognormal shape: sigma of the underlying normal.
+constexpr double kLognormalSigma = 1.0;
+
+}  // namespace
 
 ArrivalProcess::ArrivalProcess(const ArrivalParams& params, double rate_per_sec, Rng rng)
     : params_(params), rate_(rate_per_sec), rng_(rng) {
@@ -22,11 +28,7 @@ ArrivalProcess::ArrivalProcess(const ArrivalParams& params, double rate_per_sec,
       break;
     case ArrivalKind::kLognormal:
       // E[LN(mu, sigma)] = exp(mu + sigma^2/2); solve for mu at 1/rate.
-      if (!(params_.lognormal_sigma > 0.0)) {
-        throw std::invalid_argument("ArrivalProcess: lognormal_sigma must be positive");
-      }
-      lognormal_mu_ =
-          -std::log(rate_) - 0.5 * params_.lognormal_sigma * params_.lognormal_sigma;
+      lognormal_mu_ = -std::log(rate_) - 0.5 * kLognormalSigma * kLognormalSigma;
       break;
   }
 }
@@ -38,7 +40,7 @@ double ArrivalProcess::next_gap() {
     case ArrivalKind::kPareto:
       return rng_.pareto(pareto_xm_, params_.pareto_alpha);
     case ArrivalKind::kLognormal:
-      return rng_.lognormal(lognormal_mu_, params_.lognormal_sigma);
+      return rng_.lognormal(lognormal_mu_, kLognormalSigma);
   }
   throw std::logic_error("ArrivalProcess: unknown kind");
 }

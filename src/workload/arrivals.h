@@ -31,10 +31,9 @@ struct ArrivalParams {
   // runner divides it evenly over the paths.
   double sessions_per_sec = 100.0;
   // Pareto shape (> 1 so the mean exists; 1 < alpha < 2 gives the
-  // infinite-variance burstiness measured arrival processes show).
+  // infinite-variance burstiness measured arrival processes show). The
+  // lognormal shape is a constant in arrivals.cc.
   double pareto_alpha = 1.5;
-  // Lognormal shape: sigma of the underlying normal.
-  double lognormal_sigma = 1.0;
 };
 
 // Gap generator for one path at one mean rate. Stateless beyond the Rng.
@@ -42,7 +41,7 @@ class ArrivalProcess {
  public:
   // `rate_per_sec` is this process's own mean arrival rate (the runner
   // passes aggregate/num_paths). Throws std::invalid_argument if the rate
-  // is not positive or the shape parameters are out of range.
+  // is not positive or the Pareto shape is out of range.
   ArrivalProcess(const ArrivalParams& params, double rate_per_sec, Rng rng);
 
   // Next inter-arrival gap, in seconds (> 0). E[gap] == 1/rate for every

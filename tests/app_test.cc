@@ -46,8 +46,8 @@ TEST(VideoSource, LayoutMatchesEmission) {
   std::size_t total_pkts = 0;
   for (const auto& frame : layout.frames) {
     EXPECT_EQ(frame.first_seq, expect_seq);
-    EXPECT_GE(frame.packets, params.min_packets_per_frame);
-    EXPECT_LE(frame.packets, params.max_packets_per_frame);
+    EXPECT_GE(frame.packets, kMinPacketsPerFrame);
+    EXPECT_LE(frame.packets, kMaxPacketsPerFrame);
     expect_seq += static_cast<SeqNo>(frame.packets);
     total_pkts += frame.packets;
   }
@@ -182,15 +182,14 @@ TEST(Psnr, FreezeDecaysOverConsecutiveLostFrames) {
   const auto& vals = psnr.values();
   // Scores inside the freeze trend downward toward the floor.
   EXPECT_GT(vals[10], vals[20]);
-  EXPECT_GE(vals[24], params.freeze_floor_db - 3.5);
+  EXPECT_GE(vals[24], kFreezeFloorDb - 3.5);
 }
 
 // ------------------------------- mobile ------------------------------------
 
 TEST(Mobile, Section65Findings) {
-  MobileParams params;
   Rng rng(8);
-  const MobileFeasibility f = evaluate_mobile(params, rng);
+  const MobileFeasibility f = evaluate_mobile(rng);
   // Duplicated Skype = 3.0 Mbps: above the 2 Mbps floor, below the 5 Mbps
   // good-uplink case -- exactly the paper's "could reach capacity in some
   // networks" finding.
@@ -207,9 +206,8 @@ TEST(Mobile, Section65Findings) {
 }
 
 TEST(Mobile, RttSamplesSpreadMatchesBand) {
-  MobileParams params;
   Rng rng(9);
-  auto rtts = mobile_rtt_samples(params, rng, 5000);
+  auto rtts = mobile_rtt_samples(rng, 5000);
   EXPECT_GT(rtts.percentile(90), rtts.percentile(50));
   EXPECT_GT(rtts.percentile(50), 40.0);
   EXPECT_LT(rtts.percentile(90), 130.0);

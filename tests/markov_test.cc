@@ -9,9 +9,6 @@ namespace {
 MarkovParams fixed_params() {
   MarkovParams p;
   p.adaptive = false;
-  p.small_timeout = msec(25);
-  p.long_rtt_multiplier = 1.0;
-  p.min_long_timeout = msec(50);
   return p;
 }
 
@@ -57,21 +54,15 @@ TEST(Markov, TimeoutSwitchesShortToLongImmediately) {
 }
 
 TEST(Markov, LongTimeoutTracksRtt) {
-  MarkovDetector d(fixed_params(), msec(200));
-  EXPECT_EQ(d.long_timeout(), msec(200));
-  d.update_rtt(msec(300));
-  EXPECT_EQ(d.long_timeout(), msec(300));
-  // Floors at min_long_timeout for tiny RTTs.
-  d.update_rtt(msec(10));
-  EXPECT_EQ(d.long_timeout(), msec(50));
+  EXPECT_EQ(MarkovDetector(fixed_params(), msec(200)).long_timeout(), msec(200));
+  EXPECT_EQ(MarkovDetector(fixed_params(), msec(300)).long_timeout(), msec(300));
+  // Floors at 50 ms for tiny RTTs.
+  EXPECT_EQ(MarkovDetector(fixed_params(), msec(10)).long_timeout(), msec(50));
 }
 
 TEST(Markov, AdaptiveSmallTimeoutLearnsInterArrival) {
   MarkovParams p;
   p.adaptive = true;
-  p.small_timeout = msec(25);
-  p.min_small_timeout = msec(2);
-  p.ewma_multiplier = 3.0;
   MarkovDetector d(p, msec(200));
   // Steady 4 ms inter-arrivals: learned small timeout ~ 12 ms < 25 ms.
   SimTime t = 0;
@@ -89,8 +80,6 @@ TEST(Markov, AdaptiveSmallTimeoutLearnsInterArrival) {
 TEST(Markov, AdaptiveClampsToBounds) {
   MarkovParams p;
   p.adaptive = true;
-  p.small_timeout = msec(25);
-  p.min_small_timeout = msec(2);
   MarkovDetector d(p, msec(200));
   // Sub-0.1 ms gaps: clamp at the floor.
   SimTime t = 0;

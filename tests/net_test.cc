@@ -160,5 +160,31 @@ TEST(LiveLoopback, FarAheadSeqIsDroppedAndCounted) {
   EXPECT_FALSE(dc.recv().has_value());
 }
 
+TEST(LiveLoopback, UnservedHoleIsGivenUp) {
+  // Seq 0 and 2 arrive, but the DC never saw seq 1, so no pull for it is
+  // ever answered. The receiver re-pulls every 25 ms and gives the hole up
+  // one second after its first pull, instead of pulling it for ever.
+  EventLoop loop;
+  LiveCachingDc dc(loop);
+  LiveReceiver receiver(loop, /*flow=*/1, dc.endpoint(), {});
+  UdpSocket peer;
+  for (const SeqNo seq : {SeqNo{0}, SeqNo{2}}) {
+    Packet pkt;
+    pkt.type = PacketType::kData;
+    pkt.flow = 1;
+    pkt.seq = seq;
+    ASSERT_GT(peer.send_to(pkt.serialize(), receiver.endpoint()), 0);
+  }
+  pump(loop, 1200ms);
+  EXPECT_EQ(receiver.delivered_direct(), 2u);
+  EXPECT_EQ(receiver.holes_given_up(), 1u);
+  const std::uint64_t pulls = receiver.pulls_sent();
+  EXPECT_GE(pulls, 1u);
+  EXPECT_LE(pulls, 40u);  // One per 25 ms within the second.
+  pump(loop, 200ms);
+  EXPECT_EQ(receiver.pulls_sent(), pulls);
+  EXPECT_EQ(dc.served(), 0u);
+}
+
 }  // namespace
 }  // namespace jqos::net

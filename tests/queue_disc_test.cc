@@ -89,7 +89,7 @@ TEST(RedQueue, HardByteCapStillDrops) {
 
 TEST(CoDelQueue, FirstDropAfterOneSustainedInterval) {
   QdiscConfig cfg;
-  cfg.kind = QdiscKind::kCoDel;  // target 5 ms, interval 100 ms defaults.
+  cfg.kind = QdiscKind::kCoDel;  // Target 5 ms, interval 100 ms (RFC 8289).
   CoDelQueue codel(cfg);
 
   // Sojourn persistently above target. CoDel's clock is the virtual dequeue
@@ -186,7 +186,7 @@ TEST(LinkQueueDisc, QueueDropsCountedSeparatelyFromLossModel) {
     cfg.limit_bytes = 4000;  // Roughly 3 packets of headroom.
     // 1 Mbps bottleneck, lossless wire: every missing packet is a queue drop.
     Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
-              /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
+              make_queue_disc(cfg, Rng(7)));
 
     std::uint64_t delivered = 0;
     link.set_deliver([&](const PacketPtr&) { ++delivered; });
@@ -213,7 +213,7 @@ TEST(LinkQueueDisc, CoDelMarksEctBurstCopyOnWrite) {
   // 1 Mbps: a 40-packet burst of 1000 B builds ~320 ms of sojourn, far past
   // CoDel's 5 ms target, so marks must appear within the burst.
   Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 1e6,
-            /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
+            make_queue_disc(cfg, Rng(7)));
 
   std::vector<PacketPtr> sent;
   std::uint64_t delivered_ce = 0;
@@ -241,7 +241,7 @@ TEST(LinkQueueDisc, ZeroBandwidthLinkNeverConsultsDiscipline) {
   QdiscConfig cfg;
   cfg.limit_bytes = 1;  // Would drop everything if consulted.
   Link link(sim, 1, 2, make_fixed_latency(msec(1)), make_no_loss(), 0.0,
-            /*preserve_order=*/true, make_queue_disc(cfg, Rng(7)));
+            make_queue_disc(cfg, Rng(7)));
   std::uint64_t delivered = 0;
   link.set_deliver([&](const PacketPtr&) { ++delivered; });
   for (int i = 0; i < 8; ++i) link.send(make_test_packet(1000, false));

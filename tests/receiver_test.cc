@@ -333,7 +333,6 @@ TEST(Receiver, TailLossDetectedByShortTimer) {
   ReceiverConfig config;
   config.rtt_estimate = msec(100);
   config.markov.adaptive = false;
-  config.markov.small_timeout = msec(25);
   Fixture f(config);
   // A burst, then silence: the short timer must fire a tail NACK.
   f.arrive(0);

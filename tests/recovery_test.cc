@@ -1,8 +1,8 @@
 // Tests for the DC2 recovery engine: in-stream serving, cooperative
 // recovery (success, stragglers, deadline failure, a second requester
-// joining a running op, a shape no codec decodes), NACK-before-coded
-// checking, tail NACKs, batch TTL sweeping, and keys covered by more than
-// two batches.
+// joining a running op, a shape no codec decodes), coded packets that
+// disagree with their batch, NACK-before-coded checking, tail NACKs, batch
+// TTL sweeping, and keys covered by more than two batches.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -263,6 +263,44 @@ TEST(Recovery, InStreamServedForSingleLoss) {
   EXPECT_TRUE(got_in_coded);
   EXPECT_EQ(f.recovery->stats().in_stream_served, 1u);
   EXPECT_EQ(f.recovery->stats().coop_ops, 0u);
+}
+
+TEST(Recovery, CodedPacketDisagreeingWithItsBatchIsRefused) {
+  Fixture f;
+  auto peer = std::make_unique<Peer>(f.net, f.dc2);
+  peer->confirm_checks = false;
+  f.registry->register_flow(9, FlowInfo{f.dc2.id(), peer->id()});
+  std::vector<PacketPtr> data;
+  for (SeqNo s = 0; s < 4; ++s) {
+    auto p = std::make_shared<Packet>();
+    p->flow = 9;
+    p->seq = s;
+    p->payload.assign(32, static_cast<std::uint8_t>(s));
+    data.push_back(p);
+  }
+  auto coded = fec::encode_batch(data, 2, PacketType::kInCoded, 500, 1, f.dc2.id(), 0);
+  // A second packet under batch 500's id whose covered keys differ.
+  auto forged = std::make_shared<Packet>(*coded[1]);
+  forged->meta->covered[0] = PacketKey{9, 40};
+  f.deliver_coded({coded[0], forged});
+  EXPECT_EQ(f.recovery->stats().inconsistent_coded, 1u);
+
+  // In-stream serving ships every stored coded packet of the batch.
+  auto served = [&] {
+    const std::size_t before = peer->received.size();
+    f.send_nack(9, {2}, peer->id());
+    f.sim.run_until(f.sim.now() + msec(100));
+    std::size_t n = 0;
+    for (std::size_t i = before; i < peer->received.size(); ++i) {
+      if (peer->received[i]->type == PacketType::kInCoded) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(served(), 1u);  // The forged packet was not stored.
+
+  f.deliver_coded({coded[1]});  // A conforming packet still is.
+  EXPECT_EQ(f.recovery->stats().inconsistent_coded, 1u);
+  EXPECT_EQ(served(), 2u);
 }
 
 TEST(Recovery, MultiLossNackPrefersCooperative) {

@@ -82,18 +82,6 @@ TEST(Selector, BudgetBoundaryIsInclusive) {
             ServiceType::kCache);
 }
 
-TEST(Selector, InternetQuoteIsThePlainDirectPath) {
-  // What failover falls back to when the overlay is unreachable: service
-  // kNone at the direct-path delay y, zero cloud egress. No re-selection
-  // happens -- this is the only candidate left.
-  const PathDelays d = typical_us_eu();
-  const ServiceQuote q = internet_quote(d);
-  EXPECT_EQ(q.service, ServiceType::kNone);
-  EXPECT_DOUBLE_EQ(q.expected_delay_ms, expected_delay_ms(ServiceType::kNone, d));
-  EXPECT_DOUBLE_EQ(q.expected_delay_ms, d.y_ms);
-  EXPECT_DOUBLE_EQ(q.relative_cost, 0.0);
-}
-
 TEST(Selector, QuotesSortedByCost) {
   const auto quotes = service_quotes(typical_us_eu(), 1.0 / 3.0);
   ASSERT_EQ(quotes.size(), 4u);

@@ -49,7 +49,7 @@ TEST(SteadyStateAlloc, SenderDuplicationPathIsAllocationFree) {
   const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
   netsim::Simulator sim;
   PacketPool pool;
-  netsim::Network net(sim, {}, 0, &pool);
+  netsim::Network net(sim, 0, &pool);
   Sink receiver(net);
   Sink dc1(net);
   endpoint::Sender sender(net);
@@ -94,7 +94,7 @@ TEST(SteadyStateAlloc, ReceiverInOrderPathIsAllocationFree) {
 
   netsim::Simulator sim;
   PacketPool pool;
-  netsim::Network net(sim, {}, 0, &pool);
+  netsim::Network net(sim, 0, &pool);
   endpoint::Receiver receiver(net, endpoint::ReceiverConfig{});
   receiver.expect_flow(1);
 
@@ -131,7 +131,7 @@ TEST(SteadyStateAlloc, ReceiverLossPathIsAllocationFree) {
 
   netsim::Simulator sim;
   PacketPool pool;
-  netsim::Network net(sim, {}, 0, &pool);
+  netsim::Network net(sim, 0, &pool);
   endpoint::Receiver receiver(net, endpoint::ReceiverConfig{});
   receiver.expect_flow(1);
 
@@ -178,7 +178,7 @@ TEST(SteadyStateAlloc, CodedPathIsAllocationFree) {
   const EvqBackendGuard evq(netsim::EvqBackend::kHeap);
   netsim::Simulator sim;
   PacketPool pool;
-  netsim::Network net(sim, {}, 0, &pool);
+  netsim::Network net(sim, 0, &pool);
   overlay::DataCenter dc1(net, 1, "dc1");
   overlay::DataCenter dc2(net, 2, "dc2");
   Sink receiver(net);

@@ -7,17 +7,17 @@ the threshold (default 15%).
 
 Row matching: rows are keyed by their "bench" and "name" tags plus every
 string-valued field and every field in ID_FIELDS (configuration identity:
-threads, shards, k, packet_bytes, ...). Metric fields (THROUGHPUT_FIELDS)
-are higher-is-better rates; everything else is ignored. Rows present on only
-one side are reported but do not fail the gate -- benches grow and retire
-rows across PRs, and the gate's job is catching regressions on work that
-still exists.
+threads, shards, k, packet_bytes, ...). Some benches emit several rows under
+one key; a key's rows pair up in emission order, so every row is compared.
+Metric fields (THROUGHPUT_FIELDS) are higher-is-better rates; everything
+else is ignored. Rows present on only one side are reported but do not fail
+the gate -- benches grow and retire rows across PRs, and the gate's job is
+catching regressions on work that still exists.
 
 With --exact the script instead checks that a change is bit-identical: it
-matches rows the same way (keeping every row of a key, in emission order)
-and compares every field except the wall-clock-derived ones listed in
-WALL_CLOCK_FIELDS and wall_clock_field(). Any other difference, and any row
-present on one side only, fails.
+matches rows the same way and compares every field except the
+wall-clock-derived ones listed in WALL_CLOCK_FIELDS and wall_clock_field().
+Any other difference, and any row present on one side only, fails.
 
 Usage:
   bench_regression.py --base DIR --current DIR [--threshold 0.15]
@@ -97,10 +97,6 @@ def read_rows(directory):
                     yield json.loads(line)
 
 
-def load_rows(directory):
-    return {row_key(row): row for row in read_rows(directory)}
-
-
 def load_row_lists(directory):
     """Every row of each key, in emission order (benches repeat some keys)."""
     rows = {}
@@ -109,16 +105,28 @@ def load_row_lists(directory):
     return rows
 
 
+def paired_rows(base_rows, current_rows):
+    """Yields (key, base, current) for every row of two load_row_lists maps,
+    pairing a key's rows in emission order; a row without a partner comes
+    with None on the other side."""
+    for key in sorted(set(base_rows) | set(current_rows)):
+        base = base_rows.get(key, [])
+        current = current_rows.get(key, [])
+        for i in range(max(len(base), len(current))):
+            yield (key, base[i] if i < len(base) else None,
+                   current[i] if i < len(current) else None)
+
+
 def diff(base_rows, current_rows, threshold):
-    """Returns (regressions, checked, unmatched) over the two row maps."""
+    """Returns (regressions, checked, unmatched) over two load_row_lists maps."""
     regressions = []
     checked = 0
     unmatched = 0
-    for key, base in sorted(base_rows.items()):
-        current = current_rows.get(key)
-        if current is None:
+    for key, base, current in paired_rows(base_rows, current_rows):
+        if base is None or current is None:
             unmatched += 1
-            print(f"[unmatched] base-only row: {dict(key)}")
+            side = "current" if base is None else "base"
+            print(f"[unmatched] {side}-only row: {dict(key)}")
             continue
         for field in THROUGHPUT_FIELDS:
             if field not in base or field not in current:
@@ -139,10 +147,6 @@ def diff(base_rows, current_rows, threshold):
             if c > allowed:
                 rise = (c - b) / b if b > 0 else float("inf")
                 regressions.append((dict(key), field, b, c, rise))
-    for key in sorted(current_rows):
-        if key not in base_rows:
-            unmatched += 1
-            print(f"[unmatched] current-only row: {dict(key)}")
     return regressions, checked, unmatched
 
 
@@ -152,20 +156,16 @@ def exact_diff(base_rows, current_rows):
     A row present on one side only is one difference with field "<row>"."""
     diffs = []
     compared = 0
-    for key in sorted(set(base_rows) | set(current_rows)):
-        base = base_rows.get(key, [])
-        current = current_rows.get(key, [])
-        for i in range(max(len(base), len(current))):
-            if i >= len(base) or i >= len(current):
-                diffs.append((dict(key), "<row>", i < len(base), i < len(current)))
+    for key, b, c in paired_rows(base_rows, current_rows):
+        if b is None or c is None:
+            diffs.append((dict(key), "<row>", b is not None, c is not None))
+            continue
+        for field in sorted(set(b) | set(c)):
+            if wall_clock_field(b, field):
                 continue
-            b, c = base[i], current[i]
-            for field in sorted(set(b) | set(c)):
-                if wall_clock_field(b, field):
-                    continue
-                compared += 1
-                if b.get(field) != c.get(field):
-                    diffs.append((dict(key), field, b.get(field), c.get(field)))
+            compared += 1
+            if b.get(field) != c.get(field):
+                diffs.append((dict(key), field, b.get(field), c.get(field)))
     return diffs, compared
 
 
@@ -194,14 +194,15 @@ def run_exact(base_dir, current_dir):
 
 
 def run_gate(base_dir, current_dir, threshold):
-    base_rows = load_rows(base_dir)
-    current_rows = load_rows(current_dir)
+    base_rows = load_row_lists(base_dir)
+    current_rows = load_row_lists(current_dir)
     if not base_rows:
         print(f"No base rows under {base_dir}; nothing to gate.")
         return 0
     regressions, checked, unmatched = diff(base_rows, current_rows, threshold)
     print(
-        f"{checked} metric(s) compared across {len(base_rows)} base row(s); "
+        f"{checked} metric(s) compared across "
+        f"{sum(len(v) for v in base_rows.values())} base row(s); "
         f"{unmatched} unmatched row(s)."
     )
     for key, field, b, c, drop in regressions:
@@ -218,22 +219,11 @@ def run_gate(base_dir, current_dir, threshold):
 
 def self_test():
     """Exercises the matcher and the gate on embedded fixtures."""
-    base = {
-        ("a",): {"bench": "x", "name": "a", "mbps": 100.0},
-        ("b",): {"bench": "x", "name": "b", "mbps": 100.0},
-    }
 
     def rows(*items):
         out = {}
         for r in items:
-            key = tuple(
-                sorted(
-                    (k, v)
-                    for k, v in r.items()
-                    if isinstance(v, str) or k in ID_FIELDS
-                )
-            )
-            out[key] = r
+            out.setdefault(row_key(r), []).append(r)
         return out
 
     ok_base = rows({"bench": "x", "name": "a", "threads": 2, "mbps": 100.0})
@@ -256,6 +246,15 @@ def self_test():
                    {"bench": "x", "name": "gone", "mbps": 100.0})
     regs, checked, unmatched = diff(retired, ok_cur, 0.15)
     assert checked == 1 and not regs and unmatched == 1, "retired rows must not fail"
+
+    # Rows sharing a key pair up in emission order, so a regression in the
+    # first of two such rows fails even though the last one holds.
+    twin_base = rows({"bench": "x", "name": "a", "mbps": 100.0},
+                     {"bench": "x", "name": "a", "mbps": 50.0})
+    twin_cur = rows({"bench": "x", "name": "a", "mbps": 70.0},
+                    {"bench": "x", "name": "a", "mbps": 50.0})
+    regs, checked, unmatched = diff(twin_base, twin_cur, 0.15)
+    assert checked == 2 and len(regs) == 1 and unmatched == 0, "every row of a key is gated"
 
     # Non-throughput fields are ignored even when they shrink.
     fid_base = rows({"bench": "x", "name": "overall", "overall_recovery": 0.9})
@@ -281,29 +280,22 @@ def self_test():
 
     # --exact: a row differing only in a wall-clock field matches; one
     # differing in a simulation result, or missing on one side, does not.
-    def lists(*items):
-        out = {}
-        for r in items:
-            out.setdefault(row_key(r), []).append(r)
-        return out
-
-    exact_base = lists({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 100},
-                       {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.0})
-    wall_only = lists({"bench": "x", "name": "a", "wall_sec": 2.5, "sim_events": 100},
-                      {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.2})
+    exact_base = rows({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 100},
+                      {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.0})
+    wall_only = rows({"bench": "x", "name": "a", "wall_sec": 2.5, "sim_events": 100},
+                     {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.2})
     diffs, _ = exact_diff(exact_base, wall_only)
     assert not diffs, "wall-clock fields must not be compared"
 
-    events_moved = lists({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 99},
-                         {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.0})
+    events_moved = rows({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 99},
+                        {"bench": "churn", "name": "churn_rss_scaling", "ratio": 1.0})
     diffs, _ = exact_diff(exact_base, events_moved)
     assert [d[1] for d in diffs] == ["sim_events"], "a moved result must fail --exact"
 
-    row_gone = lists({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 100})
+    row_gone = rows({"bench": "x", "name": "a", "wall_sec": 1.0, "sim_events": 100})
     diffs, _ = exact_diff(exact_base, row_gone)
     assert [d[1] for d in diffs] == ["<row>"], "a missing row must fail --exact"
 
-    _ = base  # silence lint about the illustrative fixture
     print("self-test OK")
     return 0
 

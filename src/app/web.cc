@@ -1,20 +1,22 @@
 #include "app/web.h"
 
 namespace jqos::app {
+namespace {
+
+// How long a web workload may run in simulated time before its results are
+// read regardless.
+constexpr SimDuration kWebRunLimit = minutes(600);
+
+}  // namespace
 
 WebResult run_web_workload(netsim::Network& net, endpoint::Sender& server,
                            endpoint::Receiver& client, endpoint::SessionManager& sessions,
                            const endpoint::RegisterRequest& session_template,
-                           const WebWorkloadParams& params, SimDuration hard_deadline) {
+                           const WebWorkloadParams& params) {
   transport::TcpWorkload workload(net, server, client, sessions, session_template,
                                   params.tcp);
-  bool done = false;
-  workload.run(params.requests, params.response_bytes, params.request_bytes,
-               [&done] { done = true; });
-  const SimTime deadline = net.sim().now() + hard_deadline;
-  while (!done && net.sim().now() < deadline && !net.sim().idle()) {
-    net.sim().step(10000);
-  }
+  workload.run(params.requests, params.response_bytes, params.request_bytes);
+  net.sim().run_until(net.sim().now() + kWebRunLimit);
   WebResult result;
   result.fct_ms = workload.fct_ms();
   result.server = workload.server_stats();

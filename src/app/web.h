@@ -21,17 +21,15 @@ struct WebResult {
   transport::TcpServerStats server;
   std::uint64_t acks = 0;
   std::size_t completed = 0;
-
-  double tail_ms(double percentile) const { return fct_ms.percentile(percentile); }
 };
 
 // Runs the workload to completion on the supplied (already wired) hosts and
-// returns the FCT distribution. The simulator is run until the workload
-// finishes (or `hard_deadline`, whichever first).
+// returns the FCT distribution. The simulator runs until its queue empties
+// or 600 simulated minutes pass, whichever comes first; either way its clock
+// then reads 600 minutes past the start.
 WebResult run_web_workload(netsim::Network& net, endpoint::Sender& server,
                            endpoint::Receiver& client, endpoint::SessionManager& sessions,
                            const endpoint::RegisterRequest& session_template,
-                           const WebWorkloadParams& params,
-                           SimDuration hard_deadline = minutes(600));
+                           const WebWorkloadParams& params);
 
 }  // namespace jqos::app

@@ -155,7 +155,6 @@ class Receiver final : public netsim::Node {
   // to the sender's set_overlay_down via a modeled control-channel delay.
   using OverlayEventFn = std::function<void(bool up, SimTime at)>;
   void set_overlay_handler(OverlayEventFn fn) { on_overlay_ = std::move(fn); }
-  bool overlay_up() const { return overlay_up_; }
 
  private:
   // One sequence number of a flow's SeqWindow.

@@ -87,7 +87,6 @@ class Sender final : public netsim::Node {
   // overlay-death detection via an out-of-band control channel the
   // scenario layer models.
   void set_overlay_down(bool down) { overlay_down_ = down; }
-  bool overlay_down() const { return overlay_down_; }
 
   const SenderStats& stats() const { return stats_; }
   SeqNo next_seq(FlowId flow) const;

@@ -22,9 +22,8 @@ namespace jqos::fec {
 // Field element.
 using Gf = std::uint8_t;
 
-// Addition and subtraction in GF(2^8) are both XOR.
+// Addition in GF(2^8) is XOR, and so is subtraction: gf_add serves both.
 constexpr Gf gf_add(Gf a, Gf b) { return a ^ b; }
-constexpr Gf gf_sub(Gf a, Gf b) { return a ^ b; }
 
 // Multiplication, division, inverse and exponentiation via the log/exp
 // tables. gf_div throws std::domain_error when b == 0 and gf_inv throws when

@@ -34,7 +34,6 @@ class ImpairedLink {
 
   void send(std::vector<std::uint8_t> data, const UdpEndpoint& dst);
 
-  void set_params(const ImpairmentParams& params) { params_ = params; }
   const ImpairmentStats& stats() const { return stats_; }
 
  private:

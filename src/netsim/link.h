@@ -91,7 +91,6 @@ class Link {
   // and queue-disc drops. The degradation Rng draws only while degraded, so
   // an un-faulted link's trace is byte-identical to a build without faults.
   void set_fault_down(bool down) { fault_down_ = down; }
-  bool fault_down() const { return fault_down_; }
   void set_degraded(double extra_loss, SimDuration extra_latency, Rng rng) {
     degraded_ = true;
     degraded_loss_ = extra_loss;

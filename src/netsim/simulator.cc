@@ -34,16 +34,4 @@ void Simulator::run_until(SimTime deadline) {
   if (now_ < deadline) now_ = deadline;
 }
 
-std::size_t Simulator::step(std::size_t n) {
-  std::size_t ran = 0;
-  while (ran < n && !queue_.empty()) {
-    auto [at, fn] = queue_.pop();
-    now_ = at;
-    ++processed_;
-    ++ran;
-    fn();
-  }
-  return ran;
-}
-
 }  // namespace jqos::netsim

@@ -6,12 +6,12 @@
 // event loop per process. Multi-core runs give each shard its own Simulator
 // (exp/sharded_runner.h); one Simulator is always one total event order.
 //
-// run()/run_until() drain the queue through EventQueue::drain, so with the
-// ladder backend (the default) the dispatch loop serves whole pre-sorted
-// rungs of events instead of paying a heap reheapify per event -- the change
-// that lets figure sweeps run millions of simulated packets. Construct with
-// an explicit EvqBackend to pin the backend; the retained binary heap is the
-// differential-testing reference.
+// run() and run_until() are the only dispatch loops. Both drain the queue
+// through EventQueue::drain, so with the ladder backend (the default) they
+// serve whole pre-sorted rungs of events instead of paying a heap reheapify
+// per event -- the change that lets figure sweeps run millions of simulated
+// packets. Construct with an explicit EvqBackend to pin the backend; the
+// retained binary heap is the differential-testing reference.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +46,6 @@ class Simulator {
 
   // Runs events with timestamp <= deadline, then sets now() = deadline.
   void run_until(SimTime deadline);
-
-  // Runs at most `n` further events; returns how many actually ran.
-  std::size_t step(std::size_t n = 1);
 
   bool idle() const { return queue_.empty(); }
   std::uint64_t events_processed() const { return processed_; }

@@ -39,9 +39,6 @@ struct CodingParams {
   double cross_rate() const {
     return k == 0 ? 0.0 : static_cast<double>(cross_coded) / static_cast<double>(k);
   }
-  double in_rate() const {
-    return in_block == 0 ? 0.0 : static_cast<double>(in_coded) / static_cast<double>(in_block);
-  }
 };
 
 // Where a flow terminates: the DC near its receiver (spatial grouping key)

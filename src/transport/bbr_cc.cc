@@ -34,8 +34,7 @@ class BbrLiteCc final : public CongestionController {
  public:
   const char* name() const override { return "bbr"; }
 
-  void on_transfer_start(std::uint32_t total_segments, SimTime now) override {
-    (void)total_segments, (void)now;
+  void on_transfer_start() override {
     mode_ = Mode::kStartup;
     pacing_gain_ = kStartupGain;
     bw_samples_.clear();
@@ -63,8 +62,7 @@ class BbrLiteCc final : public CongestionController {
     detect_losses(ev, sb, out);
   }
 
-  void on_rto(SimTime now) override {
-    (void)now;
+  void on_rto() override {
     // Back to bootstrap: trust nothing but the minimum window until acks
     // rebuild the model.
     bw_samples_.clear();
@@ -76,20 +74,19 @@ class BbrLiteCc final : public CongestionController {
     go_back_n_ = true;
   }
 
+  // Inflight is capped at cwnd_gain x BDP, or the initial window before
+  // the first bandwidth and RTT samples.
   bool can_send(std::size_t inflight) const override {
-    return inflight < static_cast<std::size_t>(cwnd_segments());
+    const double bdp = bdp_segments();
+    const double cwnd = bdp <= 0.0 ? static_cast<double>(kTcpInitCwnd)
+                                   : std::max(static_cast<double>(kMinCwnd), kCwndGain * bdp);
+    return inflight < static_cast<std::size_t>(cwnd);
   }
 
   double pacing_rate_bps() const override {
     const double bw = btl_bw();  // Segments per microsecond.
     if (bw <= 0.0) return 0.0;   // Unpaced until the first rate sample.
     return bw * pacing_gain_ * static_cast<double>(kTcpMss) * 8.0 * 1e6;
-  }
-
-  double cwnd_segments() const override {
-    const double bdp = bdp_segments();
-    if (bdp <= 0.0) return static_cast<double>(kTcpInitCwnd);
-    return std::max(static_cast<double>(kMinCwnd), kCwndGain * bdp);
   }
 
  private:
@@ -116,22 +113,9 @@ class BbrLiteCc final : public CongestionController {
   void detect_losses(const CcEvent& ev, const CcScoreboard& sb, CcActions& out) {
     if (go_back_n_) {
       go_back_n_ = false;
-      for (std::uint32_t s = sb.highest_acked; s < sb.next_to_send && s < sb.total_segments;
-           ++s) {
-        if (sb.sacked->count(s) != 0) continue;
-        auto rt = sb.retransmitted->find(s);
-        if (rt != sb.retransmitted->end() && ev.now - rt->second < ev.rto) continue;
-        out.retransmit.push_back(s);
-      }
-    } else if (rack_xmit_time_ >= 0) {
-      const SimDuration window = std::max<SimDuration>(ev.srtt / 4, msec(1));
-      const std::uint32_t high = sb.above_highest_sacked();
-      for (std::uint32_t s = sb.highest_acked; s < high && s < sb.total_segments; ++s) {
-        if (sb.sacked->count(s) != 0) continue;
-        const SimTime sent = sb.effective_xmit_time(s);
-        if (sent < 0) continue;
-        if (sent + window <= rack_xmit_time_) out.retransmit.push_back(s);
-      }
+      detail::collect_sack_holes(sb, sb.next_to_send, ev.now, ev.rto, out.retransmit);
+    } else {
+      detail::collect_rack_losses(sb, rack_xmit_time_, ev.srtt, out.retransmit);
     }
     if (out.retransmit.empty()) return;
     if (sb.highest_acked >= recovery_until_) {

@@ -1,5 +1,7 @@
 #include "transport/congestion.h"
 
+#include <algorithm>
+
 namespace jqos::transport {
 
 const char* cc_kind_name(CcKind k) {
@@ -32,14 +34,25 @@ SimTime CcScoreboard::effective_xmit_time(std::uint32_t seq) const {
 
 namespace detail {
 
-void collect_sack_holes(const CcScoreboard& sb, SimTime now, SimDuration rto,
-                        std::vector<std::uint32_t>& out) {
-  const std::uint32_t high = sb.above_highest_sacked();
+void collect_sack_holes(const CcScoreboard& sb, std::uint32_t high, SimTime now,
+                        SimDuration rto, std::vector<std::uint32_t>& out) {
   for (std::uint32_t s = sb.highest_acked; s < high && s < sb.total_segments; ++s) {
     if (sb.sacked->count(s) != 0) continue;
     auto rt = sb.retransmitted->find(s);
     if (rt != sb.retransmitted->end() && now - rt->second < rto) continue;
     out.push_back(s);
+  }
+}
+
+void collect_rack_losses(const CcScoreboard& sb, SimTime rack_xmit_time, SimDuration srtt,
+                         std::vector<std::uint32_t>& out) {
+  if (rack_xmit_time < 0) return;
+  const SimDuration window = std::max<SimDuration>(srtt / 4, msec(1));
+  const std::uint32_t high = sb.above_highest_sacked();
+  for (std::uint32_t s = sb.highest_acked; s < high && s < sb.total_segments; ++s) {
+    if (sb.sacked->count(s) != 0) continue;
+    const SimTime sent = sb.effective_xmit_time(s);
+    if (sent >= 0 && sent + window <= rack_xmit_time) out.push_back(s);
   }
 }
 

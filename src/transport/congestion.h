@@ -72,7 +72,7 @@ struct CcScoreboard {
   // Unacked, unsacked segments currently outstanding.
   std::size_t inflight() const;
   // One past the highest SACKed segment, or highest_acked + 1 if none —
-  // the upper bound of Reno's hole-retransmission scan.
+  // the upper bound of the fast-retransmit and RACK loss scans.
   std::uint32_t above_highest_sacked() const;
   // When `seq` last left the sender (retransmit time if retransmitted,
   // else first-transmission time); -1 if unknown.
@@ -108,7 +108,7 @@ class CongestionController {
   virtual const char* name() const = 0;
 
   // A fresh transfer begins (per-connection reset).
-  virtual void on_transfer_start(std::uint32_t total_segments, SimTime now) = 0;
+  virtual void on_transfer_start() = 0;
 
   // An ack advancing the cumulative point. The mechanism always rearms the
   // RTO and opens the window after this, matching classic behavior.
@@ -117,18 +117,9 @@ class CongestionController {
   // A duplicate cumulative ack (possibly with fresh SACK information).
   virtual void on_sack(const CcEvent& ev, const CcScoreboard& sb, CcActions& out) = 0;
 
-  // The mechanism retransmitted `seq` (controller-requested or RTO).
-  virtual void on_loss(std::uint32_t seq, SimTime now) { (void)seq, (void)now; }
-
-  // A data segment of `wire_bytes` left the sender.
-  virtual void on_segment_sent(std::uint32_t seq, std::size_t wire_bytes, bool retransmit,
-                               SimTime now) {
-    (void)seq, (void)wire_bytes, (void)retransmit, (void)now;
-  }
-
   // The retransmission timer fired (the mechanism resends the first hole
   // and backs the RTO off; the controller adjusts its window).
-  virtual void on_rto(SimTime now) = 0;
+  virtual void on_rto() = 0;
 
   // May another segment enter the network given `inflight` outstanding?
   virtual bool can_send(std::size_t inflight) const = 0;
@@ -136,9 +127,6 @@ class CongestionController {
   // Pacing rate in bits/s of segment payload; 0 disables pacing (sends are
   // ack-clocked bursts, the classic behavior).
   virtual double pacing_rate_bps() const { return 0.0; }
-
-  // Current window in segments (diagnostics).
-  virtual double cwnd_segments() const = 0;
 };
 
 // Builds a controller of the given kind.
@@ -150,11 +138,20 @@ CcPtr make_rack_cc();
 CcPtr make_bbr_lite_cc();
 
 namespace detail {
-// The SACK-style hole scan shared by Reno-family recovery: every unsacked
-// segment in [highest_acked, above_highest_sacked) not retransmitted within
-// the last RTO, in sequence order.
-void collect_sack_holes(const CcScoreboard& sb, SimTime now, SimDuration rto,
-                        std::vector<std::uint32_t>& out);
+// The hole scan shared by Reno's fast retransmit (bounded by
+// above_highest_sacked()) and BBR-lite's post-RTO go-back-N sweep (bounded
+// by next_to_send): every unsacked segment in [highest_acked, high) not
+// retransmitted within the last RTO, in sequence order.
+void collect_sack_holes(const CcScoreboard& sb, std::uint32_t high, SimTime now,
+                        SimDuration rto, std::vector<std::uint32_t>& out);
+
+// RACK's loss scan, shared by RackCc and BbrLiteCc: every unsacked segment
+// below the highest SACK that last left the sender at least a reorder
+// window (max(srtt/4, 1 ms)) before `rack_xmit_time`, the latest
+// transmission time among delivered segments. A negative clock (nothing
+// delivered yet) flags nothing.
+void collect_rack_losses(const CcScoreboard& sb, SimTime rack_xmit_time, SimDuration srtt,
+                         std::vector<std::uint32_t>& out);
 }  // namespace detail
 
 }  // namespace jqos::transport

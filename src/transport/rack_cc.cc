@@ -16,8 +16,7 @@ class RackCc final : public CongestionController {
  public:
   const char* name() const override { return "rack"; }
 
-  void on_transfer_start(std::uint32_t total_segments, SimTime now) override {
-    (void)total_segments, (void)now;
+  void on_transfer_start() override {
     cwnd_ = static_cast<double>(kTcpInitCwnd);
     ssthresh_ = static_cast<double>(kTcpInitSsthresh);
     rack_xmit_time_ = -1;
@@ -44,8 +43,7 @@ class RackCc final : public CongestionController {
     detect_losses(ev, sb, out);
   }
 
-  void on_rto(SimTime now) override {
-    (void)now;
+  void on_rto() override {
     ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
     cwnd_ = 1.0;
     rack_xmit_time_ = -1;  // Stale after the backoff; rebuild from fresh acks.
@@ -55,8 +53,6 @@ class RackCc final : public CongestionController {
     return inflight < static_cast<std::size_t>(cwnd_);
   }
 
-  double cwnd_segments() const override { return cwnd_; }
-
  private:
   void advance_rack_clock(const CcEvent& ev) {
     // The most recent transmission time among delivered segments: anything
@@ -64,20 +60,8 @@ class RackCc final : public CongestionController {
     rack_xmit_time_ = std::max(rack_xmit_time_, ev.delivered_xmit_time);
   }
 
-  SimDuration reorder_window(const CcEvent& ev) const {
-    return std::max<SimDuration>(ev.srtt / 4, msec(1));
-  }
-
   void detect_losses(const CcEvent& ev, const CcScoreboard& sb, CcActions& out) {
-    if (rack_xmit_time_ < 0) return;
-    const SimDuration window = reorder_window(ev);
-    const std::uint32_t high = sb.above_highest_sacked();
-    for (std::uint32_t s = sb.highest_acked; s < high && s < sb.total_segments; ++s) {
-      if (sb.sacked->count(s) != 0) continue;
-      const SimTime sent = sb.effective_xmit_time(s);
-      if (sent < 0) continue;
-      if (sent + window <= rack_xmit_time_) out.retransmit.push_back(s);
-    }
+    detail::collect_rack_losses(sb, rack_xmit_time_, ev.srtt, out.retransmit);
     if (out.retransmit.empty()) return;
     if (maybe_backoff(sb, &recovery_until_)) out.entered_recovery = true;
     out.rearm_rto = true;

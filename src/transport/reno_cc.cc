@@ -14,8 +14,7 @@ class RenoCc final : public CongestionController {
  public:
   const char* name() const override { return "reno"; }
 
-  void on_transfer_start(std::uint32_t total_segments, SimTime now) override {
-    (void)total_segments, (void)now;
+  void on_transfer_start() override {
     cwnd_ = static_cast<double>(kTcpInitCwnd);
     ssthresh_ = static_cast<double>(kTcpInitSsthresh);
     dup_acks_ = 0;
@@ -43,12 +42,11 @@ class RenoCc final : public CongestionController {
     cwnd_ = ssthresh_;
     // SACK-style: retransmit every hole below the highest SACKed segment,
     // unless it was retransmitted within the last RTO.
-    detail::collect_sack_holes(sb, ev.now, ev.rto, out.retransmit);
+    detail::collect_sack_holes(sb, sb.above_highest_sacked(), ev.now, ev.rto, out.retransmit);
     out.rearm_rto = true;
   }
 
-  void on_rto(SimTime now) override {
-    (void)now;
+  void on_rto() override {
     ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
     cwnd_ = 1.0;
     dup_acks_ = 0;
@@ -57,8 +55,6 @@ class RenoCc final : public CongestionController {
   bool can_send(std::size_t inflight) const override {
     return inflight < static_cast<std::size_t>(cwnd_);
   }
-
-  double cwnd_segments() const override { return cwnd_; }
 
  private:
   // Classic ECN response: halve once per window of data, like a loss but

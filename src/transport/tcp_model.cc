@@ -50,14 +50,17 @@ TcpWorkload::TcpWorkload(netsim::Network& net, endpoint::Sender& server,
       sessions_(sessions),
       session_template_(std::move(session_template)),
       params_(params),
-      cc_(make_congestion_controller(params_.cc)) {
+      cc_(make_congestion_controller(params_.cc)),
+      client_timer_(net.sim()),
+      server_timer_(net.sim()),
+      pacing_timer_(net.sim()) {
   server_.set_receive_handler([this](const PacketPtr& pkt) { server_on_packet(pkt); });
   client_.set_delivery_handler(
       [this](const endpoint::DeliveryRecord& rec, const PacketPtr& pkt) {
         if (rec.lost || pkt == nullptr || rec.flow != flow_) return;
         auto seg = TcpSegment::parse(pkt->payload);
         if (seg && seg->conn_id == conn_id_) {
-          client_on_segment(*seg, rec.recovered, pkt->ecn_ce);
+          client_on_segment(*seg, pkt->ecn_ce);
         }
       });
 }
@@ -107,7 +110,7 @@ void TcpWorkload::start_next_transfer() {
   send_times_.clear();
   retransmitted_.clear();
   pacing_release_ = 0;
-  cc_->on_transfer_start(total_segments_, net_.sim().now());
+  cc_->on_transfer_start();
 
   transfer_started_ = net_.sim().now();
   client_send_syn();
@@ -132,13 +135,11 @@ void TcpWorkload::client_send_syn() {
   syn.flags = TcpSegment::kSyn;
   client_stamp_and_send(syn.serialize(40));
 
-  const std::uint64_t gen = ++client_timer_gen_;
   const SimDuration backoff = kTcpInitialRto << std::min(client_retries_, 6);
-  net_.sim().after(backoff, [this, gen] { client_handshake_timer_fired(gen); });
+  client_timer_.after(backoff, [this] { client_handshake_timer_fired(); });
 }
 
-void TcpWorkload::client_handshake_timer_fired(std::uint64_t gen) {
-  if (gen != client_timer_gen_ || transfer_done_ || syn_acked_) return;
+void TcpWorkload::client_handshake_timer_fired() {
   if (++client_retries_ > kTcpMaxHandshakeRetries) {
     // Connection abandoned; count the elapsed time as the completion time
     // (the user gave up -- an extreme tail event).
@@ -185,14 +186,13 @@ void TcpWorkload::client_send_ack() {
   client_stamp_and_send(ack.serialize(40));
 }
 
-void TcpWorkload::client_on_segment(const TcpSegment& seg, bool via_recovery,
-                                    bool ce_marked) {
-  (void)via_recovery;  // Recovered segments are ACKed exactly like direct ones.
+// Segments J-QoS recovered are ACKed exactly like direct ones.
+void TcpWorkload::client_on_segment(const TcpSegment& seg, bool ce_marked) {
   if (transfer_done_) return;
   if (seg.flags & TcpSegment::kSyn) {
     if (!syn_acked_) {
       syn_acked_ = true;
-      ++client_timer_gen_;  // Cancel the SYN retransmit timer.
+      client_timer_.cancel();
       client_send_request();
     } else {
       client_send_request();  // Duplicate SYN-ACK: our request was lost.
@@ -243,10 +243,8 @@ void TcpWorkload::server_send_synack() {
   server_.send_payload(flow_, synack.serialize(40));
 
   // Retransmit until the request arrives, with exponential backoff.
-  const std::uint64_t gen = ++server_timer_gen_;
   const SimDuration backoff = kTcpInitialRto << std::min(synack_retries_, 6);
-  net_.sim().after(backoff, [this, gen] {
-    if (gen != server_timer_gen_ || transfer_done_ || server_sending_) return;
+  server_timer_.after(backoff, [this] {
     if (++synack_retries_ > kTcpMaxHandshakeRetries) return;
     ++server_stats_.synack_retransmits;
     server_send_synack();
@@ -255,9 +253,8 @@ void TcpWorkload::server_send_synack() {
 
 void TcpWorkload::server_begin_response() {
   server_sending_ = true;
-  ++server_timer_gen_;  // Cancel SYN-ACK retransmission.
   server_send_window();
-  server_arm_rto();
+  server_arm_rto();  // The RTO replaces the SYN-ACK retransmit timer.
 }
 
 CcScoreboard TcpWorkload::scoreboard() const {
@@ -318,14 +315,9 @@ void TcpWorkload::advance_pacing_release(std::uint32_t seq, double pace_bps) {
 }
 
 void TcpWorkload::server_arm_pacing_timer() {
-  if (pacing_timer_armed_) return;
-  pacing_timer_armed_ = true;
-  const std::uint32_t conn = conn_id_;
-  net_.sim().at(std::max(pacing_release_, net_.sim().now()), [this, conn] {
-    pacing_timer_armed_ = false;
-    if (conn != conn_id_ || transfer_done_ || !server_sending_) return;
-    server_send_window();
-  });
+  if (pacing_timer_.armed()) return;
+  pacing_timer_.at(std::max(pacing_release_, net_.sim().now()),
+                   [this] { server_send_window(); });
 }
 
 void TcpWorkload::server_send_segment(std::uint32_t seq, bool retransmit) {
@@ -338,13 +330,10 @@ void TcpWorkload::server_send_segment(std::uint32_t seq, bool retransmit) {
   if (retransmit) {
     ++server_stats_.retransmits;
     retransmitted_[seq] = net_.sim().now();
-    cc_->on_loss(seq, net_.sim().now());
   } else {
     send_times_[seq] = net_.sim().now();
   }
-  const std::size_t wire = segment_wire_bytes(seq);
-  cc_->on_segment_sent(seq, wire, retransmit, net_.sim().now());
-  server_.send_payload(flow_, seg.serialize(wire));
+  server_.send_payload(flow_, seg.serialize(segment_wire_bytes(seq)));
 }
 
 void TcpWorkload::server_update_rtt(SimDuration sample) {
@@ -421,7 +410,7 @@ void TcpWorkload::server_on_ack(const TcpSegment& seg) {
     CcActions actions;
     cc_->on_ack(ev, scoreboard(), actions);
     if (highest_acked_ >= total_segments_) {
-      ++server_timer_gen_;  // All data acked; stop the RTO timer.
+      server_timer_.cancel();  // All data acked; stop the RTO timer.
       return;
     }
     if (actions.entered_recovery) ++server_stats_.fast_retransmits;
@@ -443,15 +432,13 @@ void TcpWorkload::server_on_ack(const TcpSegment& seg) {
 }
 
 void TcpWorkload::server_arm_rto() {
-  const std::uint64_t gen = ++server_timer_gen_;
-  net_.sim().after(rto_, [this, gen] { server_rto_fired(gen); });
+  server_timer_.after(rto_, [this] { server_rto_fired(); });
 }
 
-void TcpWorkload::server_rto_fired(std::uint64_t gen) {
-  if (gen != server_timer_gen_ || transfer_done_ || !server_sending_) return;
+void TcpWorkload::server_rto_fired() {
   if (highest_acked_ >= total_segments_) return;
   ++server_stats_.timeouts;
-  cc_->on_rto(net_.sim().now());
+  cc_->on_rto();
   rto_ = std::min<SimDuration>(rto_ * 2, kTcpMaxRto);
   server_send_segment(highest_acked_, /*retransmit=*/true);
   server_arm_rto();
@@ -460,8 +447,13 @@ void TcpWorkload::server_rto_fired(std::uint64_t gen) {
 void TcpWorkload::transfer_complete() {
   if (transfer_done_) return;
   transfer_done_ = true;
-  ++server_timer_gen_;
-  ++client_timer_gen_;
+  client_timer_.cancel();
+  server_timer_.cancel();
+  pacing_timer_.cancel();
+  // A pacing controller's queued repairs die with the transfer: left
+  // queued, they would go out as retransmissions of the next transfer's
+  // segments of the same numbers.
+  paced_retx_.clear();
   ++completed_;
   fct_ms_.add(to_ms(net_.sim().now() - transfer_started_));
   // Start the next transfer on a fresh event so current callbacks unwind.

@@ -36,6 +36,7 @@
 #include "endpoint/receiver.h"
 #include "endpoint/sender.h"
 #include "endpoint/session.h"
+#include "netsim/simulator.h"
 #include "transport/congestion.h"
 
 namespace jqos::transport {
@@ -97,8 +98,8 @@ class TcpWorkload {
   void client_send_syn();
   void client_send_request();
   void client_send_ack();
-  void client_on_segment(const TcpSegment& seg, bool via_recovery, bool ce_marked);
-  void client_handshake_timer_fired(std::uint64_t gen);
+  void client_on_segment(const TcpSegment& seg, bool ce_marked);
+  void client_handshake_timer_fired();
   void client_stamp_and_send(std::vector<std::uint8_t> payload);
 
   // ---- server side ----
@@ -109,7 +110,7 @@ class TcpWorkload {
   void server_send_segment(std::uint32_t seq, bool retransmit);
   void server_on_ack(const TcpSegment& seg);
   void server_arm_rto();
-  void server_rto_fired(std::uint64_t gen);
+  void server_rto_fired();
   void server_update_rtt(SimDuration sample);
   void server_arm_pacing_timer();
   // Segment `seq`'s size on the wire: its share of the response body, at
@@ -147,7 +148,7 @@ class TcpWorkload {
   // Client.
   bool syn_acked_ = false;
   int client_retries_ = 0;
-  std::uint64_t client_timer_gen_ = 0;
+  netsim::Timer client_timer_;  // SYN retransmit.
   std::uint32_t client_total_segments_ = 0;
   std::uint32_t client_cumulative_ = 0;  // Next segment needed.
   std::set<std::uint32_t> client_received_;
@@ -165,7 +166,7 @@ class TcpWorkload {
   bool rtt_measured_ = false;
   double srtt_ = 0.0;
   double rttvar_ = 0.0;
-  std::uint64_t server_timer_gen_ = 0;
+  netsim::Timer server_timer_;  // SYN-ACK retransmit, then the RTO.
   int synack_retries_ = 0;
   std::map<std::uint32_t, SimTime> send_times_;     // First-transmission times.
   std::map<std::uint32_t, SimTime> retransmitted_;  // Last retransmit time.
@@ -175,7 +176,7 @@ class TcpWorkload {
   // repairs queue here and leave at the paced rate ahead of new data,
   // instead of bursting a whole window of repairs into the bottleneck.
   SimTime pacing_release_ = 0;
-  bool pacing_timer_armed_ = false;
+  netsim::Timer pacing_timer_;
   std::deque<std::uint32_t> paced_retx_;
 
   TcpServerStats server_stats_;

@@ -3,6 +3,8 @@
 // (Section 6.4 in miniature).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "app/web.h"
 #include "netsim/network.h"
 #include "overlay/datacenter.h"
@@ -205,6 +207,71 @@ TEST(TcpModel, HandshakeLossHandledByRetransmission) {
     // The handshake stall shows up as a >1 s completion.
     EXPECT_GT(workload.fct_ms().max(), 1000.0);
   }
+}
+
+// Every timer a transfer arms dies with it. 200 ms after the run finishes
+// (the completion callback fires 10 ms after the last transfer ends), the
+// one event left pending is the receiver's flow timer.
+TEST(TcpModel, NoTimerOutlivesItsTransfer) {
+  for (const CcKind cc : kCcKinds) {
+    SCOPED_TRACE(cc_kind_name(cc));
+    TcpFixture f(0.0, 0.0, /*with_jqos=*/false);
+    TcpWorkload workload(f.net, f.server, *f.client, *f.sessions,
+                         f.session_template(false), TcpParams{.cc = cc});
+    std::size_t pending = 0;
+    workload.run(1, 50 * 1000, 12, [&f, &pending] {
+      f.sim.after(msec(200), [&f, &pending] { pending = f.sim.queue().size(); });
+    });
+    f.sim.run();
+    EXPECT_EQ(workload.completed(), 1u);
+    EXPECT_EQ(pending, 1u);
+  }
+}
+
+// A pacing controller's repairs queue and leave at the paced rate. Repairs
+// still queued when a transfer completes belong to that transfer; sent in
+// the next one, they would go out as retransmissions of its segments of
+// the same numbers before their first transmission. BBR over a lossy 2 Mbps
+// RED bottleneck leaves such a queue behind. The server's duplicate filter
+// sees every segment it transmits and refuses every cloud copy, so the
+// flows stay plain TCP on the direct path.
+TEST(TcpModel, PacedRepairsDieWithTheirTransfer) {
+  netsim::Simulator sim;
+  netsim::Network net(sim, 31);
+  Rng rng(31);
+  auto registry = std::make_shared<services::FlowRegistry>();
+  endpoint::Sender server(net);
+  endpoint::Receiver client(net, endpoint::ReceiverConfig{});
+  netsim::QdiscConfig red;
+  red.kind = netsim::QdiscKind::kRed;
+  red.limit_bytes = 16 * 1024;
+  net.add_link(server.id(), client.id(), netsim::make_fixed_latency(msec(71)),
+               netsim::make_bernoulli_loss(0.02, rng.fork("f")), 2e6, red);
+  net.add_link(client.id(), server.id(), netsim::make_fixed_latency(msec(71)),
+               netsim::make_bernoulli_loss(0.01, rng.fork("r")));
+
+  std::map<std::uint32_t, std::uint32_t> next_new;  // Per connection.
+  std::size_t sent_before_first_transmission = 0;
+  endpoint::RegisterRequest req;
+  req.force_service = ServiceType::kForward;
+  req.dc1 = net.allocate_id();  // No node: the filter never lets a copy out.
+  req.duplicate_filter = [&](const Packet& pkt) {
+    const auto seg = TcpSegment::parse(pkt.payload);
+    if (seg && (seg->flags & TcpSegment::kData) != 0) {
+      std::uint32_t& next = next_new[seg->conn_id];
+      if (seg->seq == next) ++next;
+      if (seg->seq > next) ++sent_before_first_transmission;
+    }
+    return false;
+  };
+  endpoint::SessionManager sessions(registry);
+  TcpWorkload workload(net, server, client, sessions, req,
+                       TcpParams{.cc = CcKind::kBbrLite});
+  workload.run(30, 100 * 1000);
+  sim.run();
+  EXPECT_EQ(workload.completed(), 30u);
+  EXPECT_GT(workload.server_stats().retransmits, 0u);
+  EXPECT_EQ(sent_before_first_transmission, 0u);
 }
 
 TEST(WebWorkload, WrapperRunsToCompletion) {

@@ -1,60 +1,78 @@
-// Live-runtime example: the J-QoS wire format and caching recovery running
-// over REAL UDP sockets on loopback (the paper's user-space proxy mode),
-// with a 25% impaired "Internet" leg. No simulator involved.
+// Live-runtime example: the simulator's own sender, receiver and caching DC
+// exchanging the J-QoS wire format over REAL UDP sockets on loopback (the
+// paper's user-space proxy mode). The direct "Internet" leg drops 25% of
+// datagrams; the receiver recovers them from the DC's cache with the same
+// NACK protocol and Markov tail timer the simulator evaluates.
 #include <cstdio>
+#include <memory>
 
-#include "net/event_loop.h"
-#include "net/live_node.h"
+#include "endpoint/receiver.h"
+#include "endpoint/sender.h"
+#include "net/live_host.h"
+#include "overlay/datacenter.h"
+#include "services/caching/caching_service.h"
 
 using namespace jqos;
 using namespace std::chrono_literals;
 
 int main() {
-  net::EventLoop loop;
-  net::LiveCachingDc dc(loop);
-  std::printf("DC cache listening on udp://%s\n", dc.endpoint().to_string().c_str());
+  constexpr FlowId kFlow = 1;
+  constexpr int kPackets = 320;
+  net::LiveHost host;
 
-  std::uint64_t direct = 0, recovered = 0;
-  net::LiveReceiver receiver(loop, /*flow=*/1, dc.endpoint(),
-                             [&](const Packet& pkt, bool was_recovered) {
-                               (void)pkt;
-                               if (was_recovered) {
-                                 ++recovered;
-                               } else {
-                                 ++direct;
-                               }
-                             });
-  std::printf("receiver listening on udp://%s\n", receiver.endpoint().to_string().c_str());
+  overlay::DataCenter dc(host.net(), /*dc_id=*/0, "dc");
+  auto cache = std::make_shared<services::CachingService>();
+  dc.install(cache);
+  const net::UdpEndpoint dc_endpoint = host.bind(dc);
+  std::printf("DC cache listening on udp://%s\n", dc_endpoint.to_string().c_str());
 
-  net::ImpairmentParams impair;
-  impair.drop_probability = 0.25;
-  impair.delay = 5ms;
-  impair.jitter = 3ms;
-  net::LiveSender sender(loop, 1, receiver.endpoint(), dc.endpoint(), impair, Rng(99));
+  // The receiver NACKs its holes to the DC and gives a hole up one second
+  // after detecting it.
+  endpoint::ReceiverConfig rx_config;
+  rx_config.dc2 = host.remote(dc_endpoint);
+  rx_config.recovery_service = ServiceType::kCache;
+  rx_config.recovery_give_up = sec(1);
+  endpoint::Receiver receiver(host.net(), rx_config);
+  const net::UdpEndpoint rx_endpoint = host.bind(receiver);
+  host.connect(receiver, rx_config.dc2);
+  receiver.expect_flow(kFlow);
+  std::printf("receiver listening on udp://%s\n", rx_endpoint.to_string().c_str());
 
-  // Stream 300 datagrams; duplicate each to the DC cache; the receiver
-  // pulls the holes the impaired direct leg leaves behind.
-  const int kPackets = 300;
+  // The sender duplicates every packet: direct to the receiver over the
+  // impaired leg, and a clean copy to the DC cache.
+  endpoint::Sender sender(host.net());
+  host.bind(sender);
+  endpoint::SenderPolicy policy;
+  policy.service = ServiceType::kCache;
+  policy.dc1 = host.remote(dc_endpoint);
+  policy.receiver = host.remote(rx_endpoint);
+  host.connect(sender, policy.dc1);
+  host.connect(sender, policy.receiver, netsim::make_jitter_latency({.base = msec(5)}, Rng(98)),
+               netsim::make_bernoulli_loss(0.25, Rng(99)));
+  sender.register_flow(kFlow, policy);
+
+  // Stream the packets 2 ms apart, then let recoveries and give-ups play out.
   for (int i = 0; i < kPackets; ++i) {
-    sender.send(std::vector<std::uint8_t>(128, static_cast<std::uint8_t>(i)));
-    loop.run_once(2ms);
+    sender.send(kFlow, 128);
+    host.run_for(2ms);
   }
-  // Trailing beacons let the receiver detect the final gap, then drain.
-  for (int i = 0; i < 20; ++i) {
-    sender.send(std::vector<std::uint8_t>(16, 0xee));
-    for (int j = 0; j < 10; ++j) loop.run_once(5ms);
-  }
-  const auto deadline = net::Clock::now() + 500ms;
-  while (net::Clock::now() < deadline) loop.run_once(10ms);
+  host.run_for(1500ms);
 
-  std::printf("\nlive loopback run (25%% drop + 5-8 ms delay on the direct leg):\n");
-  std::printf("  direct deliveries    : %llu\n", static_cast<unsigned long long>(direct));
-  std::printf("  recovered via pulls  : %llu\n",
-              static_cast<unsigned long long>(recovered));
-  std::printf("  direct-leg datagrams dropped by impairment: %llu of %llu\n",
-              static_cast<unsigned long long>(sender.direct_stats().dropped),
-              static_cast<unsigned long long>(sender.direct_stats().offered));
-  std::printf("  DC cache served %llu pulls, holding %zu packets\n",
-              static_cast<unsigned long long>(dc.served()), dc.store().size());
+  const endpoint::ReceiverStats& rx = receiver.stats();
+  const netsim::LinkStats& direct = host.net().link(sender.id(), policy.receiver)->stats();
+  std::printf("\nlive loopback run (25%% drop + 5 ms delay and jitter on the direct leg):\n");
+  std::printf("  packets sent         : %d\n", kPackets);
+  std::printf("  direct deliveries    : %llu\n",
+              static_cast<unsigned long long>(rx.delivered_direct));
+  std::printf("  recovered via NACKs  : %llu\n",
+              static_cast<unsigned long long>(rx.delivered_recovered));
+  std::printf("  given up             : %llu\n",
+              static_cast<unsigned long long>(rx.losses_given_up));
+  std::printf("  direct-leg datagrams dropped by the link: %llu of %llu\n",
+              static_cast<unsigned long long>(direct.dropped_packets),
+              static_cast<unsigned long long>(direct.offered_packets));
+  std::printf("  DC cache served %llu of %llu requests, holding %zu packets\n",
+              static_cast<unsigned long long>(cache->stats().pull_hits),
+              static_cast<unsigned long long>(cache->stats().pulls), cache->store().size());
   return 0;
 }

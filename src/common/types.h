@@ -19,9 +19,9 @@ using SeqNo = std::uint32_t;
 
 // The farthest one arrival may land past a receiver's next expected
 // sequence number. Every number in between becomes a tracked hole and a
-// NACK or pull, so one hostile or corrupt packet with a far-ahead seq would
-// cost memory and traffic in proportion to the gap (up to 2^32). Receivers
-// drop such an arrival, count it, and touch no flow state. Real traffic
+// NACK, so one hostile or corrupt packet with a far-ahead seq would cost
+// memory and traffic in proportion to the gap (up to 2^32). The receiver
+// drops such an arrival, counts it, and touches no flow state. Real traffic
 // stays far below the bound: over every perfbench sub-seed of seeds 1 and
 // 7919, no arrival landed more than 2,061 past its receiver's edge.
 inline constexpr SeqNo kMaxSeqGap = SeqNo{1} << 16;

@@ -1,6 +1,6 @@
-// Non-blocking UDP socket wrapper. The live runtime uses UDP for all data
-// plane traffic (forwarded packets, coded packets, NACKs, recoveries), as
-// the prototype does (Section 5).
+// Non-blocking UDP socket wrapper. LiveHost gives each bound node one and
+// carries all of its traffic over it (data, coded packets, NACKs,
+// recoveries), as the prototype carries its data plane over UDP (Section 5).
 #pragma once
 
 #include <netinet/in.h>

@@ -409,10 +409,9 @@ void TcpWorkload::server_on_ack(const TcpSegment& seg) {
     ev.rto = rto_;
     CcActions actions;
     cc_->on_ack(ev, scoreboard(), actions);
-    if (highest_acked_ >= total_segments_) {
-      server_timer_.cancel();  // All data acked; stop the RTO timer.
-      return;
-    }
+    // No ACK reaches a finished transfer: the client completes on its last
+    // segment and the server drops later packets. So data is still
+    // outstanding here and whenever the RTO fires.
     if (actions.entered_recovery) ++server_stats_.fast_retransmits;
     apply_cc_actions(actions);
     server_arm_rto();
@@ -436,7 +435,6 @@ void TcpWorkload::server_arm_rto() {
 }
 
 void TcpWorkload::server_rto_fired() {
-  if (highest_acked_ >= total_segments_) return;
   ++server_stats_.timeouts;
   cc_->on_rto();
   rto_ = std::min<SimDuration>(rto_ * 2, kTcpMaxRto);

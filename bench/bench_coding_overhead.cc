@@ -9,12 +9,11 @@
 // With --json the sweep rows are emitted as JSON Lines (see bench_json.h)
 // instead of the human table, so CI can diff overhead/recovery across PRs.
 //
-// A second section microbenchmarks the per-batch encode path itself —
-// legacy allocation-per-shard encode_batch vs the zero-copy
-// BatchEncoder::encode_into, with the raw strided ReedSolomon kernel as the
-// ceiling — and emits one `encode_path` row per path (MB/s of data bytes
-// coded, speedup vs legacy, fraction of the raw kernel rate). --quick
-// shortens the measurement windows for CI's bench-smoke job.
+// A second section microbenchmarks the per-batch encode path itself — the
+// zero-copy BatchEncoder::encode_into, with the raw strided ReedSolomon
+// kernel as the ceiling — and emits one `encode_path` row per path (MB/s of
+// data bytes coded, fraction of the raw kernel rate). --quick shortens the
+// measurement windows for CI's bench-smoke job.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -32,7 +31,7 @@ using namespace jqos;
 // --------------------- encode-path microbenchmark -------------------------
 
 struct EncodePathPoint {
-  const char* path;  // "legacy" | "zero_copy" | "kernel_only"
+  const char* path;  // "zero_copy" | "kernel_only"
   std::size_t k;
   std::size_t r;
   double mbps = 0.0;          // Data bytes coded per second.
@@ -91,18 +90,12 @@ std::vector<EncodePathPoint> run_encode_paths(std::size_t k, std::size_t r,
   std::vector<EncodePathPoint> points;
   std::uint32_t batch_id = 0;
 
-  points.push_back(measure_path("legacy", k, r, window_ms, [&] {
-    auto coded =
-        fec::encode_batch(pkts, r, PacketType::kCrossCoded, batch_id++, 1, 2, 0);
-    if (coded.size() != r) std::abort();  // Keeps the call observable.
-  }));
-
   fec::BatchEncoder enc;
   std::vector<PacketPtr> out;
   points.push_back(measure_path("zero_copy", k, r, window_ms, [&] {
     out.clear();
     enc.encode_into(pkts, r, PacketType::kCrossCoded, batch_id++, 1, 2, 0, out);
-    if (out.size() != r) std::abort();
+    if (out.size() != r) std::abort();  // Keeps the call observable.
   }));
 
   // Raw kernel ceiling: the same shards pre-framed in an arena, parity into
@@ -221,22 +214,21 @@ int main(int argc, char** argv) {
   const bool json = bench::want_json(argc, argv);
   const bool quick = bench::want_flag(argc, argv, "--quick");
 
-  // Encode-path microbench: legacy vs zero-copy vs raw kernel. Shapes:
+  // Encode-path microbench: zero-copy vs raw kernel. Shapes:
   // k=5/r=1 (the fig10 s = 1/5 rate — the canonical k=5 point), k=5/r=2,
   // and the paper's 20-stream sweep shape k=20/r=2.
   const int window_ms = quick ? 60 : 300;
   if (!json) {
-    std::printf("== Batch encode path: legacy vs zero-copy (%zu B payloads, %s) ==\n",
+    std::printf("== Batch encode path: zero-copy vs raw kernel (%zu B payloads, %s) ==\n",
                 kMicroPayload, fec::gf_backend_name());
-    std::printf("%-12s %4s %3s %12s %14s %12s %12s\n", "path", "k", "r", "MB/s",
-                "batches/s", "vs legacy", "of kernel");
+    std::printf("%-12s %4s %3s %12s %14s %12s\n", "path", "k", "r", "MB/s", "batches/s",
+                "of kernel");
   }
   const std::pair<std::size_t, std::size_t> micro_shapes[] = {{5, 1}, {5, 2}, {20, 2}};
   for (const auto& [k, r] : micro_shapes) {
     const auto points = run_encode_paths(k, r, window_ms);
-    double legacy_mbps = 0.0, kernel_mbps = 0.0;
+    double kernel_mbps = 0.0;
     for (const auto& p : points) {
-      if (std::string_view(p.path) == "legacy") legacy_mbps = p.mbps;
       if (std::string_view(p.path) == "kernel_only") kernel_mbps = p.mbps;
     }
     for (const auto& p : points) {
@@ -250,13 +242,11 @@ int main(int argc, char** argv) {
             .add("gf_backend", fec::gf_backend_name())
             .add("mbps", p.mbps)
             .add("batches_per_sec", p.batches_per_sec)
-            .add("speedup_vs_legacy", legacy_mbps > 0 ? p.mbps / legacy_mbps : 0.0)
             .add("fraction_of_kernel", kernel_mbps > 0 ? p.mbps / kernel_mbps : 0.0)
             .emit();
       } else {
-        std::printf("%-12s %4zu %3zu %12.1f %14.0f %11.2fx %11.1f%%\n", p.path, p.k, p.r,
-                    p.mbps, p.batches_per_sec, legacy_mbps > 0 ? p.mbps / legacy_mbps : 0.0,
-                    kernel_mbps > 0 ? 100.0 * p.mbps / kernel_mbps : 0.0);
+        std::printf("%-12s %4zu %3zu %12.1f %14.0f %11.1f%%\n", p.path, p.k, p.r, p.mbps,
+                    p.batches_per_sec, kernel_mbps > 0 ? 100.0 * p.mbps / kernel_mbps : 0.0);
       }
     }
   }

@@ -7,8 +7,8 @@
 // shape (absolute Kpps depends on the machine).
 //
 // Before the thread sweep, a single-threaded per-backend pass forces each
-// available GF(256) kernel backend (scalar / ssse3 / avx2) through the same
-// encode loop and reports MB/s and Kpps per backend, so the SIMD speedup is
+// available GF(256) kernel backend (scalar / avx2) through the same encode
+// loop and reports MB/s and Kpps per backend, so the SIMD speedup is
 // measured on every run rather than asserted. With --json those rows are
 // emitted as JSON Lines (see bench_json.h) and the google-benchmark thread
 // sweep is skipped — use --benchmark_format=json for machine-readable
@@ -47,20 +47,21 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
-// One encoder worker's working set: k data shards + 1 parity shard.
+// One encoder worker's working set: k data shards back to back (stride =
+// kPacketBytes) + 1 parity shard.
 struct WorkerState {
-  std::vector<std::vector<std::uint8_t>> data;
+  std::vector<std::uint8_t> data;
   std::vector<std::uint8_t> parity;
-  std::vector<const std::uint8_t*> data_ptrs;
   std::uint8_t* parity_ptr[1];
 
-  WorkerState() : data(kBlock, std::vector<std::uint8_t>(kPacketBytes)), parity(kPacketBytes) {
+  WorkerState() : data(kBlock * kPacketBytes), parity(kPacketBytes) {
     Rng rng(1234);
-    for (auto& shard : data) {
-      for (auto& b : shard) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    for (auto& shard : data) data_ptrs.push_back(shard.data());
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     parity_ptr[0] = parity.data();
+  }
+
+  void encode(const fec::ReedSolomon& rs) {
+    rs.encode_into(data.data(), kPacketBytes, kPacketBytes, parity_ptr);
   }
 };
 
@@ -81,7 +82,7 @@ void BM_EncodeThroughput(benchmark::State& state) {
         WorkerState ws;
         std::uint64_t blocks = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          rs.encode_into(ws.data_ptrs.data(), kPacketBytes, ws.parity_ptr);
+          ws.encode(rs);
           benchmark::DoNotOptimize(ws.parity.data());
           ++blocks;
         }
@@ -120,14 +121,14 @@ BackendPoint measure_backend(fec::GfBackend backend) {
   using Clock = std::chrono::steady_clock;
 
   // Warm-up: fault in tables and settle the clock.
-  for (int i = 0; i < 50; ++i) rs.encode_into(ws.data_ptrs.data(), kPacketBytes, ws.parity_ptr);
+  for (int i = 0; i < 50; ++i) ws.encode(rs);
 
   const auto start = Clock::now();
   const auto deadline = start + std::chrono::milliseconds(300);
   std::uint64_t blocks = 0;
   while (Clock::now() < deadline) {
     for (int i = 0; i < 64; ++i) {
-      rs.encode_into(ws.data_ptrs.data(), kPacketBytes, ws.parity_ptr);
+      ws.encode(rs);
       benchmark::DoNotOptimize(ws.parity.data());
     }
     blocks += 64;

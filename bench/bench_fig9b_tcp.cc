@@ -13,12 +13,15 @@
 // Every case is an independent deterministic simulation, so the sweep runs
 // one case per worker thread (JQOS_SIM_THREADS controls the pool); rows and
 // diagnostics are buffered and printed in fixed order afterwards, keeping
-// the output byte-stable for any thread count.
+// the output byte-stable for any thread count. The whole sweep runs
+// kRepeats times and each case reports its fastest wall time; a repeat whose
+// results differ aborts.
 //
 // Flags: --requests N (default 2000; the paper uses 10000); --quick shrinks
 // to 300 requests; --json emits per-treatment and per-matrix-cell JSON
 // Lines rows (FCT percentiles, tail reduction, simulator events/sec) for
 // CI diffing.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -219,6 +222,47 @@ MatrixRun run_matrix_case(transport::CcKind cc, netsim::QdiscKind aqm,
   return out;
 }
 
+// One --quick case runs for 17-85 ms, too short for one run's
+// events_per_sec to be stable, so the whole sweep runs this many times, one
+// sweep after the other, and each case reports its fastest run. Spreading a
+// case's repeats over the bench's whole run lets it miss a slow stretch of a
+// shared machine: on a 4-vCPU VM, gating 31 consecutive pairs of
+// single-thread --quick runs flagged 21 pairs with one sweep, 12 with five
+// and 5 with ten.
+constexpr int kRepeats = 10;
+
+bool same_results(const CaseRun& a, const CaseRun& b) {
+  return a.fct_ms.values() == b.fct_ms.values() && a.completed == b.completed &&
+         a.timeouts == b.timeouts && a.retransmits == b.retransmits && a.events == b.events &&
+         a.diag == b.diag;
+}
+
+bool same_results(const MatrixRun& a, const MatrixRun& b) {
+  return same_results(a.run, b.run) && a.ecn_echoes == b.ecn_echoes &&
+         a.bottleneck.ecn_marked == b.bottleneck.ecn_marked &&
+         a.bottleneck.queue_drops == b.bottleneck.queue_drops &&
+         a.bottleneck.max_queue_bytes == b.bottleneck.max_queue_bytes;
+}
+
+CaseRun& case_run(CaseRun& r) { return r; }
+CaseRun& case_run(MatrixRun& r) { return r.run; }
+
+// Folds repeat `rep` of case `index` into `best`, keeping the fastest wall
+// time. The simulation is deterministic: a repeat that disagrees with the
+// first run on any result aborts the bench.
+template <typename Run>
+void keep_fastest(std::size_t index, int rep, Run& best, Run run) {
+  if (rep == 0) {
+    best = std::move(run);
+    return;
+  }
+  if (!same_results(best, run)) {
+    std::fprintf(stderr, "fig9b: case %zu gave different results on repeat %d\n", index, rep);
+    std::abort();
+  }
+  case_run(best).wall_sec = std::min(case_run(best).wall_sec, case_run(run).wall_sec);
+}
+
 constexpr transport::CcKind kCcs[] = {transport::CcKind::kReno, transport::CcKind::kRack,
                                       transport::CcKind::kBbrLite};
 constexpr netsim::QdiscKind kAqms[] = {netsim::QdiscKind::kTailDrop,
@@ -245,15 +289,18 @@ int main(int argc, char** argv) {
   CaseRun treatment[4];
   MatrixRun matrix[9];
   const unsigned threads = resolve_sim_threads(0);
-  parallel_for_indexed(13, threads, [&](std::size_t i) {
-    if (i < 4) {
-      treatment[i] = run_case(static_cast<Mode>(i), requests, 1);
-    } else {
-      const std::size_t m = i - 4;
-      matrix[m] = run_matrix_case(kCcs[m / 3], kAqms[m % 3], requests,
-                                  0x9b00 + static_cast<std::uint64_t>(m));
-    }
-  });
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    parallel_for_indexed(13, threads, [&](std::size_t i) {
+      if (i < 4) {
+        keep_fastest(i, rep, treatment[i], run_case(static_cast<Mode>(i), requests, 1));
+      } else {
+        const std::size_t m = i - 4;
+        keep_fastest(i, rep, matrix[m],
+                     run_matrix_case(kCcs[m / 3], kAqms[m % 3], requests,
+                                     0x9b00 + static_cast<std::uint64_t>(m)));
+      }
+    });
+  }
   for (const CaseRun& r : treatment) std::fputs(r.diag.c_str(), stderr);
   for (const MatrixRun& r : matrix) std::fputs(r.run.diag.c_str(), stderr);
 

@@ -1,5 +1,6 @@
 #include "common/packet.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/packet_pool.h"
@@ -147,7 +148,20 @@ std::optional<Packet> Packet::parse(std::span<const std::uint8_t> data) {
   }
   p.payload = r.var_bytes();
   if (!r.ok()) return std::nullopt;
+  if (p.is_coded() && !coded_shape_valid(p)) return std::nullopt;
   return p;
+}
+
+bool coded_shape_valid(const Packet& p) {
+  if (!p.is_coded() || !p.meta) return false;
+  const CodedMeta& m = *p.meta;
+  const std::size_t k = m.k;
+  const std::size_t n = k + m.r;
+  if (k == 0 || n > 255 || m.index < k || m.index >= n || m.covered.size() != k) return false;
+  if (p.type == PacketType::kCrossCoded) return true;
+  const FlowId flow = m.covered.front().flow;
+  return std::all_of(m.covered.begin(), m.covered.end(),
+                     [flow](const PacketKey& key) { return key.flow == flow; });
 }
 
 std::shared_ptr<Packet> alloc_packet(PacketPool* pool) {

@@ -99,7 +99,8 @@ struct Packet {
 
   // Wire encoding (used verbatim by the live runtime; the simulator
   // round-trips packets through it in debug tests to keep the two paths in
-  // sync).
+  // sync). parse returns nullopt on a malformed datagram, including a coded
+  // one that fails coded_shape_valid.
   std::vector<std::uint8_t> serialize() const;
   static std::optional<Packet> parse(std::span<const std::uint8_t> data);
 
@@ -108,6 +109,14 @@ struct Packet {
     return type == PacketType::kInCoded || type == PacketType::kCrossCoded;
   }
 };
+
+// The one shape rule for coded packets: true when `p` is a kInCoded or
+// kCrossCoded packet describing a batch an encoder can build -- meta
+// present, 1 <= k, k + r <= 255, k <= index < k + r, covered.size() == k,
+// and, for kInCoded (which protects one flow), every covered key in one
+// flow. False for every other type. Packet::parse refuses a coded datagram
+// that fails it; handlers of coded packets call it on in-process arrivals.
+bool coded_shape_valid(const Packet& p);
 
 // Packets are passed by shared const pointer inside the simulator, so a
 // packet can be queued, stored and forwarded without copying its payload.

@@ -318,16 +318,11 @@ void Receiver::remember(FlowState& fs, const PacketPtr& pkt) {
 }
 
 void Receiver::on_in_coded(const PacketPtr& pkt) {
-  if (!pkt->meta || pkt->meta->covered.empty()) return;
-  const std::vector<PacketKey>& covered = pkt->meta->covered;
-  const FlowId flow = covered.front().flow;
-  // An in-stream batch covers one flow. Self-decode matches keys by seq
-  // alone, so a batch spanning flows would fill this flow's holes with
-  // another flow's bytes: refuse it.
-  if (!std::all_of(covered.begin(), covered.end(),
-                   [flow](const PacketKey& key) { return key.flow == flow; })) {
-    return;
-  }
+  // The shape rule also holds an in-stream batch to one flow: self-decode
+  // matches keys by seq alone, so a batch spanning flows would fill this
+  // flow's holes with another flow's bytes.
+  if (!coded_shape_valid(*pkt)) return;
+  const FlowId flow = pkt->meta->covered.front().flow;
   auto it = flows_.find(flow);
   if (it == flows_.end()) return;
   FlowState& fs = it->second;

@@ -44,8 +44,9 @@ std::shared_ptr<const ReedSolomon> shared_codec_slow(std::size_t k, std::size_t 
 
 // Per-thread front for the global cache: one experiment shard (= one
 // thread) cycles through a handful of (k, r) shapes, so a tiny direct-
-// mapped thread_local table turns the steady-state decode path into two
-// integer compares -- no mutex, no sharing, no contention between shards.
+// mapped thread_local table turns a steady-state encode or decode lookup
+// into two integer compares -- no mutex, no sharing, no contention between
+// shards.
 // Entries hold shared_ptr copies, so a global-cache flush can never free a
 // codec a thread still references.
 std::shared_ptr<const ReedSolomon> shared_codec(std::size_t k, std::size_t r) {
@@ -65,15 +66,6 @@ std::shared_ptr<const ReedSolomon> shared_codec(std::size_t k, std::size_t r) {
 
 // Shard framing: 2-byte original length prefix.
 constexpr std::size_t kLenPrefix = 2;
-
-std::vector<std::uint8_t> frame_shard(std::span<const std::uint8_t> payload,
-                                      std::size_t shard_len) {
-  std::vector<std::uint8_t> shard(shard_len, 0);
-  shard[0] = static_cast<std::uint8_t>(payload.size() >> 8);
-  shard[1] = static_cast<std::uint8_t>(payload.size() & 0xff);
-  std::copy(payload.begin(), payload.end(), shard.begin() + kLenPrefix);
-  return shard;
-}
 
 // The payload a framed shard holds; empty when the length prefix is corrupt.
 std::span<const std::uint8_t> framed_payload(const std::uint8_t* shard, std::size_t shard_len) {
@@ -111,62 +103,6 @@ void ShardArena::frame_shard_into(std::size_t i, std::span<const std::uint8_t> p
   if (used < padded_len_) std::memset(shard_ptr + used, 0, padded_len_ - used);
 }
 
-std::vector<PacketPtr> encode_batch(std::span<const PacketPtr> data,
-                                    std::size_t num_coded, PacketType coded_type,
-                                    std::uint32_t batch_id, NodeId src, NodeId dst,
-                                    SimTime now) {
-  if (data.empty()) throw std::invalid_argument("encode_batch: empty batch");
-  if (data.size() + num_coded > 255) {
-    throw std::invalid_argument("encode_batch: batch too large for GF(256)");
-  }
-  std::size_t max_payload = 0;
-  for (const PacketPtr& p : data) max_payload = std::max(max_payload, p->payload.size());
-  if (max_payload > 0xffff) {
-    // The u16 length prefix cannot frame it; truncating would corrupt
-    // every recovery of the batch.
-    throw std::invalid_argument("encode_batch: payload exceeds 65535 bytes");
-  }
-  const std::size_t len = shard_length(max_payload);
-
-  std::vector<std::vector<std::uint8_t>> shards;
-  shards.reserve(data.size());
-  CodedMeta meta;
-  meta.batch_id = batch_id;
-  meta.k = static_cast<std::uint8_t>(data.size());
-  meta.r = static_cast<std::uint8_t>(num_coded);
-  for (const PacketPtr& p : data) {
-    shards.push_back(frame_shard(p->payload, len));
-    meta.covered.push_back(p->key());
-  }
-
-  std::vector<std::span<const std::uint8_t>> shard_spans;
-  shard_spans.reserve(shards.size());
-  for (const auto& s : shards) shard_spans.emplace_back(s);
-
-  const auto rs = shared_codec(data.size(), num_coded);
-  auto parity = rs->encode(shard_spans);
-
-  std::vector<PacketPtr> out;
-  out.reserve(num_coded);
-  for (std::size_t i = 0; i < parity.size(); ++i) {
-    auto pkt = std::make_shared<Packet>();
-    pkt->type = coded_type;
-    // Coded packets belong to no single flow; flow/seq identify the batch
-    // and codeword index instead so logs stay greppable.
-    pkt->flow = 0;
-    pkt->seq = batch_id;
-    pkt->src = src;
-    pkt->dst = dst;
-    pkt->sent_at = now;
-    CodedMeta m = meta;
-    m.index = static_cast<std::uint8_t>(data.size() + i);
-    pkt->meta = std::move(m);
-    pkt->payload = std::move(parity[i]);
-    out.push_back(std::move(pkt));
-  }
-  return out;
-}
-
 void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_coded,
                                PacketType coded_type, std::uint32_t batch_id, NodeId src,
                                NodeId dst, SimTime now, std::vector<PacketPtr>& out,
@@ -179,8 +115,9 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   std::size_t max_payload = 0;
   for (const PacketPtr& p : data) max_payload = std::max(max_payload, p->payload.size());
   if (max_payload > 0xffff) {
-    throw std::invalid_argument(
-        "BatchEncoder::encode_into: payload exceeds 65535 bytes");
+    // The u16 length prefix cannot frame it; truncating would corrupt
+    // every recovery of the batch.
+    throw std::invalid_argument("BatchEncoder::encode_into: payload exceeds 65535 bytes");
   }
   const std::size_t len = shard_length(max_payload);
 
@@ -189,18 +126,15 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   arena_.layout(k, len);
   for (std::size_t i = 0; i < k; ++i) arena_.frame_shard_into(i, data[i]->payload);
 
-  if (codec_ == nullptr || codec_->k() != k || codec_->r() != num_coded) {
-    codec_ = shared_codec(k, num_coded);
-  }
-
   if (num_coded == 0) return;
+  const auto rs = shared_codec(k, num_coded);
 
   // Create the coded packets up front so parity is computed directly into
-  // their payload buffers — the arena-to-packet copy of the legacy path
-  // disappears. With a pool each packet is recycled from the owning shard's
-  // PacketPool, reusing payload capacity and covered-key capacity from
-  // earlier batches — zero allocator traffic in steady state. Every packet
-  // the pool builds from here on, data or not, fits a coded payload.
+  // their payload buffers, with no arena-to-packet copy. With a pool each
+  // packet is recycled from the owning shard's PacketPool, reusing payload
+  // capacity and covered-key capacity from earlier batches — zero allocator
+  // traffic in steady state. Every packet the pool builds from here on, data
+  // or not, fits a coded payload.
   if (pool != nullptr) pool->reserve_payloads(arena_.padded_len());
   out.reserve(out.size() + num_coded);
   parity_ptrs_.clear();
@@ -211,7 +145,8 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
     out.push_back(std::move(pp));
     coded_pkts_.push_back(&pkt);
     pkt.type = coded_type;
-    // Same field conventions as encode_batch (see comment there).
+    // Coded packets belong to no single flow; flow/seq identify the batch
+    // and codeword index instead so logs stay greppable.
     pkt.flow = 0;
     pkt.seq = batch_id;
     pkt.src = src;
@@ -230,8 +165,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   // Run the kernels over the zero-padded length — whole SIMD steps, no
   // scalar tails — then trim each payload to the true shard length (the
   // trimmed bytes are parity over zeros, i.e. zero).
-  codec_->encode_into(arena_.data(), arena_.stride(), arena_.padded_len(),
-                      parity_ptrs_.data());
+  rs->encode_into(arena_.data(), arena_.stride(), arena_.padded_len(), parity_ptrs_.data());
   for (Packet* pkt : coded_pkts_) pkt->payload.resize(len);
 }
 

@@ -11,21 +11,15 @@
 // packets (batch id, codeword index, covered (flow, seq) keys) that DC2 and
 // the cooperative-recovery protocol consume.
 //
-// Two encode paths exist:
-//
-//  * encode_batch — the original allocation-per-shard reference path. Kept
-//    as the behavioral baseline: the zero-copy path is differentially
-//    tested against it byte-for-byte, and simple call sites (tests, one-off
-//    batches) keep using it.
-//  * BatchEncoder::encode_into — the production hot path. All k shards are
-//    framed into one reusable stride-aligned arena allocation and the SIMD
-//    kernels write parity straight into the coded packets' payload buffers;
-//    steady state performs no allocation beyond the output packets
-//    themselves. See docs/CODING_PIPELINE.md for the full contract.
+// BatchEncoder::encode_into is the one batch encoder: all k shards are
+// framed into one reusable stride-aligned arena allocation and the row
+// kernel writes parity straight into the coded packets' payload buffers;
+// steady state performs no allocation beyond the output packets
+// themselves. decode_batch is the one batch decoder. See
+// docs/CODING_PIPELINE.md for the full contract.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -107,34 +101,25 @@ class ShardArena {
   std::size_t count_ = 0;
 };
 
-// Encodes a batch of k data packets into `num_coded` coded packets of the
-// given type (kInCoded for in-stream batches, kCrossCoded for cross-stream
-// batches). `src`/`dst` address the coded packets (DC1 -> DC2).
-//
-// Preconditions: 1 <= k <= 255 - num_coded, all packets non-null.
-// Reference path: allocates one framed copy per shard plus the parity
-// vectors. Prefer BatchEncoder on per-batch hot paths.
-std::vector<PacketPtr> encode_batch(std::span<const PacketPtr> data,
-                                    std::size_t num_coded, PacketType coded_type,
-                                    std::uint32_t batch_id, NodeId src, NodeId dst,
-                                    SimTime now);
-
-// The zero-copy production encoder. Owns a ShardArena and memoizes the last
-// (k, r) codec, so a service instance that encodes batch after batch of the
-// same shape performs, per batch: one framing pass over the data payloads
-// into the arena, the SIMD parity computation directly into the output
-// packets' payloads, and nothing else — no per-shard vectors, no
-// intermediate parity buffers, no codec-cache lock.
+// The zero-copy production encoder. Owns a ShardArena and takes its codec
+// from the process-wide (k, r) cache, whose per-thread front answers a
+// repeated shape without a lock. Per batch a service instance performs one
+// framing pass over the data payloads into the arena, the SIMD parity
+// computation directly into the output packets' payloads, and nothing else
+// — no per-shard vectors, no intermediate parity buffers.
 //
 // Not thread-safe (the arena is shared mutable state); keep one instance
 // per encoding service/thread. Output packets are independently owned
 // shared_ptrs, safe to retain beyond the encoder's lifetime.
 class BatchEncoder {
  public:
-  // Zero-copy equivalent of encode_batch: appends `num_coded` coded packets
-  // to `out` (byte-identical payload and metadata to what encode_batch
-  // returns for the same inputs). `out` is appended to, not cleared, so a
-  // caller-reused vector amortizes its allocation too.
+  // Encodes a batch of k data packets into `num_coded` coded packets of type
+  // `coded_type` (kInCoded for in-stream batches, kCrossCoded for
+  // cross-stream batches) addressed `src` -> `dst` (DC1 -> DC2), appending
+  // them to `out`. Each carries the batch's CodedMeta: batch id, codeword
+  // index k + i, k, r and the k covered (flow, seq) keys in codeword order;
+  // its flow is 0 and its seq the batch id. `out` is appended to, not
+  // cleared, so a caller-reused vector amortizes its allocation too.
   //
   // With a non-null `pool`, the coded packets come from the pool (recycled
   // storage, payload/covered capacity reused, zero allocator traffic in
@@ -144,8 +129,9 @@ class BatchEncoder {
   // bytes and metadata are identical — the RS kernels fully overwrite the
   // parity buffers, so recycled payloads need no re-zeroing.
   //
-  // Preconditions: as encode_batch (throws std::invalid_argument on an
-  // empty batch or k + num_coded > 255; packets non-null). Complexity:
+  // Preconditions: packets non-null. Throws std::invalid_argument on an
+  // empty batch, k + num_coded > 255, or a payload longer than the u16
+  // length prefix can frame (65535 bytes). Complexity:
   // O(k * shard_len) framing + O(k * num_coded * shard_len) field ops.
   void encode_into(std::span<const PacketPtr> data, std::size_t num_coded,
                    PacketType coded_type, std::uint32_t batch_id, NodeId src,
@@ -157,11 +143,8 @@ class BatchEncoder {
 
  private:
   ShardArena arena_;
-  std::vector<std::uint8_t*> parity_ptrs_;            // Reused per batch.
-  std::vector<Packet*> coded_pkts_;                   // Reused per batch.
-  std::shared_ptr<const ReedSolomon> codec_;          // Memoized last shape,
-                                                      // backed by the global
-                                                      // (k, r) cache.
+  std::vector<std::uint8_t*> parity_ptrs_;  // Reused per batch.
+  std::vector<Packet*> coded_pkts_;         // Reused per batch.
 };
 
 // The one batch decoder: reconstructs the payloads of the batch members at

@@ -77,29 +77,18 @@ Gf gf_pow(Gf a, unsigned e) {
   return t.exp_[l];
 }
 
-// The c==0 / c==1 fast paths are handled here, before dispatch: c==0 is a
-// no-op (or a zero/copy for mul_buf) and c==1 is a plain XOR/copy, both of
-// which the compiler already vectorizes; only genuine products reach the
-// backend kernels. The XOR/copy loops need no table and no PSHUFB.
+// Buffer kernels: one L1-resident 256-byte row walk per buffer. Only short
+// rows reach them (Matrix row operations, the row kernel's scalar backend
+// and its sub-block tails), so they stay scalar.
 void gf_addmul(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
   if (c == 0) return;
-  if (c == 1) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
-    return;
-  }
-  detail::gf_addmul_kernel()(dst, src, c, n);
+  const auto& row = tables().mul_[c];
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
 void gf_mul_buf(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
-  if (c == 0) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = 0;
-    return;
-  }
-  if (c == 1) {
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-    return;
-  }
-  detail::gf_mul_buf_kernel()(dst, src, c, n);
+  const auto& row = tables().mul_[c];
+  for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
 }
 
 void gf_rs_row(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf* coeffs,
@@ -134,25 +123,12 @@ void gf_rs_row(std::uint8_t* dst, const std::uint8_t* src, std::size_t stride,
 
 namespace detail {
 
-// Scalar backend: one L1-resident 256-byte row walk per buffer. Defined here
-// (not in gf256_simd.cc) because it reads the full multiplication table.
-void gf_addmul_scalar(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
-  const auto& row = tables().mul_[c];
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
-}
-
-void gf_mul_buf_scalar(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
-  const auto& row = tables().mul_[c];
-  for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
-}
-
 // Reference composition of the fused row kernel: first active term
-// initializes, the rest accumulate. The tables are exact for every
-// coefficient (including 1), so no fast-path stripping is needed here.
+// initializes, the rest accumulate.
 void gf_rs_row_scalar(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf* cs,
                       std::size_t m, std::size_t n) {
-  gf_mul_buf_scalar(dst, srcs[0], cs[0], n);
-  for (std::size_t j = 1; j < m; ++j) gf_addmul_scalar(dst, srcs[j], cs[j], n);
+  gf_mul_buf(dst, srcs[0], cs[0], n);
+  for (std::size_t j = 1; j < m; ++j) gf_addmul(dst, srcs[j], cs[j], n);
 }
 
 }  // namespace detail

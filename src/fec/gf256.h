@@ -2,15 +2,15 @@
 // representation as used by Reed-Solomon implementations such as zfec, the
 // library the paper's prototype used).
 //
-// Multiplication is table-driven via log/exp tables built once at static
-// initialization; the buffer kernels (addmul / mul_buf) are what the encoder
-// hot path uses, processing whole packets at a time.
-//
-// The buffer kernels are SIMD-accelerated: a split-nibble PSHUFB
-// implementation (SSSE3 at 16 bytes/step, AVX2 at 32 bytes/step, scalar
-// table walk as the portable fallback) is selected once at startup by CPUID
-// runtime dispatch. See gf256_simd.h for the technique, the dispatch order,
-// and how to force a specific backend when debugging (gf_set_backend()).
+// Multiplication is table-driven via log/exp tables built once on first
+// use. Every packet-sized buffer operation -- each encode's parity rows and
+// each decode's payload rebuild -- runs one kernel, the fused row kernel
+// gf_rs_row. It is SIMD-accelerated: a split-nibble VPSHUFB implementation
+// (AVX2, 32 bytes/step), with the scalar table walk as the portable
+// fallback, selected once at startup by CPUID runtime dispatch. See
+// gf256_simd.h for the technique and how to force a backend
+// (gf_set_backend()). The buffer kernels gf_addmul / gf_mul_buf are the
+// scalar table walk; they serve short rows (Matrix row operations).
 #pragma once
 
 #include <cstddef>
@@ -34,11 +34,9 @@ Gf gf_div(Gf a, Gf b);
 Gf gf_inv(Gf a);
 Gf gf_pow(Gf a, unsigned e);
 
-// dst[i] ^= c * src[i] for i in [0, n). The core encode/decode kernel: one
-// call accumulates one data packet, scaled by a matrix coefficient, into a
-// coded packet. No alignment requirement on either pointer. dst and src
-// must be either exactly equal or non-overlapping; partial overlap is
-// undefined (the SIMD backends load and store 16/32 bytes at a time).
+// dst[i] ^= c * src[i] for i in [0, n): accumulates one row, scaled by a
+// coefficient, into another. No alignment requirement on either pointer. dst
+// and src must be either exactly equal or non-overlapping.
 void gf_addmul(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n);
 
 // dst[i] = c * src[i]. Same aliasing contract as gf_addmul: exact dst == src
@@ -53,8 +51,7 @@ void gf_mul_buf(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n)
 // stride, as in fec::ShardArena). Computes a whole codeword row in ONE pass
 // over dst — the per-source gf_addmul formulation re-reads and re-writes
 // dst k times; this accumulates all k products in registers and stores each
-// dst block once, which is what makes the strided arena layout faster than
-// per-shard pointer chasing. dst is fully overwritten (k == 0 or all-zero
+// dst block once. dst is fully overwritten (k == 0 or all-zero
 // coefficients zero it). Preconditions: k <= 255, stride >= n, dst must not
 // overlap any source shard. O(k * n) field operations.
 void gf_rs_row(std::uint8_t* dst, const std::uint8_t* src, std::size_t stride,

@@ -1,8 +1,7 @@
-// Backend selection for the GF(256) buffer kernels: builds the split-nibble
-// tables, probes CPU support once, and hands gf256.cc a pair of kernel
-// function pointers. This TU contains no ISA-specific code itself — the
-// SSSE3/AVX2 kernels live in their own TUs so only those are built with
-// -mssse3/-mavx2.
+// Backend selection for the GF(256) row kernel: builds the split-nibble
+// tables, probes CPU support once, and hands gf256.cc the row kernel's
+// function pointer. This TU contains no ISA-specific code itself — the AVX2
+// kernel lives in its own TU so only that one is built with -mavx2.
 #include "fec/gf256_simd.h"
 
 #include <atomic>
@@ -24,26 +23,16 @@ NibbleTables build_nibble_tables() {
   return t;
 }
 
-bool cpu_supports(GfBackend b) {
+bool cpu_supports_avx2() {
 #if JQOS_GF_X86 && defined(__GNUC__)
-  switch (b) {
-    case GfBackend::kScalar:
-      return true;
-    case GfBackend::kSsse3:
-      return __builtin_cpu_supports("ssse3") != 0;
-    case GfBackend::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-  }
-  return false;
+  return __builtin_cpu_supports("avx2") != 0;
 #else
-  return b == GfBackend::kScalar;
+  return false;
 #endif
 }
 
 struct Dispatch {
   GfBackend backend;
-  KernelFn addmul;
-  KernelFn mul_buf;
   RowKernelFn rs_row;
 };
 
@@ -51,23 +40,11 @@ struct Dispatch {
 // pointer between these rather than mutating a shared struct in place, so a
 // backend switch racing concurrent encoders (the sharded scenario runner
 // runs one shard per thread) is data-race-free: every reader sees one
-// coherent (backend, kernels) tuple, old or new, never a torn mix.
+// coherent (backend, kernel) pair, old or new, never a torn mix.
 const Dispatch& dispatch_entry(GfBackend b) {
-  static const Dispatch kAvx2{GfBackend::kAvx2, &gf_addmul_avx2, &gf_mul_buf_avx2,
-                              &gf_rs_row_avx2};
-  static const Dispatch kSsse3{GfBackend::kSsse3, &gf_addmul_ssse3, &gf_mul_buf_ssse3,
-                               &gf_rs_row_ssse3};
-  static const Dispatch kScalar{GfBackend::kScalar, &gf_addmul_scalar, &gf_mul_buf_scalar,
-                                &gf_rs_row_scalar};
-  switch (b) {
-    case GfBackend::kAvx2:
-      return kAvx2;
-    case GfBackend::kSsse3:
-      return kSsse3;
-    case GfBackend::kScalar:
-      break;
-  }
-  return kScalar;
+  static const Dispatch kAvx2{GfBackend::kAvx2, &gf_rs_row_avx2};
+  static const Dispatch kScalar{GfBackend::kScalar, &gf_rs_row_scalar};
+  return b == GfBackend::kAvx2 ? kAvx2 : kScalar;
 }
 
 std::atomic<const Dispatch*>& active_dispatch() {
@@ -88,8 +65,6 @@ const NibbleTables& nibble_tables() {
   return t;
 }
 
-KernelFn gf_addmul_kernel() { return dispatch().addmul; }
-KernelFn gf_mul_buf_kernel() { return dispatch().mul_buf; }
 RowKernelFn gf_rs_row_kernel() { return dispatch().rs_row; }
 
 }  // namespace detail
@@ -98,26 +73,22 @@ bool gf_backend_available(GfBackend b) {
   switch (b) {
     case GfBackend::kScalar:
       return true;
-    case GfBackend::kSsse3:
-      return detail::gf_ssse3_compiled() && detail::cpu_supports(b);
     case GfBackend::kAvx2:
-      return detail::gf_avx2_compiled() && detail::cpu_supports(b);
+      return detail::gf_avx2_compiled() && detail::cpu_supports_avx2();
   }
   return false;
 }
 
 std::vector<GfBackend> gf_available_backends() {
   std::vector<GfBackend> out;
-  for (GfBackend b : {GfBackend::kScalar, GfBackend::kSsse3, GfBackend::kAvx2}) {
+  for (GfBackend b : {GfBackend::kScalar, GfBackend::kAvx2}) {
     if (gf_backend_available(b)) out.push_back(b);
   }
   return out;
 }
 
 GfBackend gf_best_backend() {
-  if (gf_backend_available(GfBackend::kAvx2)) return GfBackend::kAvx2;
-  if (gf_backend_available(GfBackend::kSsse3)) return GfBackend::kSsse3;
-  return GfBackend::kScalar;
+  return gf_backend_available(GfBackend::kAvx2) ? GfBackend::kAvx2 : GfBackend::kScalar;
 }
 
 bool gf_set_backend(GfBackend b) {
@@ -132,8 +103,6 @@ const char* gf_backend_name(GfBackend b) {
   switch (b) {
     case GfBackend::kScalar:
       return "scalar";
-    case GfBackend::kSsse3:
-      return "ssse3";
     case GfBackend::kAvx2:
       return "avx2";
   }

@@ -1,7 +1,7 @@
-// AVX2 split-nibble GF(256) kernels: the SSSE3 trick at 32 bytes per step.
-// VPSHUFB shuffles within each 128-bit lane, so the 16-byte nibble tables
-// are broadcast to both lanes once per call. This TU (and only this TU) is
-// built with -mavx2; dispatch guarantees these run only on AVX2 CPUs.
+// AVX2 split-nibble GF(256) row kernel, 32 bytes per step. VPSHUFB shuffles
+// within each 128-bit lane, so the 16-byte nibble tables are broadcast to
+// both lanes once per call. This TU (and only this TU) is built with -mavx2;
+// dispatch guarantees the kernel runs only on AVX2 CPUs.
 #include "fec/gf256_simd_impl.h"
 
 #if JQOS_GF_X86 && defined(__AVX2__)
@@ -11,71 +11,6 @@
 namespace jqos::fec::detail {
 
 bool gf_avx2_compiled() { return true; }
-
-void gf_addmul_avx2(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
-  const NibbleTables& t = nibble_tables();
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c])));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c])));
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i pl = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
-    const __m256i ph =
-        _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, _mm256_xor_si256(pl, ph)));
-  }
-  // AVX2 implies SSSE3: hand the 16..31-byte remainder to the 128-bit kernel
-  // (compiled into this TU so no cross-TU ISA mismatch), which finishes the
-  // final < 16 bytes with the scalar tail.
-  if (i < n) {
-    const __m128i lo128 = _mm256_castsi256_si128(lo);
-    const __m128i hi128 = _mm256_castsi256_si128(hi);
-    const __m128i mask128 = _mm_set1_epi8(0x0f);
-    for (; i + 16 <= n; i += 16) {
-      const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-      const __m128i pl = _mm_shuffle_epi8(lo128, _mm_and_si128(s, mask128));
-      const __m128i ph = _mm_shuffle_epi8(hi128, _mm_and_si128(_mm_srli_epi64(s, 4), mask128));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                       _mm_xor_si128(d, _mm_xor_si128(pl, ph)));
-    }
-    if (i < n) gf_addmul_scalar(dst + i, src + i, c, n - i);
-  }
-}
-
-void gf_mul_buf_avx2(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
-  const NibbleTables& t = nibble_tables();
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c])));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c])));
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i pl = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
-    const __m256i ph =
-        _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(pl, ph));
-  }
-  if (i < n) {
-    const __m128i lo128 = _mm256_castsi256_si128(lo);
-    const __m128i hi128 = _mm256_castsi256_si128(hi);
-    const __m128i mask128 = _mm_set1_epi8(0x0f);
-    for (; i + 16 <= n; i += 16) {
-      const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-      const __m128i pl = _mm_shuffle_epi8(lo128, _mm_and_si128(s, mask128));
-      const __m128i ph = _mm_shuffle_epi8(hi128, _mm_and_si128(_mm_srli_epi64(s, 4), mask128));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(pl, ph));
-    }
-    if (i < n) gf_mul_buf_scalar(dst + i, src + i, c, n - i);
-  }
-}
 
 // Fused Reed-Solomon row: one pass over dst accumulating all m sources in a
 // register, so per 32-byte block the dst traffic is a single store instead
@@ -111,10 +46,8 @@ void gf_rs_row_avx2(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf
   if (i < n) {
     // Sub-block tail: the scalar composition is exact and the tail is at
     // most 31 bytes (arena-framed callers pad it away entirely).
-    gf_mul_buf_scalar(dst + i, srcs[0] + i, cs[0], n - i);
-    for (std::size_t j = 1; j < m; ++j) {
-      gf_addmul_scalar(dst + i, srcs[j] + i, cs[j], n - i);
-    }
+    gf_mul_buf(dst + i, srcs[0] + i, cs[0], n - i);
+    for (std::size_t j = 1; j < m; ++j) gf_addmul(dst + i, srcs[j] + i, cs[j], n - i);
   }
 }
 
@@ -125,14 +58,6 @@ void gf_rs_row_avx2(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf
 namespace jqos::fec::detail {
 
 bool gf_avx2_compiled() { return false; }
-
-void gf_addmul_avx2(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
-  gf_addmul_scalar(dst, src, c, n);
-}
-
-void gf_mul_buf_avx2(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n) {
-  gf_mul_buf_scalar(dst, src, c, n);
-}
 
 void gf_rs_row_avx2(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf* cs,
                     std::size_t m, std::size_t n) {

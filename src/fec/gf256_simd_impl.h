@@ -1,6 +1,6 @@
-// Internals shared between the dispatcher (gf256_simd.cc) and the per-ISA
-// kernel translation units (gf256_simd_ssse3.cc / gf256_simd_avx2.cc). Not
-// installed; include only from within src/fec.
+// Internals shared between the dispatcher (gf256_simd.cc), the scalar
+// kernel (gf256.cc) and the AVX2 kernel translation unit
+// (gf256_simd_avx2.cc). Not installed; include only from within src/fec.
 #pragma once
 
 #include <cstddef>
@@ -16,12 +16,12 @@
 
 namespace jqos::fec::detail {
 
-// Split-nibble product tables, built once at static init alongside the
-// log/exp tables: for each coefficient c,
+// Split-nibble product tables, built once on first use: for each
+// coefficient c,
 //   lo[c][x] = c * x          for x in [0, 16)   (low-nibble products)
 //   hi[c][x] = c * (x << 4)   for x in [0, 16)   (high-nibble products)
-// Each 16-byte row is one PSHUFB operand; 32-byte alignment lets the AVX2
-// path broadcast rows with aligned loads. 256 * 2 * 16 = 8 KiB total.
+// Each 16-byte row is one PSHUFB operand, loaded aligned and broadcast to
+// both AVX2 lanes. 256 * 2 * 16 = 8 KiB total.
 struct NibbleTables {
   alignas(32) std::uint8_t lo[256][16];
   alignas(32) std::uint8_t hi[256][16];
@@ -29,40 +29,23 @@ struct NibbleTables {
 
 const NibbleTables& nibble_tables();
 
-// The dispatched kernels, resolved on first use (and re-resolved by
-// gf_set_backend). gf256.cc calls through these after stripping the
-// c==0 / c==1 fast paths.
-using KernelFn = void (*)(std::uint8_t*, const std::uint8_t*, Gf, std::size_t);
-KernelFn gf_addmul_kernel();
-KernelFn gf_mul_buf_kernel();
-
 // Fused row kernel (gf_rs_row): dst[i] = XOR_j cs[j] * srcs[j][i], one pass
 // over dst. The wrapper compacts away c == 0 terms, so kernels see m >= 1
 // active sources; coefficients may still be 1 (the tables are exact for it).
+// Resolved on first use and re-resolved by gf_set_backend.
 using RowKernelFn = void (*)(std::uint8_t* dst, const std::uint8_t* const* srcs,
                              const Gf* cs, std::size_t m, std::size_t n);
 RowKernelFn gf_rs_row_kernel();
 
-// Scalar reference kernels (no fast-path handling: callers strip c==0/c==1
-// before dispatch). Also used for SIMD loop tails.
-void gf_addmul_scalar(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n);
-void gf_mul_buf_scalar(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n);
+// Scalar backend: the gf_mul_buf / gf_addmul composition.
 void gf_rs_row_scalar(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf* cs,
                       std::size_t m, std::size_t n);
 
-// Per-ISA kernels. The symbols always exist so the dispatcher links on any
-// platform; when the TU was compiled without the matching ISA (non-x86, or a
-// compiler lacking -mssse3/-mavx2) they delegate to the scalar kernel and
-// the *_compiled() probe reports false, which keeps them out of dispatch.
-bool gf_ssse3_compiled();
-void gf_addmul_ssse3(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n);
-void gf_mul_buf_ssse3(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n);
-void gf_rs_row_ssse3(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf* cs,
-                     std::size_t m, std::size_t n);
-
+// AVX2 backend. The symbols always exist so the dispatcher links on any
+// platform; when the TU was compiled without AVX2 (non-x86, or a compiler
+// lacking -mavx2) the kernel delegates to the scalar one and
+// gf_avx2_compiled() reports false, which keeps it out of dispatch.
 bool gf_avx2_compiled();
-void gf_addmul_avx2(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n);
-void gf_mul_buf_avx2(std::uint8_t* dst, const std::uint8_t* src, Gf c, std::size_t n);
 void gf_rs_row_avx2(std::uint8_t* dst, const std::uint8_t* const* srcs, const Gf* cs,
                     std::size_t m, std::size_t n);
 

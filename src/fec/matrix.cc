@@ -33,8 +33,7 @@ Matrix Matrix::vandermonde(std::size_t rows, std::size_t cols) {
 Matrix Matrix::mul(const Matrix& rhs) const {
   if (cols_ != rhs.rows_) throw std::invalid_argument("matrix mul: shape mismatch");
   Matrix out(rows_, rhs.cols_);
-  // Row-times-matrix as row accumulation: out.row(i) ^= a * rhs.row(k) goes
-  // through the same dispatched gf_addmul kernel as the packet hot path.
+  // Row-times-matrix as row accumulation: out.row(i) ^= a * rhs.row(k).
   for (std::size_t i = 0; i < rows_; ++i) {
     for (std::size_t k = 0; k < cols_; ++k) {
       gf_addmul(out.row(i), rhs.row(k), at(i, k), rhs.cols_);
@@ -73,7 +72,7 @@ std::optional<Matrix> Matrix::inverted() const {
     }
     // Scale pivot row to 1. The pivot is non-zero by construction, so
     // gf_inv cannot throw here. gf_mul_buf permits exact dst==src aliasing,
-    // so the rows scale in place through the dispatched kernel.
+    // so the rows scale in place.
     const Gf scale = gf_inv(a.at(col, col));
     gf_mul_buf(a.row(col), a.row(col), scale, n);
     gf_mul_buf(inv.row(col), inv.row(col), scale, n);

@@ -17,41 +17,9 @@ ReedSolomon::ReedSolomon(std::size_t k, std::size_t r) : k_(k), r_(r) {
   enc_ = v.mul(*top_inv);
 }
 
-std::vector<std::vector<std::uint8_t>> ReedSolomon::encode(
-    std::span<const std::span<const std::uint8_t>> data) const {
-  if (data.size() != k_) throw std::invalid_argument("encode: need exactly k shards");
-  const std::size_t len = data.empty() ? 0 : data[0].size();
-  for (const auto& shard : data) {
-    if (shard.size() != len) throw std::invalid_argument("encode: unequal shard lengths");
-  }
-  std::vector<std::vector<std::uint8_t>> parity(r_, std::vector<std::uint8_t>(len, 0));
-  if (len == 0) return parity;
-  std::vector<const std::uint8_t*> data_ptrs(k_);
-  std::vector<std::uint8_t*> parity_ptrs(r_);
-  for (std::size_t i = 0; i < k_; ++i) data_ptrs[i] = data[i].data();
-  for (std::size_t i = 0; i < r_; ++i) parity_ptrs[i] = parity[i].data();
-  encode_into(data_ptrs.data(), len, parity_ptrs.data());
-  return parity;
-}
-
-void ReedSolomon::encode_into(const std::uint8_t* const* data, std::size_t shard_len,
-                              std::uint8_t* const* parity) const {
-  for (std::size_t p = 0; p < r_; ++p) {
-    std::uint8_t* out = parity[p];
-    const Gf* row = enc_.row(k_ + p);
-    // First term initializes, remaining terms accumulate.
-    gf_mul_buf(out, data[0], row[0], shard_len);
-    for (std::size_t j = 1; j < k_; ++j) {
-      gf_addmul(out, data[j], row[j], shard_len);
-    }
-  }
-}
-
 void ReedSolomon::encode_into(const std::uint8_t* data, std::size_t stride,
                               std::size_t shard_len, std::uint8_t* const* parity) const {
   if (stride < shard_len) throw std::invalid_argument("encode_into: stride < shard_len");
-  // The strided layout feeds the fused row kernel: one pass over each
-  // parity buffer instead of k chained read-modify-write gf_addmul passes.
   for (std::size_t p = 0; p < r_; ++p) {
     gf_rs_row(parity[p], data, stride, enc_.row(k_ + p), k_, shard_len);
   }

@@ -10,7 +10,8 @@
 //
 // A ReedSolomon instance is immutable after construction and safe to share
 // across threads; coded_batch.cc caches instances per (k, r) for exactly
-// that reason.
+// that reason. Every parity row and every rebuilt shard is one gf_rs_row
+// call.
 #pragma once
 
 #include <cstddef>
@@ -35,24 +36,13 @@ class ReedSolomon {
   std::size_t r() const { return r_; }
   std::size_t n() const { return k_ + r_; }
 
-  // Computes the r parity shards for k equal-length data shards.
-  // `data` must contain exactly k spans of identical length. Allocates the
-  // returned parity vectors; O(k * r * len) field operations. Convenience
-  // wrapper over encode_into for call sites off the hot path.
-  std::vector<std::vector<std::uint8_t>> encode(
-      std::span<const std::span<const std::uint8_t>> data) const;
-
-  // Zero-allocation encode core: data[j] must point at shard_len readable
-  // bytes (shard j), parity[i] at shard_len writable bytes. Parity buffers
-  // are fully overwritten (no need to pre-zero) and must not alias any data
-  // shard or each other. O(k * r * shard_len), no allocation.
-  void encode_into(const std::uint8_t* const* data, std::size_t shard_len,
-                   std::uint8_t* const* parity) const;
-
-  // Strided encode core for arena-framed batches (BatchEncoder's layout):
-  // shard j lives at data + j * stride, stride >= shard_len. Reads the k
-  // shards in place — no per-shard pointer table, no copies. Same aliasing
-  // and cost contract as the pointer-array overload.
+  // The encoder: computes the r parity shards of k equal-length data shards
+  // laid out at a fixed stride (BatchEncoder's arena): shard j lives at
+  // data + j * stride, stride >= shard_len, and is read in place.
+  // parity[i] must point at shard_len writable bytes; parity buffers are
+  // fully overwritten (no need to pre-zero) and must not alias any data
+  // shard or each other. Throws std::invalid_argument when
+  // stride < shard_len. O(k * r * shard_len), no allocation.
   void encode_into(const std::uint8_t* data, std::size_t stride, std::size_t shard_len,
                    std::uint8_t* const* parity) const;
 

@@ -1,11 +1,11 @@
 // Differential coverage for the zero-copy coding pipeline (fec::BatchEncoder
-// / ShardArena / decode_batch): the legacy allocation-per-shard encode_batch
-// is the behavioral reference, and every encode test here proves the
-// zero-copy path byte-identical to it — payloads, metadata, and field
-// conventions alike; decodes are checked against the original payloads.
-// The arena-reuse tests run the same encoder across growing/shrinking batch
-// shapes so the ASan CI job exercises recycled-arena framing for stale-byte
-// and out-of-bounds bugs.
+// / ShardArena / decode_batch): the test-side reference encoder in
+// coding_reference.h (per-shard vectors, scalar gf_mul parity) is the
+// behavioral oracle, and every encode test here proves BatchEncoder
+// byte-identical to it -- payloads, metadata, and field conventions alike;
+// decodes are checked against the original payloads. The arena-reuse tests
+// run the same encoder across growing/shrinking batch shapes so the ASan CI
+// job exercises recycled-arena framing for stale-byte and out-of-bounds bugs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,10 +16,15 @@
 #include "fec/coded_batch.h"
 #include "fec/gf256_simd.h"
 #include "fec/reed_solomon.h"
+#include "coding_reference.h"
 #include "test_guards.h"
 
 namespace jqos::fec {
 namespace {
+
+using jqos::testing::reference_encode;
+using jqos::testing::reference_parity;
+using jqos::testing::Shard;
 
 PacketPtr make_pkt(FlowId flow, SeqNo seq, std::vector<std::uint8_t> payload) {
   auto p = std::make_shared<Packet>();
@@ -44,11 +49,11 @@ std::vector<PacketPtr> random_batch(std::size_t k, std::size_t min_payload,
   return pkts;
 }
 
-void expect_identical(const std::vector<PacketPtr>& legacy,
+void expect_identical(const std::vector<PacketPtr>& reference,
                       const std::vector<PacketPtr>& zero_copy) {
-  ASSERT_EQ(legacy.size(), zero_copy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    const Packet& a = *legacy[i];
+  ASSERT_EQ(reference.size(), zero_copy.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const Packet& a = *reference[i];
     const Packet& b = *zero_copy[i];
     EXPECT_EQ(a.type, b.type);
     EXPECT_EQ(a.flow, b.flow);
@@ -72,12 +77,12 @@ TEST(BatchEncoderDifferential, RandomShapesMatchLegacyByteForByte) {
     const std::size_t r = static_cast<std::size_t>(rng.uniform_int(0, 5));
     auto pkts = random_batch(k, 0, 700, rng);
     const auto batch_id = static_cast<std::uint32_t>(iter);
-    auto legacy = encode_batch(pkts, r, PacketType::kCrossCoded, batch_id, 7, 9,
-                               static_cast<SimTime>(iter) * 10);
+    auto reference = reference_encode(pkts, r, PacketType::kCrossCoded, batch_id, 7, 9,
+                                      static_cast<SimTime>(iter) * 10);
     out.clear();
     enc.encode_into(pkts, r, PacketType::kCrossCoded, batch_id, 7, 9,
                     static_cast<SimTime>(iter) * 10, out);
-    expect_identical(legacy, out);
+    expect_identical(reference, out);
   }
 }
 
@@ -87,16 +92,16 @@ TEST(BatchEncoderDifferential, SingleBytePayloadEdge) {
   // Every payload exactly one byte (shard = prefix + 1), plus a mix with an
   // empty payload — the smallest frames the pipeline can see.
   auto tiny = random_batch(5, 1, 1, rng);
-  auto legacy = encode_batch(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0);
+  auto reference = reference_encode(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0);
   std::vector<PacketPtr> out;
   enc.encode_into(tiny, 2, PacketType::kInCoded, 1, 1, 2, 0, out);
-  expect_identical(legacy, out);
+  expect_identical(reference, out);
 
   auto mixed = random_batch(4, 0, 1, rng);
-  legacy = encode_batch(mixed, 1, PacketType::kCrossCoded, 2, 1, 2, 0);
+  reference = reference_encode(mixed, 1, PacketType::kCrossCoded, 2, 1, 2, 0);
   out.clear();
   enc.encode_into(mixed, 1, PacketType::kCrossCoded, 2, 1, 2, 0, out);
-  expect_identical(legacy, out);
+  expect_identical(reference, out);
 }
 
 TEST(BatchEncoderDifferential, MaxSizePacketEdge) {
@@ -109,11 +114,11 @@ TEST(BatchEncoderDifferential, MaxSizePacketEdge) {
   pkts.push_back(make_pkt(1, 1, std::move(big)));
   pkts.push_back(make_pkt(2, 2, {0xaa, 0xbb}));
   pkts.push_back(make_pkt(3, 3, {}));
-  auto legacy = encode_batch(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5);
+  auto reference = reference_encode(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5);
   BatchEncoder enc;
   std::vector<PacketPtr> out;
   enc.encode_into(pkts, 2, PacketType::kCrossCoded, 77, 3, 4, 5, out);
-  expect_identical(legacy, out);
+  expect_identical(reference, out);
 }
 
 TEST(BatchEncoder, ArenaIsRecycledAcrossShapes) {
@@ -133,12 +138,12 @@ TEST(BatchEncoder, ArenaIsRecycledAcrossShapes) {
   for (int iter = 0; iter < 50; ++iter) {
     const std::size_t k = static_cast<std::size_t>(rng.uniform_int(1, 20));
     auto pkts = random_batch(k, 0, 1500, rng);
-    auto legacy = encode_batch(pkts, 2, PacketType::kCrossCoded,
-                               static_cast<std::uint32_t>(100 + iter), 1, 2, 0);
+    auto reference = reference_encode(pkts, 2, PacketType::kCrossCoded,
+                                      static_cast<std::uint32_t>(100 + iter), 1, 2, 0);
     out.clear();
     enc.encode_into(pkts, 2, PacketType::kCrossCoded,
                     static_cast<std::uint32_t>(100 + iter), 1, 2, 0, out);
-    expect_identical(legacy, out);
+    expect_identical(reference, out);
     EXPECT_EQ(enc.arena().capacity_bytes(), high_water)
         << "arena reallocated for a batch no larger than the high-water shape";
   }
@@ -167,9 +172,9 @@ TEST(BatchEncoder, RejectsSameShapesAsLegacy) {
                std::invalid_argument);
 
   // A payload past the u16 length prefix must be refused, not silently
-  // truncated into a corrupt frame — on both paths.
+  // truncated into a corrupt frame — by the reference and the encoder alike.
   std::vector<PacketPtr> oversized = {make_pkt(1, 1, std::vector<std::uint8_t>(65536))};
-  EXPECT_THROW(encode_batch(oversized, 1, PacketType::kCrossCoded, 1, 1, 2, 0),
+  EXPECT_THROW(reference_encode(oversized, 1, PacketType::kCrossCoded, 1, 1, 2, 0),
                std::invalid_argument);
   EXPECT_THROW(enc.encode_into(oversized, 1, PacketType::kCrossCoded, 1, 1, 2, 0, out),
                std::invalid_argument);
@@ -264,6 +269,8 @@ TEST(DecodeBatchArena, RefusesTwoLossesWithOneCodedSymbol) {
 // ------------------------- ReedSolomon zero-copy --------------------------
 
 TEST(ReedSolomonStrided, StridedEncodeMatchesPointerArray) {
+  // The reference side holds each shard in its own vector; the strided
+  // encoder reads the same bytes from one arena at a padded stride.
   Rng rng(17);
   for (const std::size_t stride_pad : {0u, 13u, 64u}) {
     const std::size_t k = 5, r = 3, len = 129;
@@ -272,12 +279,12 @@ TEST(ReedSolomonStrided, StridedEncodeMatchesPointerArray) {
     std::vector<std::uint8_t> arena(k * stride);
     for (auto& b : arena) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
 
-    std::vector<const std::uint8_t*> ptrs;
-    for (std::size_t i = 0; i < k; ++i) ptrs.push_back(arena.data() + i * stride);
-    std::vector<std::vector<std::uint8_t>> expected(r, std::vector<std::uint8_t>(len));
-    std::vector<std::uint8_t*> expected_ptrs;
-    for (auto& p : expected) expected_ptrs.push_back(p.data());
-    rs.encode_into(ptrs.data(), len, expected_ptrs.data());
+    std::vector<Shard> shards;
+    for (std::size_t i = 0; i < k; ++i) {
+      shards.emplace_back(arena.begin() + static_cast<std::ptrdiff_t>(i * stride),
+                          arena.begin() + static_cast<std::ptrdiff_t>(i * stride + len));
+    }
+    const std::vector<Shard> expected = reference_parity(rs, shards);
 
     std::vector<std::vector<std::uint8_t>> got(r, std::vector<std::uint8_t>(len));
     std::vector<std::uint8_t*> got_ptrs;
@@ -291,11 +298,11 @@ TEST(ReedSolomonStrided, StridedEncodeMatchesPointerArray) {
   EXPECT_THROW(rs.encode_into(buf, 2, 4, parity), std::invalid_argument);
 }
 
-// The fused row kernel (gf_rs_row) vs the per-source gf_mul_buf/gf_addmul
-// composition, on every backend available on this machine: random
-// coefficient vectors salted with 0s and 1s, lengths that exercise the
-// 32/16-byte SIMD steps and the scalar tail, misaligned sources, and guard
-// bytes after dst to catch overwrites.
+// The fused row kernel (gf_rs_row) vs the per-source composition of the
+// scalar gf_mul_buf/gf_addmul kernels, on every backend available on this
+// machine: random coefficient vectors salted with 0s and 1s, lengths that
+// exercise the 32-byte SIMD step and the scalar tail, misaligned sources, and
+// guard bytes after dst to catch overwrites.
 TEST(GfRsRow, MatchesPerSourceCompositionOnEveryBackend) {
   const jqos::testing::GfBackendGuard guard;
   Rng rng(0xf00d);
@@ -369,8 +376,7 @@ TEST(ReedSolomonDecodeInto, TargetedRowsMatchFullDecode) {
   for (auto& s : data) {
     for (auto& b : s) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   }
-  std::vector<std::span<const std::uint8_t>> spans(data.begin(), data.end());
-  auto parity = rs.encode(spans);
+  const std::vector<Shard> parity = reference_parity(rs, data);
 
   // Survivors: data 0, 2, 5 + all three parity shards. Missing: 1, 3, 4.
   std::vector<std::pair<std::size_t, const std::uint8_t*>> shards = {

@@ -25,10 +25,13 @@
 #include "overlay/datacenter.h"
 #include "services/coding/recovery_dc.h"
 #include "workload/churn.h"
+#include "coding_reference.h"
 #include "test_guards.h"
 
 namespace jqos {
 namespace {
+
+using jqos::testing::reference_encode;
 
 // ------------------------------------------------------------- plan windows
 
@@ -306,8 +309,8 @@ struct RecoveryCrashFixture {
       peers.push_back(std::move(peer));
       data_pkts.push_back(std::move(p));
     }
-    for (const auto& c : fec::encode_batch(data_pkts, 1, PacketType::kCrossCoded,
-                                           batch_id, 1, dc2.id(), 0)) {
+    for (const auto& c :
+         reference_encode(data_pkts, 1, PacketType::kCrossCoded, batch_id, 1, dc2.id(), 0)) {
       auto copy = std::make_shared<Packet>(*c);
       copy->service = ServiceType::kCode;
       dc2.handle_packet(copy);

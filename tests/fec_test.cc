@@ -11,9 +11,13 @@
 #include "fec/gf256.h"
 #include "fec/matrix.h"
 #include "fec/reed_solomon.h"
+#include "coding_reference.h"
 
 namespace jqos::fec {
 namespace {
+
+using jqos::testing::reference_encode;
+using jqos::testing::reference_parity;
 
 // ------------------------------- GF(256) ----------------------------------
 
@@ -167,10 +171,8 @@ TEST_P(ReedSolomonSweep, AnyKofNRecovers) {
   for (auto& shard : data) {
     for (auto& byte : shard) byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
   }
-  std::vector<std::span<const std::uint8_t>> spans(data.begin(), data.end());
-
   const ReedSolomon rs(k, r);
-  auto parity = rs.encode(spans);
+  auto parity = reference_parity(rs, data);
   ASSERT_EQ(parity.size(), r);
 
   // All shards in codeword order.
@@ -237,22 +239,23 @@ TEST(ReedSolomon, RejectsMalformedDecodeInput) {
 }
 
 TEST(ReedSolomon, EncodeIntoMatchesEncode) {
+  // The production encoder reads the shards in place at a fixed stride; the
+  // reference computes the same parity shard by shard.
   const ReedSolomon rs(4, 2);
   const std::size_t len = 32;
   Rng rng(77);
   std::vector<std::vector<std::uint8_t>> data(4, std::vector<std::uint8_t>(len));
+  std::vector<std::uint8_t> strided;
   for (auto& s : data) {
     for (auto& b : s) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    strided.insert(strided.end(), s.begin(), s.end());
   }
-  std::vector<std::span<const std::uint8_t>> spans(data.begin(), data.end());
-  auto expected = rs.encode(spans);
+  auto expected = reference_parity(rs, data);
 
   std::vector<std::vector<std::uint8_t>> parity(2, std::vector<std::uint8_t>(len));
-  std::vector<const std::uint8_t*> dp;
   std::vector<std::uint8_t*> pp;
-  for (auto& s : data) dp.push_back(s.data());
   for (auto& s : parity) pp.push_back(s.data());
-  rs.encode_into(dp.data(), len, pp.data());
+  rs.encode_into(strided.data(), len, len, pp.data());
   EXPECT_EQ(parity, expected);
 }
 
@@ -279,7 +282,9 @@ std::vector<PacketPtr> make_batch(std::size_t k, std::size_t base_size, Rng& rng
 TEST(CodedBatch, EncodeProducesMetadata) {
   Rng rng(4);
   auto pkts = make_batch(6, 50, rng);
-  auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 42, 1, 2, 1000);
+  BatchEncoder enc;
+  std::vector<PacketPtr> coded;
+  enc.encode_into(pkts, 2, PacketType::kCrossCoded, 42, 1, 2, 1000, coded);
   ASSERT_EQ(coded.size(), 2u);
   for (std::size_t i = 0; i < coded.size(); ++i) {
     ASSERT_TRUE(coded[i]->meta.has_value());
@@ -295,7 +300,7 @@ TEST(CodedBatch, EncodeProducesMetadata) {
 TEST(CodedBatch, RecoverSingleMissing) {
   Rng rng(5);
   auto pkts = make_batch(6, 40, rng);
-  auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0);
+  auto coded = reference_encode(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0);
   const CodedMeta& meta = *coded[0]->meta;
 
   // Position 3 is missing; all other data packets present.
@@ -316,7 +321,7 @@ TEST(CodedBatch, RecoverSingleMissing) {
 TEST(CodedBatch, RecoverTwoMissingNeedsBothCodedPackets) {
   Rng rng(6);
   auto pkts = make_batch(5, 30, rng);
-  auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 2, 1, 2, 0);
+  auto coded = reference_encode(pkts, 2, PacketType::kCrossCoded, 2, 1, 2, 0);
   const CodedMeta& meta = *coded[0]->meta;
 
   Present present;
@@ -341,7 +346,7 @@ TEST(CodedBatch, StragglerTolerance) {
   // (straggler) because the second coded packet replaces it.
   Rng rng(7);
   auto pkts = make_batch(6, 20, rng);
-  auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 3, 1, 2, 0);
+  auto coded = reference_encode(pkts, 2, PacketType::kCrossCoded, 3, 1, 2, 0);
   Present present;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     if (i == 0 || i == 5) continue;  // 0 lost; 5 is a straggler.
@@ -361,7 +366,7 @@ TEST(CodedBatch, StragglerTolerance) {
 TEST(CodedBatch, SinglePacketBatchActsAsDuplication) {
   Rng rng(8);
   auto pkts = make_batch(1, 25, rng);
-  auto coded = encode_batch(pkts, 1, PacketType::kInCoded, 9, 1, 2, 0);
+  auto coded = reference_encode(pkts, 1, PacketType::kInCoded, 9, 1, 2, 0);
   ShardArena arena;
   const std::vector<std::size_t> wanted = {0};
   std::vector<std::span<const std::uint8_t>> out(wanted.size());
@@ -372,7 +377,7 @@ TEST(CodedBatch, SinglePacketBatchActsAsDuplication) {
 TEST(CodedBatch, DuplicateCodedPacketsIgnored) {
   Rng rng(9);
   auto pkts = make_batch(4, 30, rng);
-  auto coded = encode_batch(pkts, 1, PacketType::kCrossCoded, 10, 1, 2, 0);
+  auto coded = reference_encode(pkts, 1, PacketType::kCrossCoded, 10, 1, 2, 0);
   std::vector<PacketPtr> dup = {coded[0], coded[0], coded[0]};
   Present present;
   present.emplace_back(0, std::span<const std::uint8_t>(pkts[0]->payload));
@@ -387,7 +392,9 @@ TEST(CodedBatch, DuplicateCodedPacketsIgnored) {
 TEST(CodedBatch, RejectsOversizedBatch) {
   Rng rng(10);
   auto pkts = make_batch(254, 4, rng);
-  EXPECT_THROW(encode_batch(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0),
+  BatchEncoder enc;
+  std::vector<PacketPtr> out;
+  EXPECT_THROW(enc.encode_into(pkts, 2, PacketType::kCrossCoded, 1, 1, 2, 0, out),
                std::invalid_argument);
 }
 
@@ -439,7 +446,7 @@ TEST(DecodeBatch, RefusesShapesNoEncoderProduces) {
 TEST(DecodeBatch, EmptyWantedReportsWhetherKSymbolsSurvive) {
   Rng rng(11);
   auto pkts = make_batch(4, 30, rng);
-  auto coded = encode_batch(pkts, 1, PacketType::kCrossCoded, 12, 1, 2, 0);
+  auto coded = reference_encode(pkts, 1, PacketType::kCrossCoded, 12, 1, 2, 0);
   Present present;
   for (std::size_t i = 0; i < 3; ++i) {
     present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
@@ -453,7 +460,7 @@ TEST(DecodeBatch, EmptyWantedReportsWhetherKSymbolsSurvive) {
 TEST(DecodeBatch, RejectsWantedPositionsItCannotRebuild) {
   Rng rng(12);
   auto pkts = make_batch(4, 30, rng);
-  auto coded = encode_batch(pkts, 2, PacketType::kCrossCoded, 13, 1, 2, 0);
+  auto coded = reference_encode(pkts, 2, PacketType::kCrossCoded, 13, 1, 2, 0);
   const CodedMeta& meta = *coded[0]->meta;
   Present present;
   present.emplace_back(0, std::span<const std::uint8_t>(pkts[0]->payload));

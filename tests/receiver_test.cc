@@ -11,9 +11,12 @@
 #include "endpoint/receiver.h"
 #include "fec/coded_batch.h"
 #include "netsim/network.h"
+#include "coding_reference.h"
 
 namespace jqos::endpoint {
 namespace {
+
+using jqos::testing::reference_encode;
 
 // Captures everything the receiver sends toward DC2.
 struct FakeDc final : netsim::Node {
@@ -262,7 +265,7 @@ TEST(Receiver, SelfDecodesInStreamCodedPacket) {
     p->payload.assign(32, static_cast<std::uint8_t>(s * 3));
     data.push_back(p);
   }
-  auto coded = fec::encode_batch(data, 1, PacketType::kInCoded, 900, 99, 0, 0);
+  auto coded = reference_encode(data, 1, PacketType::kInCoded, 900, 99, 0, 0);
 
   // Receiver got all but seq 2, then the coded packet from DC2.
   for (SeqNo s = 0; s < 5; ++s) {
@@ -322,7 +325,7 @@ TEST(Receiver, InCodedBatchSpanningFlowsIsRefused) {
     p->payload.assign(32, key.flow == 1 ? std::uint8_t{5} : std::uint8_t{0xEE});
     data.push_back(p);
   }
-  auto coded = fec::encode_batch(data, 1, PacketType::kInCoded, 901, 99, 0, 0);
+  auto coded = reference_encode(data, 1, PacketType::kInCoded, 901, 99, 0, 0);
   f.receiver->handle_packet(coded[0]);
   f.sim.run_until(msec(50));
   EXPECT_EQ(f.receiver->stats().self_decoded, 0u);

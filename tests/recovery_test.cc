@@ -8,12 +8,15 @@
 #include <map>
 
 #include "fec/coded_batch.h"
+#include "coding_reference.h"
 #include "netsim/network.h"
 #include "overlay/datacenter.h"
 #include "services/coding/recovery_dc.h"
 
 namespace jqos::services {
 namespace {
+
+using jqos::testing::reference_encode;
 
 // A scripted peer receiver: stores its own packets and answers cooperative
 // requests unless told to act as a straggler.
@@ -104,8 +107,7 @@ struct Fixture {
       peers.push_back(std::move(peer));
       data_pkts.push_back(std::move(p));
     }
-    return fec::encode_batch(data_pkts, r, PacketType::kCrossCoded, batch_id, 1,
-                             dc2.id(), 0);
+    return reference_encode(data_pkts, r, PacketType::kCrossCoded, batch_id, 1, dc2.id(), 0);
   }
 
   void deliver_coded(const std::vector<PacketPtr>& coded) {
@@ -250,7 +252,7 @@ TEST(Recovery, InStreamServedForSingleLoss) {
     p->payload.assign(32, static_cast<std::uint8_t>(s));
     data.push_back(p);
   }
-  auto coded = fec::encode_batch(data, 1, PacketType::kInCoded, 500, 1, f.dc2.id(), 0);
+  auto coded = reference_encode(data, 1, PacketType::kInCoded, 500, 1, f.dc2.id(), 0);
   f.deliver_coded(coded);
 
   f.send_nack(9, {2}, peer->id());
@@ -278,7 +280,7 @@ TEST(Recovery, CodedPacketDisagreeingWithItsBatchIsRefused) {
     p->payload.assign(32, static_cast<std::uint8_t>(s));
     data.push_back(p);
   }
-  auto coded = fec::encode_batch(data, 2, PacketType::kInCoded, 500, 1, f.dc2.id(), 0);
+  auto coded = reference_encode(data, 2, PacketType::kInCoded, 500, 1, f.dc2.id(), 0);
   // A second packet under batch 500's id whose covered keys differ.
   auto forged = std::make_shared<Packet>(*coded[1]);
   forged->meta->covered[0] = PacketKey{9, 40};
@@ -317,8 +319,7 @@ TEST(Recovery, MultiLossNackPrefersCooperative) {
     f.peers[flow - 1]->data[1] = p->payload;
     data_pkts.push_back(p);
   }
-  auto coded1 =
-      fec::encode_batch(data_pkts, 2, PacketType::kCrossCoded, 101, 1, f.dc2.id(), 0);
+  auto coded1 = reference_encode(data_pkts, 2, PacketType::kCrossCoded, 101, 1, f.dc2.id(), 0);
   f.deliver_coded(coded1);
 
   // Peer 0 lost both of its packets (burst) and NACKs them together.
@@ -373,8 +374,8 @@ TEST(Recovery, TailNackRecoversForwardRun) {
         f.peers[flow - 1]->data[s] = p->payload;
         data_pkts.push_back(p);
       }
-      f.deliver_coded(fec::encode_batch(data_pkts, 2, PacketType::kCrossCoded, 200 + s, 1,
-                                        f.dc2.id(), 0));
+      f.deliver_coded(reference_encode(data_pkts, 2, PacketType::kCrossCoded, 200 + s, 1,
+                                       f.dc2.id(), 0));
     }
   }
   // Flow 1's receiver went dark at seq 0 (outage): tail NACK from 0. The
@@ -451,7 +452,7 @@ TEST(Recovery, KeyInThreeBatchesServedInArrivalOrder) {
   // holds inline.
   for (std::uint32_t id = 500; id <= 502; ++id) {
     f.sim.run_until(sec(id - 500));
-    f.deliver_coded(fec::encode_batch(data, 1, PacketType::kInCoded, id, 1, f.dc2.id(), 0));
+    f.deliver_coded(reference_encode(data, 1, PacketType::kInCoded, id, 1, f.dc2.id(), 0));
   }
 
   // Each NACK is served by the oldest batch still inside its TTL.

@@ -16,9 +16,12 @@
 #include "services/coding/encoder_dc.h"
 #include "services/coding/recovery_dc.h"
 #include "transport/tcp_model.h"
+#include "coding_reference.h"
 
 namespace jqos {
 namespace {
+
+using jqos::testing::reference_encode;
 
 // ------------------------- wire-format fuzzing -----------------------------
 
@@ -83,6 +86,81 @@ TEST(Fuzz, TcpSegmentParseNeverCrashes) {
   }
 }
 
+// The wire edge applies the coded shape rule: every coded shape no encoder
+// builds, serialized then parsed, is refused, while what BatchEncoder emits
+// and a non-coded packet carrying meta still round-trip.
+TEST(CodedShape, ParseRefusesShapesNoEncoderBuilds) {
+  std::vector<PacketPtr> data;
+  for (SeqNo s = 0; s < 4; ++s) {
+    auto p = std::make_shared<Packet>();
+    p->flow = 7;
+    p->seq = s;
+    p->payload.assign(20 + s, static_cast<std::uint8_t>(s));
+    data.push_back(std::move(p));
+  }
+  fec::BatchEncoder enc;
+  std::vector<PacketPtr> coded;
+  for (PacketType type : {PacketType::kInCoded, PacketType::kCrossCoded}) {
+    coded.clear();
+    enc.encode_into(data, 2, type, 3, 1, 2, 0, coded);
+    for (const PacketPtr& c : coded) {
+      const auto parsed = Packet::parse(c->serialize());
+      ASSERT_TRUE(parsed.has_value()) << to_string(type);
+      ASSERT_TRUE(parsed->meta.has_value());
+      EXPECT_EQ(*parsed->meta, *c->meta);
+      EXPECT_EQ(parsed->payload, c->payload);
+    }
+  }
+
+  // coded[0] is now a valid cross-stream packet: k = 4, r = 2, index 4.
+  struct Malformed {
+    const char* what;
+    void (*mutate)(Packet&);
+  };
+  const Malformed shapes[] = {
+      {"no meta", [](Packet& p) { p.meta.reset(); }},
+      {"k = 0",
+       [](Packet& p) {
+         p.meta->k = 0;
+         p.meta->index = 0;
+         p.meta->covered.clear();
+       }},
+      {"k + r = 256", [](Packet& p) { p.meta->r = 252; }},
+      {"index < k", [](Packet& p) { p.meta->index = 3; }},
+      {"index >= k + r", [](Packet& p) { p.meta->index = 6; }},
+      {"covered.size() < k", [](Packet& p) { p.meta->covered.pop_back(); }},
+      {"covered.size() > k", [](Packet& p) { p.meta->covered.push_back({7, 9}); }},
+      {"in-stream batch spanning flows",
+       [](Packet& p) {
+         p.type = PacketType::kInCoded;
+         p.meta->covered[1].flow = 8;
+       }},
+  };
+  for (const Malformed& shape : shapes) {
+    Packet bad = *coded[0];
+    shape.mutate(bad);
+    EXPECT_FALSE(coded_shape_valid(bad)) << shape.what;
+    EXPECT_FALSE(Packet::parse(bad.serialize()).has_value()) << shape.what;
+  }
+
+  // A cross-stream batch protects many flows at once.
+  Packet cross = *coded[0];
+  cross.meta->covered[1].flow = 8;
+  EXPECT_TRUE(Packet::parse(cross.serialize()).has_value());
+
+  // Cooperative requests carry only the batch id and shape, no keys.
+  Packet coop;
+  coop.type = PacketType::kCoopRequest;
+  coop.meta.emplace();
+  coop.meta->batch_id = 3;
+  coop.meta->k = 4;
+  coop.meta->r = 2;
+  const auto parsed = Packet::parse(coop.serialize());
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(parsed->meta.has_value());
+  EXPECT_EQ(*parsed->meta, *coop.meta);
+}
+
 // --------------------- coded batch property sweeps -------------------------
 
 struct BatchParam {
@@ -105,7 +183,7 @@ TEST_P(CodedBatchSweep, RecoversIffEnoughSymbolsSurvive) {
     for (auto& b : p->payload) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     pkts.push_back(std::move(p));
   }
-  auto coded = fec::encode_batch(pkts, r, PacketType::kCrossCoded, 1, 1, 2, 0);
+  auto coded = reference_encode(pkts, r, PacketType::kCrossCoded, 1, 1, 2, 0);
 
   // Drop `losses` random data packets.
   std::set<std::size_t> missing;

@@ -1,7 +1,8 @@
 // Seeded-RNG fuzz of the Reed-Solomon erasure path: encode -> random erasure
 // pattern -> decode, with k, r, survivor count, and packet size all
 // randomized, under a randomly chosen GF(256) kernel backend per iteration.
-// The decoder is the production one, ReedSolomon::decode_into, asked for
+// Parity comes from the test-side reference encoder (coding_reference.h);
+// the decoder is the production one, ReedSolomon::decode_into, asked for
 // every data position.
 //
 // Invariants pinned per round-trip:
@@ -24,6 +25,7 @@
 #include "common/rng.h"
 #include "fec/gf256_simd.h"
 #include "fec/reed_solomon.h"
+#include "coding_reference.h"
 #include "test_guards.h"
 
 namespace jqos::fec {
@@ -52,10 +54,8 @@ TEST(RsFuzz, RandomizedEncodeEraseDecodeRoundTrips) {
     for (auto& shard : data) {
       for (auto& b : shard) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
-    std::vector<std::span<const std::uint8_t>> data_spans(data.begin(), data.end());
-
     const ReedSolomon rs(k, r);
-    const auto parity = rs.encode(data_spans);
+    const auto parity = jqos::testing::reference_parity(rs, data);
     ASSERT_EQ(parity.size(), r);
 
     // Random erasure pattern: shuffle all n shard indices, keep a random

@@ -36,7 +36,6 @@ std::uint64_t run_case(bool use_markov, std::uint64_t seed) {
   rc.dc2 = dc.id();
   rc.rtt_estimate = msec(200);
   rc.use_markov = use_markov;
-  rc.single_timeout = msec(25);
   rc.markov.adaptive = true;
   endpoint::Receiver receiver(net, rc);
   receiver.expect_flow(1);

@@ -224,12 +224,6 @@ void NackInfo::serialize_into(std::vector<std::uint8_t>& out) const {
   out = w.take();
 }
 
-std::optional<NackInfo> NackInfo::parse(std::span<const std::uint8_t> data) {
-  NackInfo n;
-  if (!parse_into(data, n)) return std::nullopt;
-  return n;
-}
-
 bool NackInfo::parse_into(std::span<const std::uint8_t> data, NackInfo& out) {
   ByteReader r(data);
   out.tail = r.u8() != 0;

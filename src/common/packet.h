@@ -178,7 +178,6 @@ struct NackInfo {
   // Serializes into `out` (cleared first, capacity reused) so pooled packet
   // payloads don't reallocate per NACK in steady state.
   void serialize_into(std::vector<std::uint8_t>& out) const;
-  static std::optional<NackInfo> parse(std::span<const std::uint8_t> data);
   // Parses into `out` (missing cleared, capacity reused); false on malformed
   // input, with `out` left in an unspecified-but-valid state.
   static bool parse_into(std::span<const std::uint8_t> data, NackInfo& out);

@@ -11,6 +11,11 @@ namespace {
 
 // History depth: the last this-many delivered packets of each flow.
 constexpr std::size_t kHistoryPackets = 1024;
+// In-stream coded batches held per flow awaiting a decode.
+constexpr std::size_t kInCodedBatches = 64;
+// Ablation D3 (use_markov = false): the single fixed timeout that replaces
+// the two-state model.
+constexpr SimDuration kSingleTimeout = msec(25);
 // Timer management: stop the per-flow timer after this much inactivity.
 constexpr SimDuration kIdleStop = sec(2);
 // How long a cooperative request for a not-yet-received packet is held
@@ -200,11 +205,11 @@ void Receiver::on_data(const PacketPtr& pkt, bool recovered) {
   if (!recovered) {
     fs.last_arrival = now;
     const SimDuration timeout =
-        config_.use_markov ? fs.detector.on_arrival(now) : config_.single_timeout;
+        config_.use_markov ? fs.detector.on_arrival(now) : kSingleTimeout;
     arm_timer(pkt->flow, fs, timeout);
   } else if (!fs.timer.armed()) {
     arm_timer(pkt->flow, fs,
-              config_.use_markov ? fs.detector.current_timeout() : config_.single_timeout);
+              config_.use_markov ? fs.detector.current_timeout() : kSingleTimeout);
   }
 }
 
@@ -321,28 +326,27 @@ void Receiver::on_in_coded(const PacketPtr& pkt) {
   // The shape rule also holds an in-stream batch to one flow: self-decode
   // matches keys by seq alone, so a batch spanning flows would fill this
   // flow's holes with another flow's bytes.
-  if (!coded_shape_valid(*pkt)) return;
+  if (!coded_shape_valid(*pkt)) {
+    ++stats_.malformed_coded;
+    return;
+  }
   const FlowId flow = pkt->meta->covered.front().flow;
   auto it = flows_.find(flow);
   if (it == flows_.end()) return;
   FlowState& fs = it->second;
   const std::uint32_t batch_id = pkt->meta->batch_id;
-  auto [bit, inserted] = fs.in_coded.try_emplace(batch_id);
-  bit->second.push_back(pkt);
-  if (inserted) {
-    fs.in_coded_order.push_back(batch_id);
-    while (fs.in_coded_order.size() > 64) {
-      fs.in_coded.erase(fs.in_coded_order.front());
-      fs.in_coded_order.pop_front();
-    }
+  auto batch = std::find_if(fs.in_coded.begin(), fs.in_coded.end(),
+                            [batch_id](const InCodedBatch& b) { return b.batch_id == batch_id; });
+  if (batch == fs.in_coded.end()) {
+    if (fs.in_coded.size() == kInCodedBatches) fs.in_coded.erase(fs.in_coded.begin());
+    batch = fs.in_coded.insert(fs.in_coded.end(), InCodedBatch{batch_id, {}});
   }
-  try_self_decode(flow, fs, batch_id);
+  batch->coded.push_back(pkt);
+  try_self_decode(flow, fs, batch);
 }
 
-void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_id) {
-  auto bit = fs.in_coded.find(batch_id);
-  if (bit == fs.in_coded.end() || bit->second.empty()) return;
-  const CodedMeta& meta = *bit->second.front()->meta;
+void Receiver::try_self_decode(FlowId flow, FlowState& fs, InCodedIt batch) {
+  const CodedMeta& meta = *batch->coded.front()->meta;
 
   present_scratch_.clear();
   wanted_scratch_.clear();
@@ -357,7 +361,7 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
   if (wanted_scratch_.empty()) return;  // Nothing we still need from this batch.
 
   recovered_scratch_.resize(wanted_scratch_.size());
-  if (!fec::decode_batch(decode_arena_, meta, present_scratch_, bit->second, wanted_scratch_,
+  if (!fec::decode_batch(decode_arena_, meta, present_scratch_, batch->coded, wanted_scratch_,
                          recovered_scratch_)) {
     return;  // Not enough symbols yet; keep the coded packets.
   }
@@ -378,8 +382,7 @@ void Receiver::try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_i
     remember(fs, packet);
   }
   advance_contiguity(fs);
-  fs.in_coded.erase(batch_id);
-  std::erase(fs.in_coded_order, batch_id);
+  fs.in_coded.erase(batch);
 }
 
 void Receiver::on_coop_request(const PacketPtr& pkt) {
@@ -482,7 +485,7 @@ void Receiver::on_timer(FlowId flow) {
   const bool was_short =
       config_.use_markov && fs.detector.state() == MarkovDetector::State::kShort;
   const SimDuration next_timeout =
-      config_.use_markov ? fs.detector.on_timeout() : config_.single_timeout;
+      config_.use_markov ? fs.detector.on_timeout() : kSingleTimeout;
 
   // A SHORT-state expiry means the stream went quiet mid-burst: the next
   // expected packet is presumed lost (tail loss). The DC-side NackCheck

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <span>
@@ -65,9 +64,9 @@ struct ReceiverConfig {
   SimDuration rtt_estimate = msec(100);
   MarkovParams markov;
   // Ablation D3: false replaces the two-state model with a single fixed
-  // timeout of `single_timeout` (Section 6.4 reports 5x more NACKs).
+  // timeout of kSingleTimeout (receiver.cc; Section 6.4 reports 5x more
+  // NACKs).
   bool use_markov = true;
-  SimDuration single_timeout = msec(25);
   // A missing packet not recovered within this span is declared lost (the
   // paper counts recovery beyond one RTT as a loss); 0 means one RTT.
   SimDuration recovery_give_up = 0;
@@ -119,6 +118,7 @@ struct ReceiverStats {
   std::uint64_t probes_sent = 0;        // Backed-off overlay probes.
   std::uint64_t nacks_suppressed = 0;   // NACKs skipped while the overlay was down.
   std::uint64_t far_ahead_dropped = 0;  // Arrivals kMaxSeqGap or more past the edge.
+  std::uint64_t malformed_coded = 0;    // In-stream packets failing coded_shape_valid.
 };
 
 class Receiver final : public netsim::Node {
@@ -208,6 +208,13 @@ class Receiver final : public netsim::Node {
     std::size_t history_size_ = 0;
   };
 
+  // The in-stream coded packets of one batch, kept until decode or eviction.
+  struct InCodedBatch {
+    std::uint32_t batch_id = 0;
+    std::vector<PacketPtr> coded;
+  };
+  using InCodedIt = std::vector<InCodedBatch>::iterator;
+
   struct FlowState {
     // Contiguity edge: all seq < next_expected are delivered, recovered, or
     // given up. `window` holds each seq's state from lo <= next_expected
@@ -219,9 +226,9 @@ class Receiver final : public netsim::Node {
     // requester's detection raced our slower direct path): answered as
     // soon as the packet lands, dropped after a short window.
     std::map<SeqNo, std::pair<PacketPtr, SimTime>> deferred_coop;
-    // In-stream coded packets by batch, kept until decode or eviction.
-    std::unordered_map<std::uint32_t, std::vector<PacketPtr>> in_coded;
-    std::deque<std::uint32_t> in_coded_order;
+    // In-stream coded batches in order of first arrival, at most
+    // kInCodedBatches (receiver.cc); the oldest is dropped first.
+    std::vector<InCodedBatch> in_coded;
     MarkovDetector detector;
     netsim::Timer timer;
     SimTime last_arrival = -1;   // Last direct-path arrival (Markov input).
@@ -260,7 +267,9 @@ class Receiver final : public netsim::Node {
                SimTime detected_at);
   void advance_contiguity(FlowState& fs);
   void remember(FlowState& fs, const PacketPtr& pkt);
-  void try_self_decode(FlowId flow, FlowState& fs, std::uint32_t batch_id);
+  // Decodes the flow's missing packets from `batch` once enough symbols are
+  // at hand, then drops the batch.
+  void try_self_decode(FlowId flow, FlowState& fs, InCodedIt batch);
   void give_up_stale(FlowId flow, FlowState& fs);
   void arm_timer(FlowId flow, FlowState& fs, SimDuration timeout);
 
@@ -281,7 +290,8 @@ class Receiver final : public netsim::Node {
   std::unordered_map<FlowId, FlowState> flows_;
   ReceiverStats stats_;
   // Reused scratch for in-stream self-decodes (fec::decode_batch): sized by
-  // the largest batch seen, recycled across decodes.
+  // the largest batch seen, recycled across decodes, and holding the codecs
+  // of the shapes decoded so far.
   fec::ShardArena decode_arena_;
   // Per-call scratch recycled across packets (handlers run one at a time on
   // the shard's event loop, never reentrantly). nack_scratch_ keeps the

@@ -2,67 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/packet_pool.h"
 
 namespace jqos::fec {
 namespace {
-
-// Constructing a ReedSolomon codec builds and inverts a Vandermonde block —
-// O(k^3) field operations. Batches reuse a handful of (k, r) shapes for the
-// lifetime of a run, so cache codecs instead of rebuilding one per batch.
-// ReedSolomon is immutable after construction, making the shared instances
-// safe for concurrent encode/decode.
-//
-// A missing shape is built under the mutex, so threads that miss it at once
-// build it once between them: the process's allocations then do not depend
-// on thread timing. Each thread's table below absorbs repeat lookups, so
-// the lock is taken about once per shape per thread.
-//
-// decode_batch feeds (k, r) straight from received packet metadata, so the
-// cache is bounded: a peer cycling through distinct shapes flushes the cache
-// rather than growing it without limit. Callers hold shared_ptr, so a flush
-// cannot free a codec that another thread is mid-encode on. The codec is
-// built before try_emplace touches the map, so a throwing constructor
-// leaves no empty slot behind (every caller refuses invalid shapes first).
-std::shared_ptr<const ReedSolomon> shared_codec_slow(std::size_t k, std::size_t r) {
-  constexpr std::size_t kMaxCachedShapes = 64;
-  static std::mutex mu;
-  static std::map<std::pair<std::size_t, std::size_t>, std::shared_ptr<const ReedSolomon>>
-      cache;
-  const std::lock_guard<std::mutex> lock(mu);
-  auto it = cache.find({k, r});
-  if (it != cache.end()) return it->second;
-  auto codec = std::make_shared<const ReedSolomon>(k, r);
-  if (cache.size() >= kMaxCachedShapes) cache.clear();
-  return cache.try_emplace({k, r}, std::move(codec)).first->second;
-}
-
-// Per-thread front for the global cache: one experiment shard (= one
-// thread) cycles through a handful of (k, r) shapes, so a tiny direct-
-// mapped thread_local table turns a steady-state encode or decode lookup
-// into two integer compares -- no mutex, no sharing, no contention between
-// shards.
-// Entries hold shared_ptr copies, so a global-cache flush can never free a
-// codec a thread still references.
-std::shared_ptr<const ReedSolomon> shared_codec(std::size_t k, std::size_t r) {
-  struct Entry {
-    std::size_t k = 0, r = 0;
-    std::shared_ptr<const ReedSolomon> codec;
-  };
-  constexpr std::size_t kTlsSlots = 8;
-  thread_local Entry tls[kTlsSlots];
-  Entry& e = tls[(k * 31 + r) % kTlsSlots];
-  if (e.codec && e.k == k && e.r == r) return e.codec;
-  e.codec = shared_codec_slow(k, r);
-  e.k = k;
-  e.r = r;
-  return e.codec;
-}
 
 // Shard framing: 2-byte original length prefix.
 constexpr std::size_t kLenPrefix = 2;
@@ -103,6 +48,14 @@ void ShardArena::frame_shard_into(std::size_t i, std::span<const std::uint8_t> p
   if (used < padded_len_) std::memset(shard_ptr + used, 0, padded_len_ - used);
 }
 
+const ReedSolomon& ShardArena::codec(std::size_t k, std::size_t r) {
+  for (const ReedSolomon& c : codecs_) {
+    if (c.k() == k && c.r() == r) return c;
+  }
+  if (codecs_.size() == kMaxCodecs) codecs_.clear();
+  return codecs_.emplace_back(k, r);
+}
+
 void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_coded,
                                PacketType coded_type, std::uint32_t batch_id, NodeId src,
                                NodeId dst, SimTime now, std::vector<PacketPtr>& out,
@@ -127,7 +80,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   for (std::size_t i = 0; i < k; ++i) arena_.frame_shard_into(i, data[i]->payload);
 
   if (num_coded == 0) return;
-  const auto rs = shared_codec(k, num_coded);
+  const ReedSolomon& rs = arena_.codec(k, num_coded);
 
   // Create the coded packets up front so parity is computed directly into
   // their payload buffers, with no arena-to-packet copy. With a pool each
@@ -145,12 +98,15 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
     out.push_back(std::move(pp));
     coded_pkts_.push_back(&pkt);
     pkt.type = coded_type;
+    // The recovery DC claims coded packets by the coding service tag.
+    pkt.service = ServiceType::kCode;
     // Coded packets belong to no single flow; flow/seq identify the batch
     // and codeword index instead so logs stay greppable.
     pkt.flow = 0;
     pkt.seq = batch_id;
     pkt.src = src;
     pkt.dst = dst;
+    pkt.final_dst = dst;
     pkt.sent_at = now;
     CodedMeta& m = engage_meta(pool, pkt);
     m.batch_id = batch_id;
@@ -165,7 +121,7 @@ void BatchEncoder::encode_into(std::span<const PacketPtr> data, std::size_t num_
   // Run the kernels over the zero-padded length — whole SIMD steps, no
   // scalar tails — then trim each payload to the true shard length (the
   // trimmed bytes are parity over zeros, i.e. zero).
-  rs->encode_into(arena_.data(), arena_.stride(), arena_.padded_len(), parity_ptrs_.data());
+  rs.encode_into(arena_.data(), arena_.stride(), arena_.padded_len(), parity_ptrs_.data());
   for (Packet* pkt : coded_pkts_) pkt->payload.resize(len);
 }
 
@@ -178,8 +134,8 @@ bool decode_batch(
     throw std::invalid_argument("decode_batch: need one out entry per wanted position");
   }
   const std::size_t k = meta.k;
-  // Shapes no encoder produces are refused before they reach the codec cache,
-  // whose constructor would throw on them.
+  // Shapes no encoder produces are refused before the arena builds a codec
+  // for them: ReedSolomon's constructor would throw.
   if (k == 0 || meta.covered.size() != k || k + meta.r > 255) return false;
   if (present.size() + coded.size() < k) return false;
 
@@ -227,8 +183,7 @@ bool decode_batch(
   }
   if (inputs.size() < k) return false;
 
-  const auto rs = shared_codec(k, meta.r);
-  if (!rs->decode_into(inputs, len, wanted, outs.data())) return false;
+  if (!arena.codec(k, meta.r).decode_into(inputs, len, wanted, outs.data())) return false;
   for (std::size_t i = 0; i < wanted.size(); ++i) out[i] = framed_payload(outs[i], len);
   return true;
 }

@@ -28,17 +28,20 @@
 
 namespace jqos::fec {
 
-// Reusable scratch storage that frames a batch's shards into one contiguous
-// allocation, each shard starting on a kAlignment boundary (stride =
-// shard_len rounded up to kAlignment) so the SIMD GF(256) kernels read and
-// write aligned lines.
+// A coder's reusable state: the scratch storage that frames a batch's shards
+// into one contiguous allocation, each shard starting on a kAlignment
+// boundary (stride = shard_len rounded up to kAlignment) so the SIMD
+// GF(256) kernels read and write aligned lines, and the Reed-Solomon codecs
+// of the (k, r) shapes the coder has met. Every coder owns one (each
+// BatchEncoder, RecoveryService and Receiver), so coders share no mutable
+// state.
 //
-// Ownership/lifetime: the arena owns its buffer; pointers returned by
-// shard()/data() are valid until the next layout() call that grows the
-// buffer, and are invalidated by move/destruction. The buffer only ever
-// grows, so a long-lived arena (one per encoder service instance) reaches
-// its high-water size once and then recycles it for every later batch.
-// Not thread-safe; use one arena per thread.
+// Ownership/lifetime: the arena owns its buffer and its codecs; pointers
+// returned by shard()/data() are valid until the next layout() call that
+// grows the buffer, and are invalidated by move/destruction. The buffer only
+// ever grows, so a long-lived arena reaches its high-water size once and
+// then recycles it for every later batch. Not thread-safe; one owner at a
+// time.
 class ShardArena {
  public:
   ShardArena() = default;
@@ -92,6 +95,19 @@ class ShardArena {
   // be <= shard_len(). `payload` must not alias the arena.
   void frame_shard_into(std::size_t i, std::span<const std::uint8_t> payload);
 
+  // The most codecs an arena keeps. The busiest coder of the benchmark
+  // workloads and benches meets 16 shapes (an in-stream block of 16 allows
+  // 22), so a run never rebuilds a codec; a peer cycling through shapes
+  // empties the table instead of growing it.
+  static constexpr std::size_t kMaxCodecs = 32;
+
+  // The (k, r) codec, built on first use (O(k^3), a few allocations) and
+  // found by a linear scan afterwards. The reference stays valid until the
+  // next codec() call or until the arena moves. Requires 1 <= k and
+  // k + r <= 255: ReedSolomon's constructor throws std::invalid_argument
+  // otherwise.
+  const ReedSolomon& codec(std::size_t k, std::size_t r);
+
  private:
   std::vector<std::uint8_t> buf_;  // Oversized by kAlignment for the aligned base.
   std::uint8_t* base_ = nullptr;
@@ -99,18 +115,19 @@ class ShardArena {
   std::size_t shard_len_ = 0;
   std::size_t padded_len_ = 0;
   std::size_t count_ = 0;
+  std::vector<ReedSolomon> codecs_;  // In first-use order; emptied at kMaxCodecs.
 };
 
-// The zero-copy production encoder. Owns a ShardArena and takes its codec
-// from the process-wide (k, r) cache, whose per-thread front answers a
-// repeated shape without a lock. Per batch a service instance performs one
-// framing pass over the data payloads into the arena, the SIMD parity
-// computation directly into the output packets' payloads, and nothing else
-// — no per-shard vectors, no intermediate parity buffers.
+// The zero-copy production encoder. Owns a ShardArena, which frames the
+// shards and keeps the encoder's codecs, one per (k, r) shape it has
+// encoded. Per batch a service instance performs one framing pass over the
+// data payloads into the arena, the SIMD parity computation directly into
+// the output packets' payloads, and nothing else — no per-shard vectors, no
+// intermediate parity buffers.
 //
-// Not thread-safe (the arena is shared mutable state); keep one instance
-// per encoding service/thread. Output packets are independently owned
-// shared_ptrs, safe to retain beyond the encoder's lifetime.
+// Not thread-safe (the arena is mutable state); keep one instance per
+// encoding service. Output packets are independently owned shared_ptrs,
+// safe to retain beyond the encoder's lifetime.
 class BatchEncoder {
  public:
   // Encodes a batch of k data packets into `num_coded` coded packets of type
@@ -118,8 +135,9 @@ class BatchEncoder {
   // cross-stream batches) addressed `src` -> `dst` (DC1 -> DC2), appending
   // them to `out`. Each carries the batch's CodedMeta: batch id, codeword
   // index k + i, k, r and the k covered (flow, seq) keys in codeword order;
-  // its flow is 0 and its seq the batch id. `out` is appended to, not
-  // cleared, so a caller-reused vector amortizes its allocation too.
+  // its service is kCode, its flow 0, its seq the batch id, its final_dst
+  // `dst`, and its sent_at `now`. `out` is appended to, not cleared, so a
+  // caller-reused vector amortizes its allocation too.
   //
   // With a non-null `pool`, the coded packets come from the pool (recycled
   // storage, payload/covered capacity reused, zero allocator traffic in
@@ -164,10 +182,11 @@ class BatchEncoder {
 // `out` must have one entry per wanted position (std::invalid_argument
 // otherwise). The present payloads are framed and the wanted shards rebuilt
 // inside `arena` (grow-only, reusable across calls -- each decoding service
-// keeps one); coded payloads are read in place. On success out[i] views the
-// payload of position wanted[i] inside the arena, valid until the arena is
-// next laid out; a corrupt length prefix gives an empty view. Per call, a few
-// small bookkeeping vectors and the sub-matrix inverse are heap-allocated.
+// keeps one), whose codec for (k, r) does the decode; coded payloads are
+// read in place. On success out[i] views the payload of position wanted[i]
+// inside the arena, valid until the arena is next laid out; a corrupt
+// length prefix gives an empty view. Per call, a few small bookkeeping
+// vectors and the sub-matrix inverse are heap-allocated.
 // Not thread-safe with respect to `arena`.
 bool decode_batch(
     ShardArena& arena, const CodedMeta& meta,

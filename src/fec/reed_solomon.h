@@ -8,10 +8,9 @@
 // submatrix built from distinct rows remains invertible, which is exactly
 // the any-k-of-n property.
 //
-// A ReedSolomon instance is immutable after construction and safe to share
-// across threads; coded_batch.cc caches instances per (k, r) for exactly
-// that reason. Every parity row and every rebuilt shard is one gf_rs_row
-// call.
+// A ReedSolomon instance is immutable after construction; each coder's
+// ShardArena (coded_batch.h) builds one per (k, r) shape it meets and keeps
+// it. Every parity row and every rebuilt shard is one gf_rs_row call.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +26,8 @@ namespace jqos::fec {
 class ReedSolomon {
  public:
   // k data shards, r parity shards; k >= 1, r >= 0, k + r <= 255.
-  // Construction inverts a k x k block: O(k^3) field operations. Cache and
-  // reuse instances (see coded_batch.cc's shared_codec) instead of building
-  // one per batch.
+  // Construction inverts a k x k block: O(k^3) field operations. Keep and
+  // reuse instances (ShardArena::codec) instead of building one per batch.
   ReedSolomon(std::size_t k, std::size_t r);
 
   std::size_t k() const { return k_; }

@@ -47,7 +47,6 @@ void DataCenter::fault_restart() {
   if (!down_) return;
   down_ = false;
   JQOS_DEBUG(name_ << ": restart at " << now());
-  for (const auto& service : services_) service->on_dc_restart();
 }
 
 }  // namespace jqos::overlay

@@ -31,12 +31,11 @@ class DcService {
   // Returns true if the packet was consumed by this service.
   virtual bool handle(DataCenter& dc, const PacketPtr& pkt) = 0;
 
-  // Fault-layer hooks. on_dc_crash must drop all soft state (stored batches,
-  // pending ops, armed timers -- anything a process restart would lose);
-  // on_dc_restart runs when the DC comes back cold. Cumulative counters are
+  // Fault-layer hook. on_dc_crash must drop all soft state (stored batches,
+  // pending ops, armed timers -- anything a process restart would lose), so
+  // the DC comes back cold with nothing more to do. Cumulative counters are
   // NOT state: crash wipes what a restart would rebuild, not the books.
   virtual void on_dc_crash() {}
-  virtual void on_dc_restart() {}
 };
 
 class DataCenter final : public netsim::Node, public netsim::FaultableNode {

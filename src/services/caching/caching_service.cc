@@ -23,16 +23,16 @@ bool CachingService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
       // packet is served from the cache. Tail NACKs ask for everything at
       // or beyond `expected` -- served by probing forward while hits last
       // (sequence numbers are contiguous per flow).
-      auto info = NackInfo::parse(pkt->payload);
-      if (!info) return false;
-      for (SeqNo s : info->missing) {
+      if (!NackInfo::parse_into(pkt->payload, nack_scratch_)) return false;
+      const NackInfo& info = nack_scratch_;
+      for (SeqNo s : info.missing) {
         ++service_stats_.pulls;
         serve(dc, PacketKey{pkt->flow, s}, pkt->src);
       }
-      if (info->tail) {
+      if (info.tail) {
         // Serve the contiguous cached run starting at `expected`; the first
         // miss ends the outage-recovery burst.
-        SeqNo s = info->expected;
+        SeqNo s = info.expected;
         while (true) {
           PacketPtr cached = store_.get(PacketKey{pkt->flow, s}, dc.now());
           if (cached == nullptr) break;

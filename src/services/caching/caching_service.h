@@ -55,6 +55,8 @@ class CachingService final : public overlay::DcService {
   SimDuration ttl_;
   CacheStore store_;
   CachingServiceStats service_stats_;
+  // NACK parse scratch recycled across packets (handlers never reenter).
+  NackInfo nack_scratch_;
 };
 
 }  // namespace jqos::services

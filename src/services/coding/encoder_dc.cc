@@ -156,12 +156,7 @@ void CodingEncoderService::encode_queue(Queue& q, std::size_t coded, PacketType 
   coded_scratch_.clear();
   encoder_.encode_into(q.pkts, coded, type, batch_id, dc_.id(), dc2, dc_.now(),
                        coded_scratch_, dc_.pool());
-  for (auto& cp : coded_scratch_) {
-    // Coded packets ride the inter-DC path with the coding service tag so
-    // the recovery DC claims them on arrival.
-    auto mutable_cp = std::const_pointer_cast<Packet>(cp);
-    mutable_cp->service = ServiceType::kCode;
-    mutable_cp->final_dst = dc2;
+  for (const PacketPtr& cp : coded_scratch_) {
     ++stats_.coded_sent;
     dc_.send(cp);
   }

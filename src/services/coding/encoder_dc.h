@@ -175,8 +175,9 @@ class CodingEncoderService final : public overlay::DcService {
   std::uint32_t next_batch_id_;
 
   // Zero-copy coding state, reused for the lifetime of the service: the
-  // encoder's shard arena grows to the largest batch shape once, then every
-  // later batch frames and encodes without touching the allocator.
+  // encoder's shard arena grows to the largest batch shape once and keeps a
+  // codec per shape, then every later batch frames and encodes without
+  // touching the allocator.
   fec::BatchEncoder encoder_;
   std::vector<PacketPtr> coded_scratch_;
   // flush_all ordering scratch (services run on one event loop; never

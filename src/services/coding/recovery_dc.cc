@@ -127,7 +127,12 @@ bool RecoveryService::handle(overlay::DataCenter& dc, const PacketPtr& pkt) {
 }
 
 void RecoveryService::on_coded(const PacketPtr& pkt) {
-  if (!pkt->meta) return;
+  // Store no batch that no codec can decode: a NACK for its keys would
+  // otherwise open a cooperative op that can only wait out its deadline.
+  if (!coded_shape_valid(*pkt)) {
+    ++stats_.malformed_coded;
+    return;
+  }
   const CodedMeta& meta = *pkt->meta;
   const std::uint32_t batch_id = meta.batch_id;
   const std::uint32_t* found = store_.slot_of.find(batch_id);

@@ -140,6 +140,9 @@ struct RecoveryStatsDc {
   // Coded packets refused because their k, r or covered keys disagree with
   // the stored batch of the same id.
   std::uint64_t inconsistent_coded = 0;
+  // Coded packets refused because they fail coded_shape_valid: no codec
+  // could decode their batch.
+  std::uint64_t malformed_coded = 0;
 
   // The one merge definition every totals path (per-shard and cross-shard)
   // uses; a new field added here is summed everywhere or nowhere.
@@ -163,6 +166,7 @@ struct RecoveryStatsDc {
     crash_wipes += o.crash_wipes;
     stale_timers += o.stale_timers;
     inconsistent_coded += o.inconsistent_coded;
+    malformed_coded += o.malformed_coded;
     return *this;
   }
 };
@@ -336,8 +340,9 @@ class RecoveryService final : public overlay::DcService {
   // was armed in so stale ones are no-ops.
   std::uint64_t epoch_ = 0;
 
-  // Scratch for fec::decode_batch: grows to the largest batch shape once,
-  // then every decode frames and reconstructs in place.
+  // Scratch for fec::decode_batch: grows to the largest batch shape once
+  // and keeps a codec per shape, then every decode frames and reconstructs
+  // in place.
   fec::ShardArena decode_arena_;
 
   // Per-call scratch recycled across packets (services run on their shard's

@@ -56,10 +56,12 @@ void expect_identical(const std::vector<PacketPtr>& reference,
     const Packet& a = *reference[i];
     const Packet& b = *zero_copy[i];
     EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.service, b.service);
     EXPECT_EQ(a.flow, b.flow);
     EXPECT_EQ(a.seq, b.seq);
     EXPECT_EQ(a.src, b.src);
     EXPECT_EQ(a.dst, b.dst);
+    EXPECT_EQ(a.final_dst, b.final_dst);
     EXPECT_EQ(a.sent_at, b.sent_at);
     ASSERT_TRUE(a.meta.has_value());
     ASSERT_TRUE(b.meta.has_value());
@@ -264,6 +266,38 @@ TEST(DecodeBatchArena, RefusesTwoLossesWithOneCodedSymbol) {
   const std::vector<std::size_t> wanted = {0, 3};
   std::vector<std::span<const std::uint8_t>> out(wanted.size());
   EXPECT_FALSE(decode_batch(decode_arena, meta, present, coded, wanted, out));
+}
+
+TEST(DecodeBatchArena, OneArenaDecodesMoreShapesThanItKeepsCodecs) {
+  // One arena meets more distinct (k, r) shapes than it keeps codecs, then
+  // the first shape again, so its codec table empties and refills.
+  Rng rng(18);
+  ShardArena decode_arena;
+  const std::size_t shapes = ShardArena::kMaxCodecs + 3;
+  for (std::size_t s = 0; s <= shapes; ++s) {
+    const std::size_t k = s % shapes + 1;  // The last round repeats shape 0.
+    const std::size_t r = 1 + k % 3;
+    auto pkts = random_batch(k, 1, 64, rng);
+    const auto coded = reference_encode(pkts, r, PacketType::kCrossCoded,
+                                        static_cast<std::uint32_t>(s), 1, 2, 0);
+    // The first min(k, r) positions are lost, the rest present.
+    std::vector<std::size_t> wanted;
+    std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> present;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (i < std::min(k, r)) {
+        wanted.push_back(i);
+      } else {
+        present.emplace_back(i, std::span<const std::uint8_t>(pkts[i]->payload));
+      }
+    }
+    std::vector<std::span<const std::uint8_t>> out(wanted.size());
+    ASSERT_TRUE(decode_batch(decode_arena, *coded[0]->meta, present, coded, wanted, out))
+        << "round " << s << " (k " << k << ", r " << r << ")";
+    for (std::size_t i = 0; i < wanted.size(); ++i) {
+      EXPECT_TRUE(std::ranges::equal(out[i], pkts[wanted[i]]->payload))
+          << "round " << s << " position " << wanted[i];
+    }
+  }
 }
 
 // ------------------------- ReedSolomon zero-copy --------------------------

@@ -43,8 +43,9 @@ inline std::vector<Shard> reference_parity(const fec::ReedSolomon& rs,
 
 // The coded packets of a batch of k data packets, as the production encoder
 // defines them: each member framed as [u16 length | payload | zero pad] to
-// the longest payload plus the prefix; coded packet i has flow 0, seq =
-// batch_id and codeword index k + i, and carries the batch's CodedMeta.
+// the longest payload plus the prefix; coded packet i has service kCode,
+// flow 0, seq = batch_id, final_dst = dst and codeword index k + i, and
+// carries the batch's CodedMeta.
 // Throws std::invalid_argument where BatchEncoder does: an empty batch,
 // k + num_coded > 255, or a payload past 65535 bytes.
 inline std::vector<PacketPtr> reference_encode(std::span<const PacketPtr> data,
@@ -77,10 +78,12 @@ inline std::vector<PacketPtr> reference_encode(std::span<const PacketPtr> data,
   for (std::size_t i = 0; i < num_coded; ++i) {
     auto pkt = std::make_shared<Packet>();
     pkt->type = coded_type;
+    pkt->service = ServiceType::kCode;
     pkt->flow = 0;
     pkt->seq = batch_id;
     pkt->src = src;
     pkt->dst = dst;
+    pkt->final_dst = dst;
     pkt->sent_at = now;
     pkt->meta = meta;
     pkt->meta->index = static_cast<std::uint8_t>(data.size() + i);

@@ -144,9 +144,9 @@ TEST(Packet, NackInfoRoundTrip) {
   n.tail = true;
   n.expected = 17;
   n.missing = {17, 19, 23};
-  auto parsed = NackInfo::parse(n.serialize());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, n);
+  NackInfo parsed;
+  ASSERT_TRUE(NackInfo::parse_into(n.serialize(), parsed));
+  EXPECT_EQ(parsed, n);
 }
 
 TEST(Packet, NackInfoRejectsBogusCount) {
@@ -154,7 +154,8 @@ TEST(Packet, NackInfoRejectsBogusCount) {
   w.u8(0);
   w.u32(0);
   w.u32(1000000);  // Claims a million seqs with no bytes behind it.
-  EXPECT_FALSE(NackInfo::parse(w.data()).has_value());
+  NackInfo parsed;
+  EXPECT_FALSE(NackInfo::parse_into(w.data(), parsed));
 }
 
 TEST(Packet, FactoriesPopulateFields) {

@@ -85,10 +85,10 @@ TEST(Receiver, GapTriggersImmediateNack) {
   f.sim.run_until(msec(20));
   auto nacks = f.dc.of_type(PacketType::kNack);
   ASSERT_EQ(nacks.size(), 1u);
-  auto info = NackInfo::parse(nacks[0]->payload);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->missing, (std::vector<SeqNo>{1, 2}));
-  EXPECT_FALSE(info->tail);
+  NackInfo info;
+  ASSERT_TRUE(NackInfo::parse_into(nacks[0]->payload, info));
+  EXPECT_EQ(info.missing, (std::vector<SeqNo>{1, 2}));
+  EXPECT_FALSE(info.tail);
   EXPECT_EQ(f.receiver->stats().losses_detected, 2u);
 
   // Hole 1 stays open while packets keep arriving past it; a second gap
@@ -100,9 +100,8 @@ TEST(Receiver, GapTriggersImmediateNack) {
   f.sim.run_until(msec(40));
   nacks = f.dc.of_type(PacketType::kNack);
   ASSERT_EQ(nacks.size(), 2u);
-  info = NackInfo::parse(nacks[1]->payload);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->missing, (std::vector<SeqNo>{6}));
+  ASSERT_TRUE(NackInfo::parse_into(nacks[1]->payload, info));
+  EXPECT_EQ(info.missing, (std::vector<SeqNo>{6}));
   EXPECT_EQ(f.receiver->stats().losses_detected, 3u);
 }
 
@@ -288,26 +287,54 @@ TEST(Receiver, SelfDecodesInStreamCodedPacket) {
 }
 
 TEST(Receiver, CodedShapeBeyondGf256IsRefused) {
-  Fixture f;
-  for (SeqNo s = 0; s < 7; ++s) {
-    if (s != 5) f.arrive(s);  // Seq 5 becomes a detected hole.
+  // An in-stream packet over flow 1's seqs 5 and 6, which decodes seq 5
+  // while the receiver holds seq 6, then each shape the rule refuses,
+  // k + r = 256 (no codec decodes it) among them: refused ones are counted
+  // and decode nothing.
+  struct Malformed {
+    const char* what;
+    void (*mutate)(Packet&);
+  };
+  const Malformed shapes[] = {
+      {"well-formed", nullptr},
+      {"no meta", [](Packet& p) { p.meta.reset(); }},
+      {"k = 0",
+       [](Packet& p) {
+         p.meta->k = 0;
+         p.meta->index = 0;
+         p.meta->covered.clear();
+       }},
+      {"k + r = 256", [](Packet& p) { p.meta->r = 254; }},
+      {"index < k", [](Packet& p) { p.meta->index = 1; }},
+      {"index >= k + r", [](Packet& p) { p.meta->index = 3; }},
+      {"covered.size() < k", [](Packet& p) { p.meta->covered.pop_back(); }},
+      {"covered.size() > k", [](Packet& p) { p.meta->covered.push_back({1, 7}); }},
+      {"in-stream batch spanning flows", [](Packet& p) { p.meta->covered[1].flow = 2; }},
+  };
+  for (const Malformed& shape : shapes) {
+    Fixture f;
+    for (SeqNo s = 0; s < 8; ++s) {
+      if (s != 5) f.arrive(s);  // Seq 5 becomes a detected hole.
+    }
+    std::vector<PacketPtr> data;
+    for (SeqNo s : {5u, 6u}) {
+      auto p = std::make_shared<Packet>();
+      p->flow = 1;
+      p->seq = s;
+      p->payload.assign(32, static_cast<std::uint8_t>(s));
+      data.push_back(p);
+    }
+    Packet coded = *reference_encode(data, 1, PacketType::kInCoded, 1, 99, 0, 0)[0];
+    const bool refused = shape.mutate != nullptr;
+    if (refused) shape.mutate(coded);
+    EXPECT_NO_THROW(f.receiver->handle_packet(std::make_shared<Packet>(coded))) << shape.what;
+    f.sim.run_until(msec(50));
+    EXPECT_EQ(f.receiver->stats().malformed_coded, refused ? 1u : 0u) << shape.what;
+    EXPECT_EQ(f.receiver->stats().self_decoded, refused ? 0u : 1u) << shape.what;
+    const bool seq5_delivered = std::any_of(f.records.begin(), f.records.end(),
+                                            [](const DeliveryRecord& r) { return r.seq == 5; });
+    EXPECT_EQ(seq5_delivered, !refused) << shape.what;
   }
-  // A well-formed in-stream coded packet covering seq 5 whose shape,
-  // k + r = 256, no encoder makes and no codec can decode.
-  auto coded = std::make_shared<Packet>();
-  coded->type = PacketType::kInCoded;
-  CodedMeta meta;
-  meta.batch_id = 1;
-  meta.k = 1;
-  meta.r = 255;
-  meta.index = 1;
-  meta.covered = {PacketKey{1, 5}};
-  coded->meta = std::move(meta);
-  coded->payload.assign(34, 0);
-  EXPECT_NO_THROW(f.receiver->handle_packet(coded));
-  f.sim.run_until(msec(50));
-  EXPECT_EQ(f.receiver->stats().self_decoded, 0u);
-  for (const auto& r : f.records) EXPECT_NE(r.seq, 5u);
 }
 
 TEST(Receiver, InCodedBatchSpanningFlowsIsRefused) {
@@ -346,10 +373,10 @@ TEST(Receiver, TailLossDetectedByShortTimer) {
   f.sim.run_until(msec(500));
   auto nacks = f.dc.of_type(PacketType::kNack);
   ASSERT_GE(nacks.size(), 1u);
-  auto info = NackInfo::parse(nacks[0]->payload);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->tail);
-  EXPECT_EQ(info->expected, 3u);
+  NackInfo info;
+  ASSERT_TRUE(NackInfo::parse_into(nacks[0]->payload, info));
+  EXPECT_TRUE(info.tail);
+  EXPECT_EQ(info.expected, 3u);
   EXPECT_GE(f.receiver->stats().tail_nacks_sent, 1u);
 }
 
@@ -388,7 +415,6 @@ TEST(Receiver, SingleTimeoutModeSendsMoreNacks) {
   auto count_nacks = [](bool use_markov) {
     ReceiverConfig config;
     config.use_markov = use_markov;
-    config.single_timeout = msec(25);
     config.rtt_estimate = msec(200);
     config.markov.adaptive = false;
     Fixture f(config);
@@ -506,9 +532,9 @@ TEST(Receiver, RandomScheduleAccountsEverySeqOnce) {
 
     std::set<SeqNo> nacked;
     for (const auto& nack : f.dc.of_type(PacketType::kNack)) {
-      auto info = NackInfo::parse(nack->payload);
-      ASSERT_TRUE(info.has_value());
-      nacked.insert(info->missing.begin(), info->missing.end());
+      NackInfo info;
+      ASSERT_TRUE(NackInfo::parse_into(nack->payload, info));
+      nacked.insert(info.missing.begin(), info.missing.end());
     }
     std::vector<int> records(kSeqs, 0);
     std::vector<bool> lost(kSeqs, false);

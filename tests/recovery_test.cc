@@ -1,6 +1,6 @@
 // Tests for the DC2 recovery engine: in-stream serving, cooperative
 // recovery (success, stragglers, deadline failure, a second requester
-// joining a running op, a shape no codec decodes), coded packets that
+// joining a running op), coded packets of shapes the rule refuses or that
 // disagree with their batch, NACK-before-coded checking, tail NACKs, batch
 // TTL sweeping, and keys covered by more than two batches.
 #include <gtest/gtest.h>
@@ -185,31 +185,59 @@ TEST(Recovery, TwoRequestersJoinOneCooperativeOp) {
 }
 
 TEST(Recovery, CodedShapeBeyondGf256IsRefused) {
-  RecoveryParams params;
-  params.coop_deadline = msec(100);
-  Fixture f(params);
-  auto peer = std::make_unique<Peer>(f.net, f.dc2);
-  f.registry->register_flow(1, FlowInfo{f.dc2.id(), peer->id()});
-  // A well-formed cross-coded packet covering (1, 5) whose shape,
-  // k + r = 256, no encoder makes and no codec can decode.
-  auto coded = std::make_shared<Packet>();
-  coded->type = PacketType::kCrossCoded;
-  coded->service = ServiceType::kCode;
-  CodedMeta meta;
-  meta.batch_id = 100;
-  meta.k = 1;
-  meta.r = 255;
-  meta.index = 1;
-  meta.covered = {PacketKey{1, 5}};
-  coded->meta = std::move(meta);
-  coded->payload.assign(34, 0);
-  EXPECT_NO_THROW(f.dc2.handle_packet(coded));
-  EXPECT_NO_THROW(f.send_nack(1, {5}, peer->id()));
-  f.sim.run_until(sec(1));
-  EXPECT_TRUE(peer->received.empty());
-  EXPECT_EQ(f.recovery->stats().coop_ops, 1u);
-  EXPECT_EQ(f.recovery->stats().coop_success, 0u);
-  EXPECT_EQ(f.recovery->stats().coop_deadline_failures, 1u);
+  // Each shape the rule refuses, k + r = 256 (no codec decodes it) among
+  // them, is counted and stores no batch, so a NACK for a key it covers
+  // opens no cooperative op that could only wait out its deadline.
+  struct Malformed {
+    const char* what;
+    void (*mutate)(Packet&);
+  };
+  const Malformed shapes[] = {
+      {"no meta", [](Packet& p) { p.meta.reset(); }},
+      {"k = 0",
+       [](Packet& p) {
+         p.meta->k = 0;
+         p.meta->index = 0;
+         p.meta->covered.clear();
+       }},
+      {"k + r = 256", [](Packet& p) { p.meta->r = 254; }},
+      {"index < k", [](Packet& p) { p.meta->index = 1; }},
+      {"index >= k + r", [](Packet& p) { p.meta->index = 3; }},
+      {"covered.size() < k", [](Packet& p) { p.meta->covered.pop_back(); }},
+      {"covered.size() > k", [](Packet& p) { p.meta->covered.push_back({3, 5}); }},
+      {"in-stream batch spanning flows", [](Packet& p) { p.type = PacketType::kInCoded; }},
+  };
+  for (const Malformed& shape : shapes) {
+    RecoveryParams params;
+    params.coop_deadline = msec(100);
+    Fixture f(params);
+    auto peer = std::make_unique<Peer>(f.net, f.dc2);
+    f.registry->register_flow(1, FlowInfo{f.dc2.id(), peer->id()});
+    // A well-formed cross-coded packet covering (1, 5) and (2, 5), then
+    // mutated.
+    auto coded = std::make_shared<Packet>();
+    coded->type = PacketType::kCrossCoded;
+    coded->service = ServiceType::kCode;
+    CodedMeta meta;
+    meta.batch_id = 100;
+    meta.k = 2;
+    meta.r = 1;
+    meta.index = 2;
+    meta.covered = {PacketKey{1, 5}, PacketKey{2, 5}};
+    coded->meta = std::move(meta);
+    coded->payload.assign(34, 0);
+    ASSERT_TRUE(coded_shape_valid(*coded));
+    shape.mutate(*coded);
+
+    EXPECT_NO_THROW(f.dc2.handle_packet(coded)) << shape.what;
+    EXPECT_EQ(f.recovery->stats().malformed_coded, 1u) << shape.what;
+    EXPECT_EQ(f.recovery->batches_held(), 0u) << shape.what;
+    EXPECT_NO_THROW(f.send_nack(1, {5}, peer->id())) << shape.what;
+    f.sim.run_until(sec(1));
+    EXPECT_TRUE(peer->recovered().empty()) << shape.what;
+    EXPECT_EQ(f.recovery->stats().coop_ops, 0u) << shape.what;
+    EXPECT_EQ(f.recovery->stats().coop_deadline_failures, 0u) << shape.what;
+  }
 }
 
 TEST(Recovery, ToleratesStragglersUpToCodedBudget) {

@@ -68,11 +68,12 @@ TEST(Fuzz, PacketParseNeverCrashesOnMutatedValidPackets) {
 
 TEST(Fuzz, NackInfoParseNeverCrashes) {
   Rng rng(0xdead);
+  NackInfo info;
   for (int trial = 0; trial < 20000; ++trial) {
     const std::size_t len = static_cast<std::size_t>(rng.uniform_int(0, 64));
     std::vector<std::uint8_t> bytes(len);
     for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    (void)NackInfo::parse(bytes);
+    (void)NackInfo::parse_into(bytes, info);
   }
 }
 
